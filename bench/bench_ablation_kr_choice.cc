@@ -1,4 +1,4 @@
-// Ablation: how the reduce-task count is chosen (DESIGN.md §4.4) —
+// Ablation: how the reduce-task count is chosen —
 // the literal Eq. 10 Δ minimization vs the cost-model sweep vs fixed
 // maximum parallelism, evaluated on the Fig. 7(a) self-join at several
 // volumes.

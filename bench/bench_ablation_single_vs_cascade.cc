@@ -31,7 +31,7 @@ int main() {
       tables.push_back(GenerateFlightLeg(i, options));
     }
     std::vector<StayOver> stays(legs - 1, StayOver{45, 6 * 60});
-    const auto query = BuildItineraryQuery(tables, stays);
+    const auto query = ItineraryQueryBuilder(tables, stays).Build();
     if (!query.ok()) return 1;
 
     const auto ours = bench::RunSystem("ours", *query, harness);

@@ -60,7 +60,7 @@ std::vector<Shape> BuildShapes() {
   MobileDataOptions mobile_options;
   mobile_options.physical_rows = 800;
   mobile_options.logical_bytes = 2 * kGiB;
-  const auto mobile = BuildMobileQuery(1, mobile_options);
+  const auto mobile = MobileQueryBuilder(1, mobile_options).Build();
   if (!mobile.ok()) {
     std::fprintf(stderr, "mobile q1: %s\n",
                  mobile.status().ToString().c_str());
@@ -72,7 +72,7 @@ std::vector<Shape> BuildShapes() {
   tpch_options.scale_factor = 100;
   tpch_options.physical_lineitem_rows = 1500;
   const TpchData db = GenerateTpch(tpch_options);
-  const auto q17 = BuildTpchQuery(17, db);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
   if (!q17.ok()) {
     std::fprintf(stderr, "tpch q17: %s\n", q17.status().ToString().c_str());
     std::exit(1);
@@ -85,7 +85,8 @@ std::vector<Shape> BuildShapes() {
   for (int i = 0; i < 3; ++i) {
     legs.push_back(GenerateFlightLeg(i, leg_options));
   }
-  const auto flights = BuildItineraryQuery(legs, {StayOver{}, StayOver{}});
+  const auto flights =
+      ItineraryQueryBuilder(legs, {StayOver{}, StayOver{}}).Build();
   if (!flights.ok()) {
     std::fprintf(stderr, "flights: %s\n",
                  flights.status().ToString().c_str());

@@ -64,7 +64,7 @@ int main() {
   TpchOptions tpch_options;
   tpch_options.physical_lineitem_rows = 256;  // widths only — tiny sample
   const TpchData db = GenerateTpch(tpch_options);
-  const auto q17 = BuildTpchQuery(17, db);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
   if (!q17.ok()) return 1;
   const char* aliases[] = {"l1 (lineitem)", "p (part)", "l2 (lineitem)"};
   std::vector<int> all_thetas;

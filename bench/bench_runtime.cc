@@ -1,8 +1,8 @@
 // Measured (not simulated) end-to-end scaling of the in-process runtime:
 // executes full query plans on the TPC-H, flights and mobile workloads at
 // 1/2/4/8 threads and reports wall-clock speedup over the single-threaded
-// reference runner, plus a sweep of the sort-kernel min-pairs gate and the
-// session-reuse figure (cold single-shot vs warm engine caches).
+// reference runner, plus the session-reuse figure (cold single-shot vs warm
+// engine caches).
 //
 // The simulated makespan and the physical result rows are recorded as
 // correctness anchors: both must be identical at every thread count (the
@@ -35,10 +35,8 @@
 
 #include "bench/bench_util.h"
 #include "src/api/theta_engine.h"
-#include "src/baselines/baseline_planners.h"
 #include "src/common/flags.h"
 #include "src/common/rng.h"
-#include "src/exec/theta_kernels.h"
 #include "src/mem/memory_budget.h"
 #include "src/obs/obs_export.h"
 #include "src/workload/flights.h"
@@ -108,7 +106,6 @@ void RunScalingCurve(const PlannedQuery& pq, ThetaEngine& engine,
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
@@ -132,7 +129,7 @@ void RunEngineReuse(ThetaEngine& engine,
   MobileDataOptions options;
   options.physical_rows = 1500;
   options.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   if (!query.ok()) std::exit(1);
 
   double cold_wall = 0.0;
@@ -159,7 +156,6 @@ void RunEngineReuse(ThetaEngine& engine,
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
@@ -230,7 +226,6 @@ void RunPruneComparison(const Query& query, const QueryPlan& plan,
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
@@ -305,7 +300,6 @@ void RunFaultOverhead(const Query& query, const QueryPlan& plan,
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
@@ -424,7 +418,6 @@ void RunTraceOverhead(const Query& query, const QueryPlan& plan,
     rec.sim_makespan_seconds = sims[v];
     rec.sim_shuffle_bytes = shuffle[v];
     rec.result_rows_physical = rows[v];
-    rec.sort_kernel_min_pairs = kSortKernelMinPairs;
     rec.trace_overhead = overhead;
     rec.peak_mem_bytes = peaks[v];
     rec.spill_bytes = spills[v];
@@ -445,49 +438,6 @@ void RunTraceOverhead(const Query& query, const QueryPlan& plan,
                  100.0 * overhead, 1000.0 * (walls[1] - walls[0]),
                  100.0 * kMaxOverhead, kReps);
     std::exit(1);
-  }
-}
-
-// Sweeps the sort-kernel min-pairs gate (satellite knob of
-// ExecutorOptions) over a pairwise-join cascade, where the gate decides
-// per reduce group between the sort kernel and the nested loop.
-void RunGateSweep(const Query& query, const QueryPlan& plan,
-                  ThetaEngine& engine,
-                  std::vector<RuntimeBenchRecord>& records) {
-  for (int64_t gate :
-       {int64_t{1}, int64_t{64}, kSortKernelMinPairs, int64_t{4096},
-        int64_t{1} << 62}) {
-    ExecutorOptions options = engine.options().executor;
-    options.num_threads = kMaxThreads;
-    options.sort_kernel_min_pairs = gate;
-    MemoryBudget::Global().ResetPeak();
-    const auto result = engine.ExecutePlan(query, plan, options,
-                                           engine.options().execution_seed);
-    if (!result.ok()) {
-      std::fprintf(stderr, "gate sweep failed: %s\n",
-                   result.status().ToString().c_str());
-      std::exit(1);
-    }
-    const double wall = result->measured_seconds();
-    RuntimeBenchRecord rec;
-    rec.workload = "gate-sweep";
-    rec.query = "tpch_q17_hive";
-    rec.threads = kMaxThreads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
-    rec.jobs = static_cast<int>(plan.jobs.size());
-    rec.wall_seconds = wall;
-    rec.sim_makespan_seconds = result->simulated_seconds();
-    rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
-    rec.result_rows_physical = result->num_rows();
-    rec.sort_kernel_min_pairs = gate;
-    rec.peak_mem_bytes = result->execution().peak_mem_bytes;
-    rec.spill_bytes = result->execution().spill_bytes;
-    records.push_back(rec);
-    std::printf("  gate-sweep min_pairs=%-12lld wall=%7.3fs  rows=%lld\n",
-                static_cast<long long>(gate), wall,
-                static_cast<long long>(rec.result_rows_physical));
-    std::fflush(stdout);
   }
 }
 
@@ -682,7 +632,7 @@ int Main(int argc, char** argv) {
   tpch_options.scale_factor = 100;
   tpch_options.physical_lineitem_rows = 20000;
   const TpchData db = GenerateTpch(tpch_options);
-  const auto q17 = BuildTpchQuery(17, db);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
   if (!q17.ok()) {
     std::fprintf(stderr, "tpch q17: %s\n", q17.status().ToString().c_str());
     return 1;
@@ -702,7 +652,7 @@ int Main(int argc, char** argv) {
   std::vector<RelationPtr> legs;
   for (int i = 0; i < 3; ++i) legs.push_back(GenerateFlightLeg(i, leg_options));
   const auto flights =
-      BuildItineraryQuery(legs, {StayOver{}, StayOver{}});
+      ItineraryQueryBuilder(legs, {StayOver{}, StayOver{}}).Build();
   if (!flights.ok()) return 1;
   const auto flights_plan = engine.PlanQuery(*flights);
   if (!flights_plan.ok()) return 1;
@@ -713,7 +663,7 @@ int Main(int argc, char** argv) {
   MobileDataOptions mobile_options;
   mobile_options.physical_rows = 4000;
   mobile_options.logical_bytes = 2 * kGiB;
-  const auto mobile = BuildMobileQuery(1, mobile_options);
+  const auto mobile = MobileQueryBuilder(1, mobile_options).Build();
   if (!mobile.ok()) return 1;
   const auto mobile_plan = engine.PlanQuery(*mobile);
   if (!mobile_plan.ok()) return 1;
@@ -725,15 +675,6 @@ int Main(int argc, char** argv) {
 
   // ---- Span-tracing overhead on the Q17 plan ----
   RunTraceOverhead(*q17, *q17_plan, engine, records);
-
-  // ---- Sort-kernel gate sweep over the Q17 pairwise cascade ----
-  const auto q17_hive = PlanHiveStyle(*q17, engine.cluster());
-  if (!q17_hive.ok()) {
-    std::fprintf(stderr, "hive-style q17 plan failed (gate sweep): %s\n",
-                 q17_hive.status().ToString().c_str());
-    return 1;
-  }
-  RunGateSweep(*q17, *q17_hive, engine, records);
 
   // ---- Bounded-memory shuffle: unbudgeted vs tight budget, own file ----
   const std::string::size_type slash = out_path.find_last_of('/');

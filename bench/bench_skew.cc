@@ -243,7 +243,7 @@ int Main(int argc, char** argv) {
     options.physical_rows = 4000;
     options.logical_bytes = 2 * kGiB;
     options.station_skew = kZipfExponent;
-    const auto query = BuildMobileQuery(1, options);
+    const auto query = MobileQueryBuilder(1, options).Build();
     if (!query.ok()) std::exit(1);
     RunPlanLevel(*query, "mobile/q1_4k_2gb", engine, records);
   }
@@ -256,7 +256,7 @@ int Main(int argc, char** argv) {
     options.physical_lineitem_rows = 4000;
     options.lineitem_key_skew = kZipfExponent;
     const TpchData db = GenerateTpch(options);
-    const auto query = BuildTpchQuery(17, db);
+    const auto query = TpchQueryBuilder(17, db).Build();
     if (!query.ok()) std::exit(1);
     RunPlanLevel(*query, "tpch/q17_4k_skewed", engine, records);
   }

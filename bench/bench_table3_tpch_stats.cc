@@ -20,7 +20,7 @@ int main() {
   options.physical_lineitem_rows = 4000;
   const TpchData db = GenerateTpch(options);
   for (int qid : {7, 17, 18, 21}) {
-    const auto query = BuildTpchQuery(qid, db);
+    const auto query = TpchQueryBuilder(qid, db).Build();
     if (!query.ok()) return 1;
     std::set<std::string> ops;
     for (const auto& c : query->conditions()) {

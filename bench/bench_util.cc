@@ -124,14 +124,12 @@ Status WriteRuntimeBenchJson(const std::string& path,
         "\"sim_makespan_seconds\": %.3f, "
         "\"sim_shuffle_bytes\": %lld, "
         "\"result_rows_physical\": %lld, "
-        "\"sort_kernel_min_pairs\": %lld, "
         "\"trace_overhead\": %.4f, "
         "\"peak_mem_bytes\": %lld, \"spill_bytes\": %lld}",
         r.workload.c_str(), r.query.c_str(), r.threads, r.hardware_threads,
         r.jobs, r.wall_seconds, r.speedup_vs_1t, r.sim_makespan_seconds,
         static_cast<long long>(r.sim_shuffle_bytes),
-        static_cast<long long>(r.result_rows_physical),
-        static_cast<long long>(r.sort_kernel_min_pairs), r.trace_overhead,
+        static_cast<long long>(r.result_rows_physical), r.trace_overhead,
         static_cast<long long>(r.peak_mem_bytes),
         static_cast<long long>(r.spill_bytes)));
   }

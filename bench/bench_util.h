@@ -73,7 +73,7 @@ Status WriteBenchJson(const std::string& path,
 /// thread counts, with the thread-count-invariant simulated makespan and
 /// result cardinality as correctness anchors.
 struct RuntimeBenchRecord {
-  std::string workload;     ///< "tpch", "flights", "mobile", "gate-sweep"
+  std::string workload;     ///< "tpch", "flights", "mobile", "prune", ...
   std::string query;        ///< e.g. "q17_20k"
   int threads = 1;          ///< ExecutorOptions::num_threads
   int hardware_threads = 0; ///< std::thread::hardware_concurrency()
@@ -86,7 +86,6 @@ struct RuntimeBenchRecord {
   /// is the quantity column pruning / selection pushdown shrink.
   int64_t sim_shuffle_bytes = 0;
   int64_t result_rows_physical = 0;
-  int64_t sort_kernel_min_pairs = 0;  ///< gate in force for this run
   /// Relative wall-clock cost of span tracing for this record's run:
   /// (traced - untraced) / untraced, min-of-reps. Only the trace_overhead
   /// workload measures it (docs/OBSERVABILITY.md); every other record

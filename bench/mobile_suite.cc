@@ -23,7 +23,7 @@ int RunMobileSuite(int kp) {
       // materializable; logical volume drives the simulated clock.
       options.physical_rows = qid <= 2 ? 900 : 350;
       options.logical_bytes = gb * kGiB;
-      StatusOr<Query> query = BuildMobileQuery(qid, options);
+      StatusOr<Query> query = MobileQueryBuilder(qid, options).Build();
       if (!query.ok()) {
         std::fprintf(stderr, "query build failed\n");
         return 1;
@@ -57,7 +57,7 @@ int RunTpchSuite(int kp) {
       options.scale_factor = sf;
       options.physical_lineitem_rows = 4000;
       const TpchData db = GenerateTpch(options);
-      StatusOr<Query> query = BuildTpchQuery(qid, db);
+      StatusOr<Query> query = TpchQueryBuilder(qid, db).Build();
       if (!query.ok()) {
         std::fprintf(stderr, "query build failed\n");
         return 1;

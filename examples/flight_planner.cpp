@@ -24,7 +24,7 @@ int main() {
   // Stay-overs: 1-4 h at city 1, 2-6 h at city 2.
   const std::vector<StayOver> stays = {StayOver{60, 240},
                                        StayOver{120, 360}};
-  const auto query = BuildItineraryQuery(legs, stays);
+  const auto query = ItineraryQueryBuilder(legs, stays).Build();
   if (!query.ok()) {
     std::printf("query: %s\n", query.status().ToString().c_str());
     return 1;

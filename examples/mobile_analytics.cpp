@@ -24,7 +24,7 @@ int main() {
     MobileDataOptions options;
     options.physical_rows = qid <= 2 ? 900 : 350;
     options.logical_bytes = 20 * kGiB;
-    const auto query = BuildMobileQuery(qid, options);
+    const auto query = MobileQueryBuilder(qid, options).Build();
     if (!query.ok()) return 1;
 
     std::vector<double> seconds;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(db.lineitem->num_rows()),
               static_cast<long long>(db.lineitem->logical_rows()));
 
-  const auto query = BuildTpchQuery(17, db);
+  const auto query = TpchQueryBuilder(17, db).Build();
   if (!query.ok()) return 1;
   std::printf("%s\n\n", query->ToString().c_str());
 

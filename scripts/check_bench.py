@@ -44,7 +44,7 @@ SPECS = {
         "simulated": {},  # wall_ns / tuples_per_sec are measured -> exempt
     },
     "BENCH_runtime.json": {
-        "key": ["workload", "query", "threads", "sort_kernel_min_pairs"],
+        "key": ["workload", "query", "threads"],
         "exact": ["jobs", "result_rows_physical"],
         "simulated": {
             "sim_makespan_seconds": +1,
@@ -235,8 +235,7 @@ def self_test():
 
     kernels_base = [{"label": "a", "kernel": "sort", "left_rows": 10,
                      "right_rows": 10, "output_pairs": 100}]
-    runtime_base = [{"workload": "w", "query": "q", "threads": 2,
-                     "sort_kernel_min_pairs": 0, "jobs": 3,
+    runtime_base = [{"workload": "w", "query": "q", "threads": 2, "jobs": 3,
                      "result_rows_physical": 42,
                      "sim_makespan_seconds": 10.0,
                      "sim_shuffle_bytes": 1000,

@@ -15,10 +15,6 @@ Status EngineOptions::Validate() const {
   if (executor.num_threads < 1) {
     return Status::InvalidArgument("executor.num_threads must be >= 1");
   }
-  if (executor.sort_kernel_min_pairs < 0) {
-    return Status::InvalidArgument(
-        "executor.sort_kernel_min_pairs must be >= 0");
-  }
   if (planner.lambda < 0.0 || planner.lambda > 1.0) {
     return Status::InvalidArgument("planner.lambda must be in [0, 1]");
   }

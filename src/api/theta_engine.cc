@@ -503,7 +503,7 @@ StatusOr<QueryResult> ThetaEngine::ExecutePlan(
   }
   const Executor executor(&cluster_, opts);
   StatusOr<ExecutionResult> result =
-      executor.ExecuteOn(pool_, query, plan, seed);
+      executor.Execute(query, plan, seed, &pool_);
   AddFaultReportToRegistry(fault_report);
   if (executor_options.fault_report != nullptr) {
     executor_options.fault_report->Merge(fault_report);

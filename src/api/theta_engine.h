@@ -213,8 +213,8 @@ class ThetaEngine {
   /// Executes a caller-provided plan (a baseline planner's, or a plan from
   /// Explain) with the engine's executor options and seed.
   StatusOr<QueryResult> ExecutePlan(const Query& query, const QueryPlan& plan);
-  /// Same, with per-call executor options (thread sweeps, kernel gates,
-  /// skew modes) and seed. The effective thread count is capped by the
+  /// Same, with per-call executor options (thread sweeps, skew modes) and
+  /// seed. The effective thread count is capped by the
   /// engine pool, i.e. min(executor_options.num_threads,
   /// options().executor.num_threads).
   StatusOr<QueryResult> ExecutePlan(const Query& query, const QueryPlan& plan,

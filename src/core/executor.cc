@@ -55,26 +55,18 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 StatusOr<ExecutionResult> Executor::Execute(const Query& query,
                                             const QueryPlan& plan,
-                                            uint64_t seed) const {
-  ThreadPool pool(std::max(1, options_.num_threads));
-  return RunOn(pool, query, plan, seed);
-}
-
-StatusOr<ExecutionResult> Executor::ExecuteOn(ThreadPool& pool,
-                                              const Query& query,
-                                              const QueryPlan& plan,
-                                              uint64_t seed) const {
-  const int num_threads =
-      std::max(1, std::min(options_.num_threads, pool.num_threads()));
-  if (num_threads < pool.num_threads()) {
-    // A cap below the shared pool's width must bound *intra-job* map and
-    // reduce fan-out too, not just the DAG concurrency — split planning
-    // and ParallelFor both follow the pool — so run on a pool of exactly
-    // the capped width.
-    ThreadPool capped(num_threads);
-    return RunOn(capped, query, plan, seed);
+                                            uint64_t seed,
+                                            ThreadPool* pool) const {
+  const int num_threads = std::max(1, options_.num_threads);
+  if (pool != nullptr && pool->num_threads() <= num_threads) {
+    return RunOn(*pool, query, plan, seed);
   }
-  return RunOn(pool, query, plan, seed);
+  // A cap below a shared pool's width must bound *intra-job* map and reduce
+  // fan-out too, not just the DAG concurrency — split planning and
+  // ParallelFor both follow the pool — so run on a pool of exactly the
+  // capped width.
+  ThreadPool own(num_threads);
+  return RunOn(own, query, plan, seed);
 }
 
 StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
@@ -112,9 +104,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   ExecutionResult result;
   result.jobs.resize(num_jobs);
   std::vector<SimJobSpec> sim_jobs(num_jobs);
-  const KernelPolicy policy = options_.enable_specialized_kernels
-                                  ? KernelPolicy::kAuto
-                                  : KernelPolicy::kGenericOnly;
   // Thread budget: the pool owns num_threads - 1 workers; each in-flight
   // DAG job adds one coordinating thread that spends its time claiming
   // tasks inside ParallelFor (caller participation — the property that
@@ -151,8 +140,8 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   // this plan-level accumulator (NOT read back from `result`, which the
   // success path moves out of before scope exit), and a scope guard
   // publishes it on every return path; by destructor time all job bodies
-  // have joined (the sequential loop and RunDag both complete before
-  // returning), so the read is race-free.
+  // have joined (RunDag completes before returning), so the read is
+  // race-free.
   Mutex plan_faults_mu;
   FaultReport plan_faults;
   struct FaultPublisher {
@@ -196,7 +185,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         mw.conditions = query.ConditionsById(pj.thetas);
         mw.num_reduce_tasks = pj.num_reduce_tasks;
         mw.seed = seed + i * 7919;
-        mw.kernel_policy = policy;
         // kAuto defers to the planner's per-job skew flag; the builder
         // only ever sees on/off.
         const bool skew_on =
@@ -222,8 +210,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         pw.conditions = query.ConditionsById(pj.thetas);
         pw.num_reduce_tasks = pj.num_reduce_tasks;
         pw.seed = seed + i * 7919;
-        pw.kernel_policy = policy;
-        pw.sort_kernel_min_pairs = options_.sort_kernel_min_pairs;
         pw.output_columns = pj.output_columns;
         spec = pj.kind == PlanJobKind::kEquiJoin ? BuildEquiJoinJob(pw)
                                                  : BuildOneBucketThetaJob(pw);
@@ -239,8 +225,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
         mg.right = sides[1];
         mg.base_relations = query.relations();
         mg.num_reduce_tasks = pj.num_reduce_tasks;
-        mg.kernel_policy = policy;
-        mg.sort_kernel_min_pairs = options_.sort_kernel_min_pairs;
         mg.output_columns = pj.output_columns;
         spec = BuildMergeJob(mg);
         break;
@@ -344,17 +328,10 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   };
 
   const auto plan_start = std::chrono::steady_clock::now();
-  if (num_threads == 1) {
-    // Sequential reference path: plan order, byte-identical to the
-    // pre-runtime executor.
-    for (int i = 0; i < num_jobs; ++i) {
-      MRTHETA_RETURN_IF_ERROR(run_job(i));
-    }
-  } else {
-    // Jobs with disjoint deps overlap; map/reduce tasks within each job
-    // share the pool.
-    MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
-  }
+  // Jobs with disjoint deps overlap; map/reduce tasks within each job share
+  // the pool. At one thread RunDag runs the lowest-index ready job first,
+  // which is plan order because every dep points backward.
+  MRTHETA_RETURN_IF_ERROR(RunDag(deps, num_threads, run_job));
   result.measured_seconds = SecondsSince(plan_start);
   for (const JobExecution& exec : result.jobs) {
     result.sim_shuffle_bytes += exec.metrics.map_output_bytes_logical;

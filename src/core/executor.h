@@ -7,7 +7,6 @@
 #include "src/common/status.h"
 #include "src/core/plan.h"
 #include "src/core/query.h"
-#include "src/exec/theta_kernels.h"
 #include "src/mapreduce/sim_cluster.h"
 #include "src/runtime/fault_injection.h"
 #include "src/sched/skew_assigner.h"
@@ -93,14 +92,6 @@ struct ExecutionResult {
 /// Knobs controlling how plan jobs are lowered to physical kernels and
 /// scheduled onto the in-process runtime.
 struct ExecutorOptions {
-  /// When false, every join job runs the generic nested-loop kernel
-  /// regardless of condition shape — the differential baseline for the
-  /// specialized sort-based paths. Results must be identical either way.
-  bool enable_specialized_kernels = true;
-  /// Per-reduce-group gate for the sort-based kernels: groups with fewer
-  /// candidate pairs run the generic nested loop (sorting tiny groups
-  /// costs more than it saves). Exposed here so benches can sweep it.
-  int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
   /// Threads of the in-process runtime (src/runtime). 1 = the sequential
   /// reference path (RunJobPhysically, jobs in plan order); > 1 fans map
   /// and reduce tasks over a thread pool and overlaps plan jobs with
@@ -159,30 +150,25 @@ struct QueryProfile;
 /// the whole job DAG through the discrete-event engine to obtain the
 /// simulated makespan under the cluster's kP processing units.
 ///
-/// Kernel selection (see docs/EXECUTOR.md): for each job the executor asks
-/// the builder for the specialized columnar kernel whenever a join
-/// condition qualifies (ChooseSortDriver), falling back to the generic
-/// per-pair path otherwise.
+/// Kernel selection (see docs/EXECUTOR.md): every job builder runs the
+/// specialized columnar kernel whenever a join condition qualifies
+/// (ChooseSortDriver), falling back to the generic per-pair path otherwise.
 class Executor {
  public:
   /// `cluster` must outlive the executor.
   explicit Executor(const SimCluster* cluster, ExecutorOptions options = {})
       : cluster_(cluster), options_(options) {}
 
+  /// Runs the plan with max(1, options().num_threads) threads. Map/reduce
+  /// tasks run on the caller-owned `pool` when one is given and it is no
+  /// wider than that; the pool may be shared across concurrent executions
+  /// (ThetaEngine's session pool). Otherwise — no pool, or a pool wider
+  /// than the cap — they run on a private pool of exactly that width, so a
+  /// per-call cap also bounds intra-job fan-out. Results are identical at
+  /// every thread count (docs/RUNTIME.md determinism contract).
   StatusOr<ExecutionResult> Execute(const Query& query, const QueryPlan& plan,
-                                    uint64_t seed = 42) const;
-
-  /// Session entry point (ThetaEngine): like Execute, but map/reduce tasks
-  /// run on the caller-owned `pool`, which may be shared across concurrent
-  /// query executions. The effective thread count is
-  /// min(options().num_threads, pool.num_threads()); 1 selects the
-  /// sequential reference path, and a cap below the pool's width is
-  /// honoured exactly (a narrower per-call pool), so thread sweeps stay
-  /// meaningful on a wide session pool. Results are identical to Execute
-  /// at the same thread count (docs/RUNTIME.md determinism contract).
-  StatusOr<ExecutionResult> ExecuteOn(ThreadPool& pool, const Query& query,
-                                      const QueryPlan& plan,
-                                      uint64_t seed = 42) const;
+                                    uint64_t seed = 42,
+                                    ThreadPool* pool = nullptr) const;
 
  private:
   /// Runs the plan with pool.num_threads() as the effective thread count.

@@ -65,7 +65,7 @@ TableStats Planner::CollectStatsForRelation(const Relation& rel) const {
   StatsOptions so = options_.stats;
   so.seed = options_.seed;
   TableStats ts = BuildTableStats(rel, so);
-  // The planner's output estimates live in the β frame (DESIGN.md §1.1):
+  // The planner's output estimates live in the β frame:
   // selectivities describe the *physical sample*, so key-like columns
   // must not be extrapolated past the sample's domain here.
   for (ColumnStats& cs : ts.columns) {
@@ -154,7 +154,7 @@ JobProfile Planner::CandidateProfile(const Query& query,
   const std::vector<JoinCondition> conds = query.ConditionsById(thetas);
   // β-extrapolated output estimate, mirroring the executors: the physical
   // sample fixes the joint-selectivity shape; results scale linearly with
-  // the represented volume (DESIGN.md §1).
+  // the represented volume.
   const double sel = EstimateConjunctionSelectivity(conds, stat_ptrs);
   double phys_cross = 1.0;
   double max_scale = 1.0;
@@ -180,7 +180,7 @@ JobProfile Planner::CandidateProfile(const Query& query,
   profile.sigma_reduce_bytes = sigma_frac * avg_reduce_bytes;
 
   // Trail-order backtracking work estimate: each surviving prefix scans the
-  // next relation's local (per-component) portion; see DESIGN.md.
+  // next relation's local (per-component) portion.
   std::set<int> placed = {relations[0]};
   double prefix_rows =
       static_cast<double>(std::max<int64_t>(1, stats[relations[0]].logical_rows));

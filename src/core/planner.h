@@ -21,7 +21,8 @@ struct PlannerOptions {
   /// paper's Fig. 7(a) behaviour where best kR grows with map output
   /// volume) or by the literal Eq. 10 Δ minimization (true). With raw
   /// cardinalities Eq. 10's Π|Ri|/k term dominates at realistic scales and
-  /// saturates kR at the cap — kept as the DESIGN.md §4.4 ablation.
+  /// saturates kR at the cap — kept as the bench_ablation_kr_choice
+  /// ablation.
   bool use_delta_kr = false;
   /// Lemma 1/2 pruning in the G'_JP construction.
   bool enable_pruning = true;

@@ -445,7 +445,7 @@ class ComponentJoiner {
 
   void ChargeComparisons() {
     // β frame: comparison work scales linearly with the represented
-    // volume, like every other extrapolated quantity (DESIGN.md §1).
+    // volume, like every other extrapolated quantity.
     double max_scale = 1.0;
     for (double s : state_.scales) max_scale = std::max(max_scale, s);
     double total = 0.0;
@@ -753,7 +753,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
                                   ? JoinKernel::kSortTheta
                                   : JoinKernel::kGeneric);
   // β-extrapolation (the paper's Eq. 5 output model): results scale
-  // linearly with the represented data volume. See DESIGN.md §1.
+  // linearly with the represented data volume.
   double row_scale = 1.0;
   for (const JoinSide& side : spec.inputs) {
     row_scale = std::max(row_scale, side.scale);

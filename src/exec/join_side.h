@@ -49,7 +49,8 @@ class CompiledRowFilter {
 /// Intermediate rows reference base tuples by *physical row index*, so any
 /// downstream operator can resolve actual column values through the query's
 /// base-relation list. Width accounting of intermediates uses materialized
-/// widths (the bytes a real MapReduce job would spill), see DESIGN.md.
+/// widths (the bytes a real MapReduce job would spill), pruned to the
+/// columns later jobs still need (docs/EXECUTOR.md, "Column pruning").
 struct JoinSide {
   RelationPtr data;
   /// Query-level indices of the base relations this side covers, in the

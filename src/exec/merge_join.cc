@@ -32,7 +32,6 @@ struct MergeState {
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
-  int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
 
   int64_t LeftRid(size_t k, int64_t row) const {
     return left_rids[k] != nullptr ? left_rids[k][row] : row;
@@ -83,7 +82,7 @@ struct MergeState {
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
-    if (kernel_policy == KernelPolicy::kAuto && pairs >= sort_kernel_min_pairs) {
+    if (kernel_policy == KernelPolicy::kAuto && pairs >= kSortKernelMinPairs) {
       // Hash-key collisions made this group large: sort-merge on the first
       // shared rid, verify the rest per candidate.
       std::vector<std::pair<int64_t, int32_t>> l, r;
@@ -124,7 +123,6 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   state->left = spec.left;
   state->right = spec.right;
   state->kernel_policy = spec.kernel_policy;
-  state->sort_kernel_min_pairs = spec.sort_kernel_min_pairs;
   state->shared = SharedBases(spec.left, spec.right);
   if (state->shared.empty()) {
     return Status::FailedPrecondition(

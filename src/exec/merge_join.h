@@ -23,9 +23,6 @@ struct MergeJobSpec {
   int num_reduce_tasks = 1;
   /// kAuto: sort-merge on the first shared rid for oversized hash groups.
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
-  /// Hash groups with fewer candidate pairs than this use the plain nested
-  /// loop (see PairwiseJoinJobSpec::sort_kernel_min_pairs).
-  int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
   /// Required-column analysis for this job (PlanJob::output_columns): when
   /// non-empty, the output intermediate takes pruned per-base widths (the
   /// merge shuffle itself already ships only record IDs).

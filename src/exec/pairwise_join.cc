@@ -38,7 +38,6 @@ struct PairwiseState {
   std::vector<BoundCondition> bound;
   /// Index into `bound` of the sort-kernel driver, -1 => generic loop.
   int sort_driver = -1;
-  int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
   std::vector<int> output_bases;
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
@@ -82,7 +81,7 @@ struct PairwiseState {
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
-    if (sort_driver >= 0 && pairs >= sort_kernel_min_pairs) {
+    if (sort_driver >= 0 && pairs >= kSortKernelMinPairs) {
       const BoundCondition& drv = bound[sort_driver];
       std::vector<int64_t> lrows, rrows;
       lrows.reserve(lrecs.size());
@@ -130,7 +129,6 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
   state->left = spec.left;
   state->right = spec.right;
   state->base_relations = spec.base_relations;
-  state->sort_kernel_min_pairs = spec.sort_kernel_min_pairs;
   std::vector<JoinCondition> oriented;
   oriented.reserve(spec.conditions.size());
   for (const JoinCondition& cond : spec.conditions) {
@@ -175,7 +173,7 @@ MapReduceJobSpec MakeJobShell(const PairwiseJoinJobSpec& spec,
   job.output_name = spec.name + ".out";
   // β-extrapolation (the paper's Eq. 5 output model): results scale
   // *linearly* with the represented data volume; the physical sample fixes
-  // the output/input ratio β. See DESIGN.md §1.
+  // the output/input ratio β.
   job.output_row_scale = std::max(spec.left.scale, spec.right.scale);
   job.kernel = JoinKernelName(state.sort_driver >= 0
                                   ? JoinKernel::kSortTheta

@@ -25,11 +25,6 @@ struct PairwiseJoinJobSpec {
   /// Reduce-side kernel selection (kAuto: sort-based when a condition
   /// qualifies, see ChooseSortDriver).
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
-  /// Reduce groups with fewer candidate pairs than this run the generic
-  /// nested loop even when a sort driver exists (sorting tiny groups costs
-  /// more than it saves). Threaded from ExecutorOptions so benches can
-  /// sweep it.
-  int64_t sort_kernel_min_pairs = kSortKernelMinPairs;
   /// Required-column analysis for this job (PlanJob::output_columns): when
   /// non-empty, the output intermediate takes pruned per-base widths and
   /// base sides ship pruned map payloads. Empty = full-width accounting.

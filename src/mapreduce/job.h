@@ -255,7 +255,7 @@ struct MapReduceJobSpec {
   Schema output_schema;
   std::string output_name = "out";
   /// Multiplier that converts physical output rows to logical output rows
-  /// (the β-extrapolation rule; see DESIGN.md §1).
+  /// (β-extrapolation: results scale linearly with the represented volume).
   double output_row_scale = 1.0;
   /// True for Hive/Pig-style jobs: pay text-SerDe parse/serialize costs and
   /// text-width-inflated intermediates (ClusterConfig::text_serde_*).

@@ -23,7 +23,7 @@ struct JobRunResult {
 
 /// \brief The simulated cluster: executes MapReduce jobs exactly over
 /// physical tuples while advancing a simulated clock per the I/O + network
-/// cost model (DESIGN.md §1).
+/// cost model (docs/RUNTIME.md, "Measured vs simulated time").
 class SimCluster {
  public:
   explicit SimCluster(ClusterConfig config) : config_(config) {}

@@ -53,7 +53,7 @@ struct SimReport {
 /// \brief Runs the discrete-event simulation of `jobs` over a cluster with
 /// `config.num_workers` slots (each runs one Map or Reduce task at a time).
 ///
-/// Modeling choices (see DESIGN.md):
+/// Modeling choices:
 ///  - All of a job's map tasks become ready at release; waves emerge from
 ///    slot contention. Ready tasks are served FIFO by ready time.
 ///  - Shuffle copying overlaps the map phase (Hadoop copier threads): a

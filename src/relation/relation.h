@@ -24,7 +24,7 @@ namespace mrtheta {
 /// Executors compute exact answers over physical rows; the simulator and the
 /// cost model consume logical sizes. By default logical == physical, so
 /// small programs need not care. Experiments call `set_logical_rows()` after
-/// generating a representative sample (see DESIGN.md §1).
+/// generating a representative sample.
 class Relation {
  public:
   Relation() = default;

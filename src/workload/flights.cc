@@ -48,16 +48,4 @@ QueryBuilder ItineraryQueryBuilder(const std::vector<RelationPtr>& legs,
   return b;
 }
 
-StatusOr<Query> BuildItineraryQuery(const std::vector<RelationPtr>& legs,
-                                    const std::vector<StayOver>& stays) {
-  if (legs.size() < 2) {
-    return Status::InvalidArgument("itinerary needs at least two legs");
-  }
-  if (stays.size() + 1 != legs.size()) {
-    return Status::InvalidArgument(
-        "need exactly one stay-over window per intermediate city");
-  }
-  return ItineraryQueryBuilder(legs, stays).Build();
-}
-
 }  // namespace mrtheta

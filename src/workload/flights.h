@@ -35,16 +35,13 @@ struct StayOver {
 /// Generates one leg table FI_{i,i+1} with columns no, dt, at (minutes).
 RelationPtr GenerateFlightLeg(int leg_index, const FlightLegOptions& options);
 
-/// Builds the itinerary query over `legs.size()` legs with the given
-/// stay-over windows (`stays.size() == legs.size() - 1`):
+/// Builder spec of the itinerary query over `legs.size()` legs (aliases
+/// f0, f1, ...) with the given stay-over windows
+/// (`stays.size() == legs.size() - 1`):
 ///   FI_i.at + stay[i].min < FI_{i+1}.dt  and
 ///   FI_{i+1}.dt < FI_i.at + stay[i].max.
-StatusOr<Query> BuildItineraryQuery(const std::vector<RelationPtr>& legs,
-                                    const std::vector<StayOver>& stays);
-
-/// The same itinerary query as a fluent builder spec (aliases f0, f1, ...);
-/// BuildItineraryQuery lowers exactly this builder. Mismatched leg/stay
-/// counts yield a builder whose Build fails.
+/// Mismatched leg/stay counts, and a single leg (a query needs two
+/// relations), yield a builder whose Build fails.
 QueryBuilder ItineraryQueryBuilder(const std::vector<RelationPtr>& legs,
                                    const std::vector<StayOver>& stays);
 

@@ -94,12 +94,4 @@ QueryBuilder MobileQueryBuilder(int which, const MobileDataOptions& options) {
   return b;
 }
 
-StatusOr<Query> BuildMobileQuery(int which,
-                                 const MobileDataOptions& options) {
-  if (which < 1 || which > 4) {
-    return Status::InvalidArgument("mobile query id must be 1..4");
-  }
-  return MobileQueryBuilder(which, options).Build();
-}
-
 }  // namespace mrtheta

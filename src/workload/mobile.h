@@ -42,12 +42,12 @@ RelationPtr GenerateMobileCalls(const MobileDataOptions& options);
 /// Generates the `instance`-th independent physical sample of the same
 /// logical call table. Self-join queries bind each alias (t1, t2, ...) to a
 /// distinct instance: a single shared sample would over-represent the
-/// self-pair diagonal by N/n relative to the logical data (DESIGN.md §1).
+/// self-pair diagonal by N/n relative to the logical data.
 RelationPtr GenerateMobileCallsInstance(const MobileDataOptions& options,
                                         int instance);
 
-/// \brief Builds mobile benchmark query Q1..Q4 (Sec. 6.3.1) over the given
-/// call relation (self-joined as t1, t2, ...):
+/// \brief Builder spec of mobile benchmark query Q1..Q4 (Sec. 6.3.1) over
+/// the call table (self-joined as aliases t1, t2, ...):
 ///
 ///  Q1: concurrent calls at the same station
 ///      t1.bt<=t2.bt, t1.l>=t2.l, t2.bsc=t3.bsc, t2.d=t3.d
@@ -59,14 +59,9 @@ RelationPtr GenerateMobileCallsInstance(const MobileDataOptions& options,
 ///      t1.d<t2.d, t2.d<t3.d, t1.d+3>t3.d, t1.bsc<>t4.bsc
 ///
 /// Each alias is bound to an independent sample instance of the call table
-/// (see GenerateMobileCallsInstance).
-StatusOr<Query> BuildMobileQuery(int which, const MobileDataOptions& options);
-
-/// The same benchmark query as a fluent builder spec (aliases t1, t2, ...):
-/// callers can extend it (extra Where/Select clauses) before Build.
-/// BuildMobileQuery lowers exactly this builder, so the two stay in sync by
-/// construction. An out-of-range `which` yields a builder whose Build
-/// fails.
+/// (see GenerateMobileCallsInstance). Callers can extend the spec (extra
+/// Where/Select/Filter clauses) before Build. An out-of-range `which`
+/// yields a builder whose Build fails.
 QueryBuilder MobileQueryBuilder(int which, const MobileDataOptions& options);
 
 }  // namespace mrtheta

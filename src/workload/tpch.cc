@@ -228,13 +228,6 @@ QueryBuilder TpchQueryBuilder(int which, const TpchData& data) {
   return b;
 }
 
-StatusOr<Query> BuildTpchQuery(int which, const TpchData& data) {
-  if (which != 7 && which != 17 && which != 18 && which != 21) {
-    return Status::InvalidArgument("supported TPC-H queries: 7, 17, 18, 21");
-  }
-  return TpchQueryBuilder(which, data).Build();
-}
-
 StatusOr<Query> BuildTpchQuery17Filtered(const TpchData& data,
                                          int64_t quantity_cap) {
   QueryBuilder b = TpchQueryBuilder(17, data);

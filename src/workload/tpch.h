@@ -10,7 +10,7 @@
 
 namespace mrtheta {
 
-/// \brief TPC-H-lite: a from-scratch dbgen analogue (DESIGN.md §1).
+/// \brief TPC-H-lite: a from-scratch dbgen analogue.
 ///
 /// Generates the eight TPC-H tables with spec-shaped columns and foreign-key
 /// structure, at a physical sample size suitable for local execution while
@@ -50,17 +50,13 @@ struct TpchData {
 
 TpchData GenerateTpch(const TpchOptions& options);
 
-/// \brief Builds the paper's amended TPC-H benchmark queries (Sec. 6.3.2,
-/// Table 3): Q7 (5 relations, 8 conditions, {<=,>=}), Q17 (3 relations, 4
-/// conditions, {<=}), Q18 (4 relations, 4 conditions, {>=}) and Q21 (6
-/// relations, 8 conditions, {>=,<>}). Equality-only predicates are amended
-/// with inequality join conditions exactly as the paper does.
-StatusOr<Query> BuildTpchQuery(int which, const TpchData& data);
-
-/// The same amended query as a fluent builder spec (aliases follow the
-/// spec's table letters: s, l/l1/l2/l3, o, c, n, p); BuildTpchQuery lowers
-/// exactly this builder. An unsupported `which` yields a builder whose
-/// Build fails.
+/// \brief Builder spec of the paper's amended TPC-H benchmark queries
+/// (Sec. 6.3.2, Table 3): Q7 (5 relations, 8 conditions, {<=,>=}), Q17 (3
+/// relations, 4 conditions, {<=}), Q18 (4 relations, 4 conditions, {>=})
+/// and Q21 (6 relations, 8 conditions, {>=,<>}). Equality-only predicates
+/// are amended with inequality join conditions exactly as the paper does.
+/// Aliases follow the spec's table letters: s, l/l1/l2/l3, o, c, n, p. An
+/// unsupported `which` yields a builder whose Build fails.
 QueryBuilder TpchQueryBuilder(int which, const TpchData& data);
 
 /// Q17 with the spec's single-relation selection restored: both lineitem
@@ -68,7 +64,7 @@ QueryBuilder TpchQueryBuilder(int which, const TpchData& data);
 /// filters on quantity below a per-part threshold; the cap plays that
 /// role here). Exercises the Filter DSL / map-side selection pushdown
 /// (docs/EXECUTOR.md): the join conditions and projection are exactly
-/// BuildTpchQuery(17)'s.
+/// TpchQueryBuilder(17)'s.
 StatusOr<Query> BuildTpchQuery17Filtered(const TpchData& data,
                                          int64_t quantity_cap);
 

@@ -87,7 +87,7 @@ TEST(ThetaEngineTest, MatchesLegacyPipelineOnMobile) {
   MobileDataOptions options;
   options.physical_rows = 120;
   options.logical_bytes = 4 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
   CheckFacadeMatchesLegacy(*query);
 }
@@ -97,7 +97,7 @@ TEST(ThetaEngineTest, MatchesLegacyPipelineOnTpch) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto query = BuildTpchQuery(17, db);
+  const auto query = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(query.ok());
   CheckFacadeMatchesLegacy(*query);
 }
@@ -109,8 +109,8 @@ TEST(ThetaEngineTest, MatchesLegacyPipelineOnFlights) {
   std::vector<RelationPtr> legs = {GenerateFlightLeg(0, options),
                                    GenerateFlightLeg(1, options),
                                    GenerateFlightLeg(2, options)};
-  const auto query = BuildItineraryQuery(
-      legs, {StayOver{60, 240}, StayOver{120, 360}});
+  const auto query = ItineraryQueryBuilder(
+      legs, {StayOver{60, 240}, StayOver{120, 360}}).Build();
   ASSERT_TRUE(query.ok());
   CheckFacadeMatchesLegacy(*query);
 }
@@ -119,7 +119,7 @@ TEST(ThetaEngineTest, CalibrationAndStatsComputedOnceAcrossExecutes) {
   MobileDataOptions options;
   options.physical_rows = 100;
   options.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
 
   ThetaEngine engine;
@@ -151,7 +151,7 @@ TEST(ThetaEngineTest, DisabledPlanCachePreservesLegacyCounting) {
   MobileDataOptions options;
   options.physical_rows = 100;
   options.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
 
   EngineOptions engine_options;
@@ -173,7 +173,7 @@ TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
   MobileDataOptions mobile_options;
   mobile_options.physical_rows = 100;
   mobile_options.logical_bytes = 2 * kGiB;
-  const auto mobile = BuildMobileQuery(1, mobile_options);
+  const auto mobile = MobileQueryBuilder(1, mobile_options).Build();
   ASSERT_TRUE(mobile.ok());
 
   FlightLegOptions leg_options;
@@ -181,7 +181,8 @@ TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
   std::vector<RelationPtr> legs = {GenerateFlightLeg(0, leg_options),
                                    GenerateFlightLeg(1, leg_options),
                                    GenerateFlightLeg(2, leg_options)};
-  const auto flights = BuildItineraryQuery(legs, {StayOver{}, StayOver{}});
+  const auto flights =
+      ItineraryQueryBuilder(legs, {StayOver{}, StayOver{}}).Build();
   ASSERT_TRUE(flights.ok());
 
   // Sequential reference on its own session.
@@ -210,6 +211,53 @@ TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
   ExpectIdenticalRows(*par_flights->execution().result_ids,
                       *seq_flights->execution().result_ids);
   EXPECT_EQ(engine.metrics().calibrations, 1);
+}
+
+// per_query_threads caps one execution's share of the session pool: a cap
+// below the pool's width runs the plan on a private pool of exactly the
+// cap (at 1, through the width-1 DAG scheduler). The cap must never change
+// an answer.
+TEST(ThetaEngineTest, PerQueryThreadsCapKeepsResults) {
+  MobileDataOptions mobile_options;
+  mobile_options.physical_rows = 1000;
+  mobile_options.logical_bytes = 2 * kGiB;
+  const auto mobile = MobileQueryBuilder(1, mobile_options).Build();
+  ASSERT_TRUE(mobile.ok());
+  TpchOptions tpch_options;
+  tpch_options.scale_factor = 50;
+  tpch_options.physical_lineitem_rows = 600;
+  const TpchData db = GenerateTpch(tpch_options);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
+  ASSERT_TRUE(q17.ok());
+  const std::vector<const Query*> queries = {&*mobile, &*q17};
+
+  std::vector<std::vector<QueryResult>> results;  // [cap][query]
+  for (int cap : {0, 1, 2}) {
+    EngineOptions options;
+    options.executor.num_threads = 4;
+    options.per_query_threads = cap;
+    ThetaEngine engine(options);
+    results.emplace_back();
+    for (const Query* query : queries) {
+      StatusOr<QueryResult> result = engine.Execute(*query);
+      ASSERT_TRUE(result.ok()) << "cap=" << cap << ": "
+                               << result.status().ToString();
+      results.back().push_back(*std::move(result));
+    }
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryResult& ref = results[0][q];
+    ASSERT_GT(ref.num_rows(), 0) << "query " << q;
+    for (int cap : {1, 2}) {
+      SCOPED_TRACE("query " + std::to_string(q) + " cap " +
+                   std::to_string(cap));
+      const QueryResult& capped = results[cap][q];
+      EXPECT_EQ(capped.makespan(), ref.makespan());
+      ExpectIdenticalRows(*capped.execution().result_ids,
+                          *ref.execution().result_ids);
+      ExpectIdenticalRows(capped.rows(), ref.rows());
+    }
+  }
 }
 
 TEST(ThetaEngineTest, StatsCacheInvalidatedWhenRelationGrows) {
@@ -388,9 +436,9 @@ TEST(PlanCacheTest, InvalidatedByInPlaceMutationAndGrowth) {
 TEST(PlanCacheTest, LruEvictsAtCapacity) {
   MobileDataOptions options;
   options.physical_rows = 80;
-  const auto q1 = BuildMobileQuery(1, options);
+  const auto q1 = MobileQueryBuilder(1, options).Build();
   options.physical_rows = 90;  // distinct inputs -> distinct cache key
-  const auto q1_other = BuildMobileQuery(1, options);
+  const auto q1_other = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(q1.ok());
   ASSERT_TRUE(q1_other.ok());
 
@@ -412,7 +460,7 @@ TEST(PlanCacheTest, ConcurrentSubmitStormPlansOneShapeOnce) {
   MobileDataOptions options;
   options.physical_rows = 80;
   options.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
 
   EngineOptions engine_options;
@@ -528,7 +576,7 @@ TEST(AdmissionControlTest, RejectsBeyondQueueDepth) {
   MobileDataOptions data;
   data.physical_rows = 80;
   data.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, data);
+  const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
   ASSERT_TRUE(engine.Explain(*query).ok());  // warm plan cache
 
@@ -557,7 +605,7 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
   MobileDataOptions data;
   data.physical_rows = 80;
   data.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, data);
+  const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
 
   const auto reference = engine.Execute(*query);
@@ -585,7 +633,7 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
 TEST(ThetaEngineTest, DiscardedSubmitFutureNeitherBlocksNorLeaks) {
   MobileDataOptions options;
   options.physical_rows = 60;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
   {
     EngineOptions engine_options;
@@ -601,7 +649,7 @@ TEST(ThetaEngineTest, ExplainReportsPlanAndCachedStats) {
   MobileDataOptions options;
   options.physical_rows = 100;
   options.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
 
   ThetaEngine engine;
@@ -622,7 +670,7 @@ TEST(ThetaEngineTest, InvalidOptionsSurfaceOnEveryEntryPoint) {
   ThetaEngine engine(options);
   MobileDataOptions data;
   data.physical_rows = 50;
-  const auto query = BuildMobileQuery(1, data);
+  const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(engine.Execute(*query).status().code(),
             StatusCode::kInvalidArgument);
@@ -656,7 +704,7 @@ TEST(EngineMetricsTest, FaultCountersSurviveFailedExecution) {
   MobileDataOptions data;
   data.physical_rows = 100;
   data.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, data);
+  const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
 
   const auto result = engine.Execute(*query);
@@ -698,7 +746,7 @@ TEST(EngineMetricsTest, FaultCountersSurviveCancelledExecution) {
   MobileDataOptions data;
   data.physical_rows = 100;
   data.logical_bytes = 2 * kGiB;
-  const auto query = BuildMobileQuery(1, data);
+  const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
   // Warm planning caches so the submission spends its time executing.
   ASSERT_TRUE(engine.Explain(*query).ok());
@@ -881,7 +929,7 @@ TEST(ColumnPruningPlanTest, PrunedPlanMatchesFullWidthAcrossThreads) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 800;
   const TpchData db = GenerateTpch(options);
-  const auto query = BuildTpchQuery(17, db);
+  const auto query = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(query.ok());
 
   EngineOptions engine_options;
@@ -938,7 +986,7 @@ TEST(FilterQueryTest, FilteredQueryMatchesOracleAndShrinksShuffle) {
   options.scale_factor = 20;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto plain = BuildTpchQuery(17, db);
+  const auto plain = TpchQueryBuilder(17, db).Build();
   const auto filtered = BuildTpchQuery17Filtered(db, /*quantity_cap=*/20);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(filtered.ok());

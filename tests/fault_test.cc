@@ -440,7 +440,7 @@ TEST_F(ChaosDifferentialTest, MobileQ1) {
   MobileDataOptions options;
   options.physical_rows = 120;
   options.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(1, options);
+  const auto q = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(q.ok());
   CheckChaosInvariance(*q, "mobile-q1");
 }
@@ -450,7 +450,7 @@ TEST_F(ChaosDifferentialTest, TpchQ17) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto q = BuildTpchQuery(17, db);
+  const auto q = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(q.ok());
   CheckChaosInvariance(*q, "tpch-q17");
 }
@@ -463,7 +463,8 @@ TEST_F(ChaosDifferentialTest, FlightItinerary) {
                                    GenerateFlightLeg(1, options),
                                    GenerateFlightLeg(2, options)};
   const auto q =
-      BuildItineraryQuery(legs, {StayOver{60, 240}, StayOver{120, 360}});
+      ItineraryQueryBuilder(legs, {StayOver{60, 240}, StayOver{120, 360}})
+          .Build();
   ASSERT_TRUE(q.ok());
   CheckChaosInvariance(*q, "flights");
 }
@@ -488,7 +489,7 @@ TEST_F(ChaosDifferentialTest, TinyBudgetChaosIsInvisibleAndLeaksNoFiles) {
   MobileDataOptions data;
   data.physical_rows = 1000;  // big enough that spilling actually happens
   data.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(1, data);
+  const auto q = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(q.ok());
   const auto plan = planner_->Plan(*q);
   ASSERT_TRUE(plan.ok());
@@ -551,7 +552,7 @@ Query SmallMobileQuery() {
   MobileDataOptions options;
   options.physical_rows = 100;
   options.logical_bytes = 2 * kGiB;
-  const auto q = BuildMobileQuery(1, options);
+  const auto q = MobileQueryBuilder(1, options).Build();
   EXPECT_TRUE(q.ok());
   return *q;
 }

@@ -73,7 +73,7 @@ TEST_F(IntegrationTest, MobileQ1AllSystemsAgree) {
   MobileDataOptions options;
   options.physical_rows = 120;
   options.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(1, options);
+  const auto q = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -82,7 +82,7 @@ TEST_F(IntegrationTest, MobileQ2AllSystemsAgree) {
   MobileDataOptions options;
   options.physical_rows = 80;
   options.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(2, options);
+  const auto q = MobileQueryBuilder(2, options).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -91,7 +91,7 @@ TEST_F(IntegrationTest, MobileQ3AllSystemsAgree) {
   MobileDataOptions options;
   options.physical_rows = 60;
   options.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(3, options);
+  const auto q = MobileQueryBuilder(3, options).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -100,7 +100,7 @@ TEST_F(IntegrationTest, MobileQ4AllSystemsAgree) {
   MobileDataOptions options;
   options.physical_rows = 50;
   options.logical_bytes = 4 * kGiB;
-  const auto q = BuildMobileQuery(4, options);
+  const auto q = MobileQueryBuilder(4, options).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -110,7 +110,7 @@ TEST_F(IntegrationTest, TpchQ17AllSystemsAgree) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto q = BuildTpchQuery(17, db);
+  const auto q = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -120,7 +120,7 @@ TEST_F(IntegrationTest, TpchQ18AllSystemsAgree) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto q = BuildTpchQuery(18, db);
+  const auto q = TpchQueryBuilder(18, db).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -130,7 +130,7 @@ TEST_F(IntegrationTest, TpchQ7AllSystemsAgree) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 600;
   const TpchData db = GenerateTpch(options);
-  const auto q = BuildTpchQuery(7, db);
+  const auto q = TpchQueryBuilder(7, db).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -140,7 +140,7 @@ TEST_F(IntegrationTest, TpchQ21AllSystemsAgree) {
   options.scale_factor = 50;
   options.physical_lineitem_rows = 400;
   const TpchData db = GenerateTpch(options);
-  const auto q = BuildTpchQuery(21, db);
+  const auto q = TpchQueryBuilder(21, db).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -152,8 +152,8 @@ TEST_F(IntegrationTest, FlightItineraryAllSystemsAgree) {
   std::vector<RelationPtr> legs = {GenerateFlightLeg(0, options),
                                    GenerateFlightLeg(1, options),
                                    GenerateFlightLeg(2, options)};
-  const auto q = BuildItineraryQuery(
-      legs, {StayOver{60, 240}, StayOver{120, 360}});
+  const auto q = ItineraryQueryBuilder(
+      legs, {StayOver{60, 240}, StayOver{120, 360}}).Build();
   ASSERT_TRUE(q.ok());
   CheckAllSystems(*q);
 }
@@ -168,8 +168,8 @@ TEST_F(IntegrationTest, InequalityChainFavoursSingleJob) {
   std::vector<RelationPtr> legs = {GenerateFlightLeg(0, options),
                                    GenerateFlightLeg(1, options),
                                    GenerateFlightLeg(2, options)};
-  const auto q = BuildItineraryQuery(
-      legs, {StayOver{45, 360}, StayOver{45, 360}});
+  const auto q = ItineraryQueryBuilder(
+      legs, {StayOver{45, 360}, StayOver{45, 360}}).Build();
   ASSERT_TRUE(q.ok());
   const auto seconds = CheckAllSystems(*q);
   EXPECT_LT(seconds[0], seconds[2]);  // ours < hive
@@ -180,7 +180,7 @@ TEST_F(IntegrationTest, DeterministicAcrossRuns) {
   MobileDataOptions options;
   options.physical_rows = 100;
   options.logical_bytes = 2 * kGiB;
-  const auto q = BuildMobileQuery(1, options);
+  const auto q = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(q.ok());
   Planner planner(cluster_.get(), params_);
   Executor executor(cluster_.get());

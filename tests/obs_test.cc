@@ -180,7 +180,7 @@ Query SmallMobileQuery() {
   MobileDataOptions options;
   options.physical_rows = 400;
   options.logical_bytes = 2 * kGiB;
-  const auto q = BuildMobileQuery(1, options);
+  const auto q = MobileQueryBuilder(1, options).Build();
   EXPECT_TRUE(q.ok());
   return *q;
 }
@@ -321,7 +321,7 @@ TEST(TracingDifferentialTest, TracedRunIsByteIdenticalOnTpchQ17) {
   options.scale_factor = 100;
   options.physical_lineitem_rows = 1200;
   const TpchData db = GenerateTpch(options);
-  const auto q17 = BuildTpchQuery(17, db);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(q17.ok());
   for (int threads : {1, 4}) {
     const RunSnapshot off = RunOnce(*q17, threads, false);

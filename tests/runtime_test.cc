@@ -601,27 +601,5 @@ TEST_F(RuntimeExecutorTest, BudgetedExecutionMatchesUnbudgeted) {
   }
 }
 
-TEST_F(RuntimeExecutorTest, SortKernelGateSweepPreservesResults) {
-  const Query q = ChainQuery();
-  Planner planner(cluster_.get(), params_);
-  const auto plan = PlanHiveStyle(q, *cluster_);  // pairwise jobs use the gate
-  ASSERT_TRUE(plan.ok());
-  Executor reference(cluster_.get());
-  const auto ref = reference.Execute(q, *plan);
-  ASSERT_TRUE(ref.ok());
-  for (int64_t gate : {int64_t{1}, int64_t{64}, int64_t{1} << 40}) {
-    ExecutorOptions options;
-    options.sort_kernel_min_pairs = gate;
-    options.num_threads = 2;
-    Executor executor(cluster_.get(), options);
-    const auto result = executor.Execute(q, *plan);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->makespan, ref->makespan) << "gate=" << gate;
-    const Relation sorted_ref = SortedByRows(*ref->result_ids);
-    const Relation sorted_got = SortedByRows(*result->result_ids);
-    EXPECT_TRUE(IdenticalRelations(sorted_ref, sorted_got)) << "gate=" << gate;
-  }
-}
-
 }  // namespace
 }  // namespace mrtheta

@@ -357,7 +357,7 @@ TEST_F(SkewExecutorTest, SkewedMobilePlanIsFlaggedAndResultInvariant) {
   // over the cascade (the paper's preferred shape for Q1).
   options.logical_bytes = int64_t{2} << 30;
   options.station_skew = 1.2;
-  const auto query = BuildMobileQuery(1, options);
+  const auto query = MobileQueryBuilder(1, options).Build();
   ASSERT_TRUE(query.ok());
   Planner planner(cluster_.get(), params_);
   const auto plan = planner.Plan(*query);

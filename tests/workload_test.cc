@@ -96,37 +96,37 @@ TEST(MobileQueryTest, Table2Structure) {
   MobileDataOptions opts;
   opts.physical_rows = 50;
   // Q1: 3 relations, 4 conditions, {<=, >=}.
-  const auto q1 = BuildMobileQuery(1, opts);
+  const auto q1 = MobileQueryBuilder(1, opts).Build();
   ASSERT_TRUE(q1.ok());
   EXPECT_EQ(q1->num_relations(), 3);
   EXPECT_EQ(q1->num_conditions(), 4);
   EXPECT_EQ(InequalityOps(*q1),
             (std::set<ThetaOp>{ThetaOp::kLe, ThetaOp::kGe}));
   // Q2 adds <>.
-  const auto q2 = BuildMobileQuery(2, opts);
+  const auto q2 = MobileQueryBuilder(2, opts).Build();
   ASSERT_TRUE(q2.ok());
   EXPECT_EQ(InequalityOps(*q2),
             (std::set<ThetaOp>{ThetaOp::kLe, ThetaOp::kGe, ThetaOp::kNe}));
   // Q3: 4 relations, 4 conditions, {<, >}.
-  const auto q3 = BuildMobileQuery(3, opts);
+  const auto q3 = MobileQueryBuilder(3, opts).Build();
   ASSERT_TRUE(q3.ok());
   EXPECT_EQ(q3->num_relations(), 4);
   EXPECT_EQ(q3->num_conditions(), 4);
   EXPECT_EQ(InequalityOps(*q3),
             (std::set<ThetaOp>{ThetaOp::kLt, ThetaOp::kGt}));
   // Q4: {<, >, <>}.
-  const auto q4 = BuildMobileQuery(4, opts);
+  const auto q4 = MobileQueryBuilder(4, opts).Build();
   ASSERT_TRUE(q4.ok());
   EXPECT_EQ(InequalityOps(*q4),
             (std::set<ThetaOp>{ThetaOp::kLt, ThetaOp::kGt, ThetaOp::kNe}));
-  EXPECT_FALSE(BuildMobileQuery(5, opts).ok());
+  EXPECT_FALSE(MobileQueryBuilder(5, opts).Build().ok());
 }
 
 TEST(MobileQueryTest, QueriesValidate) {
   MobileDataOptions opts;
   opts.physical_rows = 50;
   for (int which = 1; which <= 4; ++which) {
-    const auto q = BuildMobileQuery(which, opts);
+    const auto q = MobileQueryBuilder(which, opts).Build();
     ASSERT_TRUE(q.ok());
     EXPECT_TRUE(q->Validate().ok()) << "Q" << which;
   }
@@ -201,32 +201,32 @@ TEST(TpchQueryTest, Table3Structure) {
   opts.physical_lineitem_rows = 800;
   const TpchData db = GenerateTpch(opts);
   // Q7: 5 relations, 8 conditions, {<=, >=}.
-  const auto q7 = BuildTpchQuery(7, db);
+  const auto q7 = TpchQueryBuilder(7, db).Build();
   ASSERT_TRUE(q7.ok());
   EXPECT_EQ(q7->num_relations(), 5);
   EXPECT_EQ(q7->num_conditions(), 8);
   EXPECT_EQ(InequalityOps(*q7),
             (std::set<ThetaOp>{ThetaOp::kLe, ThetaOp::kGe}));
   // Q17: 3 relations, 4 conditions, {<=}.
-  const auto q17 = BuildTpchQuery(17, db);
+  const auto q17 = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(q17.ok());
   EXPECT_EQ(q17->num_relations(), 3);
   EXPECT_EQ(q17->num_conditions(), 4);
   EXPECT_EQ(InequalityOps(*q17), (std::set<ThetaOp>{ThetaOp::kLe}));
   // Q18: 4 relations, 4 conditions, {>=}.
-  const auto q18 = BuildTpchQuery(18, db);
+  const auto q18 = TpchQueryBuilder(18, db).Build();
   ASSERT_TRUE(q18.ok());
   EXPECT_EQ(q18->num_relations(), 4);
   EXPECT_EQ(q18->num_conditions(), 4);
   EXPECT_EQ(InequalityOps(*q18), (std::set<ThetaOp>{ThetaOp::kGe}));
   // Q21: 6 relations, 8 conditions, {>=, <>}.
-  const auto q21 = BuildTpchQuery(21, db);
+  const auto q21 = TpchQueryBuilder(21, db).Build();
   ASSERT_TRUE(q21.ok());
   EXPECT_EQ(q21->num_relations(), 6);
   EXPECT_EQ(q21->num_conditions(), 8);
   EXPECT_EQ(InequalityOps(*q21),
             (std::set<ThetaOp>{ThetaOp::kGe, ThetaOp::kNe}));
-  EXPECT_FALSE(BuildTpchQuery(1, db).ok());
+  EXPECT_FALSE(TpchQueryBuilder(1, db).Build().ok());
 }
 
 TEST(TpchQueryTest, QueriesValidate) {
@@ -234,7 +234,7 @@ TEST(TpchQueryTest, QueriesValidate) {
   opts.physical_lineitem_rows = 800;
   const TpchData db = GenerateTpch(opts);
   for (int which : {7, 17, 18, 21}) {
-    const auto q = BuildTpchQuery(which, db);
+    const auto q = TpchQueryBuilder(which, db).Build();
     ASSERT_TRUE(q.ok());
     EXPECT_TRUE(q->Validate().ok()) << "Q" << which;
   }
@@ -259,8 +259,8 @@ TEST(FlightsTest, ItineraryQueryShape) {
   std::vector<RelationPtr> legs = {GenerateFlightLeg(0, opts),
                                    GenerateFlightLeg(1, opts),
                                    GenerateFlightLeg(2, opts)};
-  const auto q = BuildItineraryQuery(legs, {StayOver{60, 240},
-                                            StayOver{30, 120}});
+  const auto q = ItineraryQueryBuilder(legs, {StayOver{60, 240},
+                                            StayOver{30, 120}}).Build();
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->num_relations(), 3);
   EXPECT_EQ(q->num_conditions(), 4);  // two per stop-over
@@ -304,10 +304,11 @@ TEST(FlightsTest, ItineraryValidatesArguments) {
   FlightLegOptions opts;
   opts.physical_rows = 10;
   std::vector<RelationPtr> one = {GenerateFlightLeg(0, opts)};
-  EXPECT_FALSE(BuildItineraryQuery(one, {}).ok());
+  EXPECT_FALSE(ItineraryQueryBuilder(one, {}).Build().ok());
   std::vector<RelationPtr> two = {GenerateFlightLeg(0, opts),
                                   GenerateFlightLeg(1, opts)};
-  EXPECT_FALSE(BuildItineraryQuery(two, {}).ok());  // missing stay-over
+  // Missing stay-over window.
+  EXPECT_FALSE(ItineraryQueryBuilder(two, {}).Build().ok());
 }
 
 }  // namespace
