@@ -15,9 +15,6 @@ Status EngineOptions::Validate() const {
   if (executor.num_threads < 1) {
     return Status::InvalidArgument("executor.num_threads must be >= 1");
   }
-  if (planner.lambda < 0.0 || planner.lambda > 1.0) {
-    return Status::InvalidArgument("planner.lambda must be in [0, 1]");
-  }
   if (planner.max_reduce_tasks < 0) {
     return Status::InvalidArgument("planner.max_reduce_tasks must be >= 0");
   }

@@ -48,9 +48,7 @@ int64_t PlannedOutputWidth(const Query& query, int r,
 
 Planner::Planner(const SimCluster* cluster, CostModelParams params,
                  PlannerOptions options)
-    : cluster_(cluster), params_(std::move(params)), options_(options) {
-  params_.lambda = options_.lambda;
-}
+    : cluster_(cluster), params_(std::move(params)), options_(options) {}
 
 int Planner::MaxReduceTasks() const {
   const int kp = cluster_->config().num_workers;
@@ -99,29 +97,42 @@ bool IsEquiPair(const Query& query, const std::vector<int>& relations,
   return false;
 }
 
-}  // namespace
+// The part of a Hilbert chain-join candidate's cost-model profile that does
+// not depend on its reduce-task count. Only the duplication factor does, so
+// a kR sweep builds the shape once and finishes it per k (FinishCandidate).
+struct CandidateShape {
+  /// Fused dimensionality: the d of Eq. 9's duplication factor.
+  int num_dims = 1;
+  double input_bytes = 0.0;  ///< SI
+  /// Shuffled / scanned bytes (pruned payload over full rows), capped at 1.
+  double shuffle_ratio = 1.0;
+  double output_bytes = 0.0;
+  double sigma_frac = 0.0;
+  /// Per trail step j >= 1: surviving prefix rows × the rows of relation j.
+  std::vector<double> step_products;
+};
 
-JobProfile Planner::CandidateProfile(const Query& query,
-                                     const std::vector<TableStats>& stats,
-                                     const std::vector<int>& relations,
-                                     const std::vector<int>& thetas,
-                                     int kr) const {
-  JobProfile profile;
-  profile.num_reduce_tasks = kr;
+// Shape of a Hilbert chain-join over `relations` (trail order) evaluating
+// `thetas`.
+CandidateShape ShapeCandidate(const Query& query,
+                              const std::vector<TableStats>& stats,
+                              const std::vector<int>& relations,
+                              const std::vector<int>& thetas,
+                              const PlannerOptions& options) {
+  CandidateShape shape;
   const int d = static_cast<int>(relations.size());
   // Duplication follows the *fused* dimensionality: relations connected by
   // equality share a hash dimension and are not replicated along it
   // (Eq. 9 with d = number of dimension groups).
-  const std::vector<JoinCondition> fuse_conds = query.ConditionsById(thetas);
+  const std::vector<JoinCondition> conds = query.ConditionsById(thetas);
   std::vector<std::vector<int>> input_bases;
   input_bases.reserve(relations.size());
   for (int r : relations) input_bases.push_back({r});
   const DimensionGrouping grouping =
-      ComputeDimensionGrouping(input_bases, fuse_conds);
-  const bool equi_pair = IsEquiPair(query, relations, thetas);
-  const double dup = ApproxDuplicationFactor(grouping.num_dims, kr);
+      ComputeDimensionGrouping(input_bases, conds);
+  shape.num_dims = grouping.num_dims;
 
-  const bool prune = options_.enable_column_pruning;
+  const bool prune = options.enable_column_pruning;
   double si = 0.0;
   double out_row_bytes = 0.0;
   double pruned_in = 0.0;
@@ -142,16 +153,15 @@ JobProfile Planner::CandidateProfile(const Query& query,
           query.relations()[out.base]->schema().column(out.column).avg_width;
     }
   }
-  profile.input_bytes = si;
+  shape.input_bytes = si;
   // Maps read full rows (SI) but shuffle only the pruned payload: α shrinks
   // by the pruned/full byte ratio so the modeled map-output and reduce-input
   // volumes track the executors' thinner tuples.
-  profile.alpha = dup * (si > 0.0 ? std::min(1.0, pruned_in / si) : 1.0);
+  shape.shuffle_ratio = si > 0.0 ? std::min(1.0, pruned_in / si) : 1.0;
 
   std::vector<const TableStats*> stat_ptrs;
   stat_ptrs.reserve(stats.size());
   for (const TableStats& ts : stats) stat_ptrs.push_back(&ts);
-  const std::vector<JoinCondition> conds = query.ConditionsById(thetas);
   // β-extrapolated output estimate, mirroring the executors: the physical
   // sample fixes the joint-selectivity shape; results scale linearly with
   // the represented volume.
@@ -168,28 +178,26 @@ JobProfile Planner::CandidateProfile(const Query& query,
     }
   }
   const double out_rows = sel * phys_cross * max_scale;
-  profile.output_bytes = out_rows * out_row_bytes;
+  shape.output_bytes = out_rows * out_row_bytes;
 
   // Hash partitioning (equi pairs and fused hash dimensions) inherits key
   // skew; pure Hilbert dimensions balance by construction (Theorem 2).
-  const double avg_reduce_bytes = profile.alpha * si / kr;
-  const bool hash_partitioned = equi_pair || grouping.num_dims < d;
-  const double sigma_frac = hash_partitioned
-                                ? 3.0 * options_.hilbert_sigma_frac
-                                : options_.hilbert_sigma_frac;
-  profile.sigma_reduce_bytes = sigma_frac * avg_reduce_bytes;
+  const bool hash_partitioned =
+      IsEquiPair(query, relations, thetas) || grouping.num_dims < d;
+  shape.sigma_frac = hash_partitioned ? 3.0 * options.hilbert_sigma_frac
+                                      : options.hilbert_sigma_frac;
 
   // Trail-order backtracking work estimate: each surviving prefix scans the
   // next relation's local (per-component) portion.
   std::set<int> placed = {relations[0]};
   double prefix_rows =
       static_cast<double>(std::max<int64_t>(1, stats[relations[0]].logical_rows));
-  double comps = 0.0;
+  shape.step_products.reserve(relations.size());
   for (int j = 1; j < d; ++j) {
     const int r = relations[j];
     const double r_rows =
         static_cast<double>(std::max<int64_t>(1, stats[r].logical_rows));
-    comps += prefix_rows * r_rows * dup;
+    shape.step_products.push_back(prefix_rows * r_rows);
     double step_sel = 1.0;
     for (const JoinCondition& cond : conds) {
       const bool touches_r =
@@ -206,11 +214,25 @@ JobProfile Planner::CandidateProfile(const Query& query,
     prefix_rows = std::max(1.0, prefix_rows * r_rows * step_sel);
     placed.insert(r);
   }
+  return shape;
+}
+
+// Cost-model profile of `shape` with kr reduce tasks: the duplication
+// factor scales α, the reduce-input σ and the comparison count.
+JobProfile FinishCandidate(const CandidateShape& shape, int kr) {
+  const double dup = ApproxDuplicationFactor(shape.num_dims, kr);
+  JobProfile profile;
+  profile.num_reduce_tasks = kr;
+  profile.input_bytes = shape.input_bytes;
+  profile.alpha = dup * shape.shuffle_ratio;
+  profile.output_bytes = shape.output_bytes;
+  profile.sigma_reduce_bytes =
+      shape.sigma_frac * (profile.alpha * shape.input_bytes / kr);
+  double comps = 0.0;
+  for (double product : shape.step_products) comps += product * dup;
   profile.comparisons_total = comps;
   return profile;
 }
-
-namespace {
 
 // Profile of a merge step joining two intermediates on shared rids.
 JobProfile MergeProfile(double left_rows, int left_bases, double right_rows,
@@ -310,11 +332,12 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
     info.push_back(std::move(ni));
 
     MalleableJob mj;
-    const std::vector<int> rels = cand.relations;
-    const std::vector<int> ths = cand.thetas;
-    mj.time_for_slots = [this, &query, &stats, rels, ths, kp](int k) {
-      const JobProfile p = CandidateProfile(query, stats, rels, ths, k);
-      return PredictJobTime(params_, cluster_->config(), p, kp).total;
+    mj.time_for_slots = [this, kp,
+                         shape = ShapeCandidate(query, stats, cand.relations,
+                                                cand.thetas, options_)](int k) {
+      return PredictJobTime(params_, cluster_->config(),
+                            FinishCandidate(shape, k), kp)
+          .total;
     };
     mj.max_slots = kr_max;
     sched_jobs.push_back(std::move(mj));
@@ -595,31 +618,21 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
   const int kp = cluster_->config().num_workers;
   const int kr_max = MaxReduceTasks();
 
-  // Cost oracle for Algorithm 2.
+  // Cost oracle for Algorithm 2: w(e') is the predicted time at the kR
+  // minimizing it, s(e') that kR.
   CandidateCostFn cost_fn = [&](const std::vector<int>& thetas,
                                 const std::vector<int>& relations) {
-    std::vector<double> cards;
-    cards.reserve(relations.size());
-    for (int r : relations) {
-      cards.push_back(
-          static_cast<double>(std::max<int64_t>(1, stats[r].logical_rows)));
-    }
-    int kr;
-    if (options_.use_delta_kr) {
-      kr = ChooseKrByDelta(cards, kr_max, options_.lambda).kr;
-    } else {
-      kr = ChooseKrByCost(
-               params_, cluster_->config(),
-               [&](int k) {
-                 return CandidateProfile(query, stats, relations, thetas, k);
-               },
-               kr_max, kp)
-               .kr;
-    }
-    const JobProfile profile =
-        CandidateProfile(query, stats, relations, thetas, kr);
+    const CandidateShape shape =
+        ShapeCandidate(query, stats, relations, thetas, options_);
+    const int kr = ChooseKrByCost(
+                       params_, cluster_->config(),
+                       [&](int k) { return FinishCandidate(shape, k); },
+                       kr_max, kp)
+                       .kr;
     CandidateCost out;
-    out.weight = PredictJobTime(params_, cluster_->config(), profile, kp).total;
+    out.weight = PredictJobTime(params_, cluster_->config(),
+                                FinishCandidate(shape, kr), kp)
+                     .total;
     out.schedule_slots = kr;
     return out;
   };

@@ -15,15 +15,6 @@ namespace mrtheta {
 /// Planner knobs.
 struct PlannerOptions {
   uint64_t seed = 0x5eed;
-  /// λ of Eq. (10).
-  double lambda = 0.4;
-  /// Choose kR by sweeping the cost model (false, default — matches the
-  /// paper's Fig. 7(a) behaviour where best kR grows with map output
-  /// volume) or by the literal Eq. 10 Δ minimization (true). With raw
-  /// cardinalities Eq. 10's Π|Ri|/k term dominates at realistic scales and
-  /// saturates kR at the cap — kept as the bench_ablation_kr_choice
-  /// ablation.
-  bool use_delta_kr = false;
   /// Lemma 1/2 pruning in the G'_JP construction.
   bool enable_pruning = true;
   /// Cap on reduce tasks per job; 0 means the cluster's worker count.
@@ -70,13 +61,6 @@ class Planner {
   /// across queries); planning is then byte-identical to Plan(query).
   StatusOr<QueryPlan> Plan(const Query& query,
                            const std::vector<TableStats>& stats) const;
-
-  /// Cost-model profile of a Hilbert chain-join over `relations` (trail
-  /// order) evaluating `thetas`, with kr reduce tasks. Exposed for benches.
-  JobProfile CandidateProfile(const Query& query,
-                              const std::vector<TableStats>& stats,
-                              const std::vector<int>& relations,
-                              const std::vector<int>& thetas, int kr) const;
 
   /// Per-relation statistics as the planner computes them.
   std::vector<TableStats> CollectStats(const Query& query) const;

@@ -1,5 +1,6 @@
 #include "src/core/query.h"
 
+#include <cmath>
 #include <cstdio>
 
 namespace mrtheta {
@@ -9,7 +10,7 @@ namespace {
 // The single rule set for a condition's endpoints, shared by AddCondition
 // (at insertion) and Validate (the authoritative pre-execution gate):
 // in-range distinct relations, in-range columns, type-compatible sides,
-// offsets only on numeric comparisons.
+// offsets only on numeric comparisons and never NaN.
 Status CheckCondition(const std::vector<RelationPtr>& relations,
                       const JoinCondition& cond) {
   const int num_relations = static_cast<int>(relations.size());
@@ -39,6 +40,11 @@ Status CheckCondition(const std::vector<RelationPtr>& relations,
   }
   if (ta == ValueType::kString && cond.offset != 0.0) {
     return Status::InvalidArgument("offset not supported on string columns");
+  }
+  // A NaN offset orders against nothing, and the histogram estimator would
+  // turn it into a bin index. Infinite offsets are legal.
+  if (std::isnan(cond.offset)) {
+    return Status::InvalidArgument("condition offset is NaN");
   }
   return Status::OK();
 }

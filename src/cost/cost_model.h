@@ -42,9 +42,6 @@ struct CostModelParams {
   double job_startup_sec = 0.0;
   /// Fitted serial commit cost per reduce output.
   double commit_sec_per_reduce = 0.0;
-  /// λ of Eq. (10): weight of the network-volume term vs the per-reducer
-  /// workload term. The paper observes λ ∈ (0.38, 0.46) and fixes 0.4.
-  double lambda = 0.4;
 };
 
 /// Profile of a prospective MRJ, assembled from statistics (planner path)

@@ -69,19 +69,21 @@ uint64_t Mix64(uint64_t x) {
 }  // namespace
 
 void KmvSketch::InsertHash(uint64_t h) {
+  // A full sketch admits only hashes below its largest one; checking that
+  // first skips the duplicate scan for most values of a long stream.
+  const bool full = static_cast<int>(heap_.size()) >= k_;
+  if (full && h >= heap_.front()) return;
   // KMV tracks the k smallest *distinct* hashes; duplicates must never
   // enter the heap or the estimator is biased low/high.
   if (std::find(heap_.begin(), heap_.end(), h) != heap_.end()) return;
-  if (static_cast<int>(heap_.size()) < k_) {
+  if (!full) {
     heap_.push_back(h);
     std::push_heap(heap_.begin(), heap_.end());
     return;
   }
-  if (h < heap_.front()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.back() = h;
-    std::push_heap(heap_.begin(), heap_.end());
-  }
+  std::pop_heap(heap_.begin(), heap_.end());
+  heap_.back() = h;
+  std::push_heap(heap_.begin(), heap_.end());
 }
 
 void KmvSketch::InsertInt(int64_t v) {

@@ -1,7 +1,9 @@
 // End-to-end tests: Query validation, Planner plan shapes, Executor
 // correctness against the oracle, and baseline-planner agreement.
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "src/core/planner.h"
 #include "src/cost/calibration.h"
 #include "src/exec/naive_join.h"
+#include "src/workload/tpch.h"
 
 namespace mrtheta {
 namespace {
@@ -129,6 +132,15 @@ TEST(QueryTest, ValidateErrorPathsReportSpecificCodes) {
   EXPECT_EQ(q2.AddCondition(0, "a", ThetaOp::kLt, 7, "a").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(q2.AddOutput(5, "a").code(), StatusCode::kInvalidArgument);
+  // So is a NaN band offset; an infinite one is legal.
+  EXPECT_EQ(q2.AddCondition(0, "a", ThetaOp::kLt, 1, "a",
+                            std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(q2.AddCondition(0, "b", ThetaOp::kLt, 1, "b",
+                              std::numeric_limits<double>::infinity())
+                  .ok());
   // ...so a query built through the public API revalidates cleanly.
   ASSERT_TRUE(q2.AddCondition(0, "a", ThetaOp::kLt, 1, "a").ok());
   EXPECT_TRUE(q2.Validate().ok());
@@ -174,6 +186,154 @@ TEST_F(CoreTest, PlanCoversAllConditions) {
   for (const PlanJob& job : plan->jobs) {
     EXPECT_GE(job.num_reduce_tasks, 1);
     EXPECT_LE(job.num_reduce_tasks, cluster_->config().num_workers);
+  }
+}
+
+// Describes the plan-job fields the pinned-plan test below compares.
+std::string DescribeJob(const PlanJob& job) {
+  std::string inputs;
+  for (const PlanInput& in : job.inputs) {
+    if (!inputs.empty()) inputs += ",";
+    inputs += in.is_base() ? "R" + std::to_string(in.base)
+                           : "J" + std::to_string(in.job);
+  }
+  std::string thetas;
+  for (int t : job.thetas) {
+    if (!thetas.empty()) thetas += ",";
+    thetas += std::to_string(t);
+  }
+  return std::string(PlanJobKindName(job.kind)) + " in=[" + inputs +
+         "] θ=[" + thetas + "] RN=" + std::to_string(job.num_reduce_tasks);
+}
+
+struct PinnedCandidate {
+  uint32_t theta_mask;
+  int schedule_slots;
+  double weight;
+};
+
+struct PinnedPlan {
+  int which;
+  std::string strategy;
+  double est_makespan_sec;
+  std::vector<std::string> jobs;
+  std::vector<PinnedCandidate> candidates;
+};
+
+// The optimizer's choices on the paper's TPC-H queries (Sec. 6.3.2) at
+// 2,000 lineitem rows and SF 100: the strategy, every job's shape and
+// reduce-task count, and every priced G'_JP candidate with its kR. A change
+// to how the cost oracle is evaluated must reproduce them exactly; the
+// doubles are pinned to a relative 1e-12.
+TEST_F(CoreTest, TpchPlansArePinned) {
+  TpchOptions options;
+  options.scale_factor = 100;
+  options.physical_lineitem_rows = 2000;
+  const TpchData db = GenerateTpch(options);
+  Planner planner(cluster_.get(), params_);
+  const PinnedPlan kPinned[] = {
+      {7,
+       "mrtheta-single-mrj",
+       241.65618262084985,
+       {"hilbert-join in=[R0,R1,R2,R3,R4] θ=[0,1,2,3,4,5,6,7] RN=32"},
+       {{0x8, 4, 30.313037553148966},
+        {0x18, 10, 38.763116204541554},
+        {0x10, 16, 46.634369161564415},
+        {0x80, 19, 55.769410143964159},
+        {0x90, 26, 65.120408067099191},
+        {0x4, 43, 92.81568720994656},
+        {0x62, 32, 145.4345385833746},
+        {0x42, 46, 200.84775586408568},
+        {0x22, 47, 201.84922880597088},
+        {0x1, 48, 266.26441448997514},
+        {0x2, 48, 276.86978464137985},
+        {0x63, 48, 276.90984609005363},
+        {0x43, 48, 323.68822340885015},
+        {0x23, 48, 324.91072978867686},
+        {0x3, 89, 397.68212894381799},
+        {0x60, 96, 8293.4519300198081},
+        {0x61, 96, 10333.279402559881},
+        {0x40, 96, 20516.361070440205},
+        {0x20, 96, 20840.442364699466},
+        {0x41, 96, 24368.82590273194},
+        {0x21, 96, 24754.249709470216},
+        {0x44, 96, 26688.918348657327},
+        {0x24, 96, 27111.479846209619},
+        {0x45, 96, 30898.983190225863},
+        {0x25, 96, 31388.998846834802},
+        {0xff, 32, 241.65618262084985}}},
+      {17,
+       "mrtheta",
+       766.9497057799291,
+       {"hilbert-join in=[R0,R2,R1] θ=[3,2,0,1] RN=96"},
+       {{0x1, 53, 279.48474318704393},
+        {0x2, 53, 279.55385077726925},
+        {0xf, 96, 766.9497057799291},
+        {0x7, 96, 2605.0151846712097},
+        {0xb, 96, 3235.7945072895918},
+        {0x3, 96, 7271.607656003016},
+        {0xc, 96, 19528.803232740975},
+        {0xd, 96, 43206.517759166396},
+        {0xe, 96, 47982.891532591406},
+        {0x4, 96, 48109.542647997463},
+        {0x8, 96, 58964.818406995299},
+        {0x5, 96, 104752.47705990133},
+        {0x6, 96, 104803.88013909764},
+        {0x9, 96, 126549.05249399212},
+        {0xa, 96, 126611.1954477556}}},
+      {21,
+       "mrtheta-single-mrj",
+       604.37676428250813,
+       {"hilbert-join in=[R0,R1,R2,R3,R4,R5] θ=[0,1,2,3,4,5,6,7] RN=48"},
+       {{0x4, 3, 29.275653385159124},
+        {0x2, 48, 220.8678715432946},
+        {0x1, 48, 241.05522322685204},
+        {0xe0, 48, 297.04686474205226},
+        {0x3, 48, 335.27110979036553},
+        {0xa0, 48, 351.64883159800161},
+        {0x18, 48, 453.92733436938153},
+        {0x60, 68, 481.37764669430794},
+        {0xe1, 48, 488.2293792500077},
+        {0x8, 96, 533.87165611732257},
+        {0xa1, 84, 556.23724997824263},
+        {0x20, 96, 574.42065454822909},
+        {0x61, 96, 648.06771836257781},
+        {0x9, 96, 707.5966338023909},
+        {0x21, 96, 760.74302093365964},
+        {0xc0, 96, 30043.229452949687},
+        {0xc1, 96, 48668.46776399004},
+        {0x80, 96, 49810.226205327883},
+        {0x10, 96, 73370.928296846672},
+        {0x81, 96, 74652.609517931589},
+        {0x40, 96, 88033.170381749034},
+        {0x42, 96, 103138.11036514092},
+        {0x11, 96, 110048.02853262406},
+        {0x41, 96, 124759.39750873181},
+        {0x48, 96, 440680.8048997061},
+        {0x50, 96, 164187358.47038028},
+        {0xff, 48, 604.37676428250813}}}
+  };
+  for (const PinnedPlan& pin : kPinned) {
+    SCOPED_TRACE("Q" + std::to_string(pin.which));
+    const auto query = TpchQueryBuilder(pin.which, db).Build();
+    ASSERT_TRUE(query.ok());
+    const auto plan = planner.Plan(*query);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(plan->strategy, pin.strategy);
+    std::vector<std::string> jobs;
+    for (const PlanJob& job : plan->jobs) jobs.push_back(DescribeJob(job));
+    EXPECT_EQ(jobs, pin.jobs);
+    EXPECT_NEAR(plan->est_makespan_sec, pin.est_makespan_sec,
+                1e-12 * pin.est_makespan_sec);
+    ASSERT_EQ(plan->candidates.size(), pin.candidates.size());
+    for (size_t i = 0; i < pin.candidates.size(); ++i) {
+      const JobCandidate& cand = plan->candidates[i];
+      const PinnedCandidate& want = pin.candidates[i];
+      EXPECT_EQ(cand.theta_mask, want.theta_mask) << "candidate " << i;
+      EXPECT_EQ(cand.schedule_slots, want.schedule_slots) << "candidate " << i;
+      EXPECT_NEAR(cand.weight, want.weight, 1e-12 * want.weight)
+          << "candidate " << i;
+    }
   }
 }
 

@@ -1,7 +1,11 @@
 // Unit tests for src/stats: histograms, sketches, sampling, selectivity.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +90,96 @@ TEST(KmvSketchTest, StringsAndDoubles) {
   sketch.InsertString("b");
   sketch.InsertDouble(1.5);
   EXPECT_NEAR(sketch.Estimate(), 3.0, 0.5);
+}
+
+// Reference KMV: the plain insert, which scans for a duplicate before it
+// asks whether the hash can enter, with KmvSketch's hashes and estimator.
+// KmvSketch must keep exactly the same heap, so every estimate matches.
+class ReferenceKmv {
+ public:
+  explicit ReferenceKmv(int k) : k_(k) {}
+
+  void InsertInt(int64_t v) { InsertHash(Mix64(static_cast<uint64_t>(v))); }
+  void InsertDouble(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    InsertHash(Mix64(bits));
+  }
+  void InsertString(const std::string& v) {
+    uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : v) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+    InsertHash(Mix64(h));
+  }
+
+  double Estimate() const {
+    if (heap_.empty()) return 0.0;
+    if (static_cast<int>(heap_.size()) < k_) {
+      return static_cast<double>(heap_.size());
+    }
+    const double frac =
+        static_cast<double>(heap_.front()) / static_cast<double>(UINT64_MAX);
+    if (frac <= 0.0) return static_cast<double>(k_);
+    return (k_ - 1) / frac;
+  }
+
+ private:
+  static uint64_t Mix64(uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+  }
+
+  void InsertHash(uint64_t h) {
+    if (std::find(heap_.begin(), heap_.end(), h) != heap_.end()) return;
+    if (static_cast<int>(heap_.size()) < k_) {
+      heap_.push_back(h);
+      std::push_heap(heap_.begin(), heap_.end());
+      return;
+    }
+    if (h < heap_.front()) {
+      std::pop_heap(heap_.begin(), heap_.end());
+      heap_.back() = h;
+      std::push_heap(heap_.begin(), heap_.end());
+    }
+  }
+
+  int k_;
+  std::vector<uint64_t> heap_;
+};
+
+TEST(KmvSketchTest, MatchesReferenceOnStreamsWithDuplicates) {
+  // Streams shorter and longer than k, over domains small enough that
+  // most values repeat; the estimate must match after every insert.
+  for (int k : {8, 256}) {
+    for (int64_t length : {int64_t{50}, int64_t{20000}}) {
+      const uint64_t domain = static_cast<uint64_t>(length / 3 + 1);
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " length=" + std::to_string(length));
+      Rng rng(static_cast<uint64_t>(k * 100003 + length));
+      KmvSketch ints(k), doubles(k), strings(k);
+      ReferenceKmv ref_ints(k), ref_doubles(k), ref_strings(k);
+      for (int64_t i = 0; i < length; ++i) {
+        const int64_t v = static_cast<int64_t>(rng.Uniform(domain));
+        ints.InsertInt(v);
+        ref_ints.InsertInt(v);
+        doubles.InsertDouble(static_cast<double>(v) / 8.0);
+        ref_doubles.InsertDouble(static_cast<double>(v) / 8.0);
+        strings.InsertString("v" + std::to_string(v));
+        ref_strings.InsertString("v" + std::to_string(v));
+        ASSERT_EQ(ints.Estimate(), ref_ints.Estimate()) << "insert " << i;
+        ASSERT_EQ(doubles.Estimate(), ref_doubles.Estimate())
+            << "insert " << i;
+        ASSERT_EQ(strings.Estimate(), ref_strings.Estimate())
+            << "insert " << i;
+      }
+    }
+  }
 }
 
 TEST(ReservoirTest, TakesAllWhenSmall) {
