@@ -47,8 +47,15 @@ ThetaEngine::ThetaEngine(EngineOptions options)
       pool_(std::max(1, options_.executor.num_threads)) {}
 
 ThetaEngine::~ThetaEngine() {
-  MutexLock lock(&mu_);
-  while (inflight_submissions_ != 0) idle_cv_.Wait(&mu_);
+  std::vector<std::thread> coordinators;
+  {
+    MutexLock lock(&mu_);
+    while (inflight_submissions_ != 0) idle_cv_.Wait(&mu_);
+    stopping_ = true;
+    coordination_cv_.NotifyAll();
+    coordinators.swap(coordinators_);
+  }
+  for (std::thread& t : coordinators) t.join();
 }
 
 Status ThetaEngine::EnsureReadyLocked() {
@@ -304,52 +311,91 @@ std::future<StatusOr<QueryResult>> ThetaEngine::SubmitInternal(
     }
     idle_cv_.NotifyAll();
   };
-  // A detached coordination thread, not std::async: the returned future
-  // must not block on destruction. The destructor's drain keeps `this`
-  // alive for the thread's whole Execute; after the notify the thread
-  // touches only its own locals (notifying under the lock so the
-  // destructor cannot win the race and free the condition variable
-  // mid-notify).
-  try {
-    std::thread([this, promise, token, deregister, admitted, queued, ticket,
-                 q = std::move(query), pinned = std::move(pinned),
-                 key = std::move(pinned_key)]() mutable {
-      bool holds_slot = admitted;
-      StatusOr<QueryResult> result = [&]() -> StatusOr<QueryResult> {
-        TraceSpan span("submit", "engine");
-        if (queued) {
-          Status admit = WaitForAdmission(ticket, token.get());
-          if (!admit.ok()) return admit;
-          holds_slot = true;
-        }
-        return ExecuteCancellable(q, pinned, key, token.get());
-      }();
-      if (holds_slot) ReleaseAdmission();
-      deregister();
-      promise->set_value(std::move(result));
-    }).detach();
-  } catch (const std::system_error& e) {
-    // Thread exhaustion: undo the admission and in-flight bookkeeping (or
-    // the destructor's drain would wait forever) and fail the submission.
-    if (admitted) ReleaseAdmission();
-    if (queued) {
-      MutexLock lock(&mu_);
-      for (auto it = admission_queue_.begin(); it != admission_queue_.end();
-           ++it) {
-        if (*it == ticket) {
-          admission_queue_.erase(it);
-          break;
-        }
-      }
-      admission_cv_.NotifyAll();
+  // A coordination thread, not std::async: the returned future must not
+  // block on destruction. The task releases its admission slot and
+  // deregisters before the thread resolves the promise, so the
+  // destructor's drain keeps `this` alive for the whole Execute.
+  CoordinationTask task{
+      [this, token, deregister, admitted, queued, ticket,
+       q = std::move(query), pinned = std::move(pinned),
+       key = std::move(pinned_key)]() -> StatusOr<QueryResult> {
+        bool holds_slot = admitted;
+        StatusOr<QueryResult> result = [&]() -> StatusOr<QueryResult> {
+          TraceSpan span("submit", "engine");
+          if (queued) {
+            Status admit = WaitForAdmission(ticket, token.get());
+            if (!admit.ok()) return admit;
+            holds_slot = true;
+          }
+          return ExecuteCancellable(q, pinned, key, token.get());
+        }();
+        if (holds_slot) ReleaseAdmission();
+        deregister();
+        return result;
+      },
+      promise};
+  std::string spawn_error;
+  {
+    MutexLock lock(&mu_);
+    coordination_queue_.push_back(std::move(task));
+    // Every queued task has a committed thread: an idle one, or a new one.
+    if (committed_coordinators_ >=
+        static_cast<int>(coordination_queue_.size())) {
+      coordination_cv_.NotifyOne();
+      return future;
     }
-    deregister();
-    promise->set_value(
-        Status::ResourceExhausted(std::string("Submit could not start a "
-                                              "coordination thread: ") +
-                                  e.what()));
+    try {
+      coordinators_.emplace_back([this] { CoordinationLoop(); });
+      ++committed_coordinators_;
+      return future;
+    } catch (const std::system_error& e) {
+      coordination_queue_.pop_back();
+      spawn_error = e.what();
+    }
   }
+  // Thread exhaustion: undo the admission and in-flight bookkeeping (or
+  // the destructor's drain would wait forever) and fail the submission.
+  if (admitted) ReleaseAdmission();
+  if (queued) {
+    MutexLock lock(&mu_);
+    for (auto it = admission_queue_.begin(); it != admission_queue_.end();
+         ++it) {
+      if (*it == ticket) {
+        admission_queue_.erase(it);
+        break;
+      }
+    }
+    admission_cv_.NotifyAll();
+  }
+  deregister();
+  promise->set_value(Status::ResourceExhausted(
+      "Submit could not start a coordination thread: " + spawn_error));
   return future;
+}
+
+void ThetaEngine::CoordinationLoop() {
+  while (true) {
+    CoordinationTask task;
+    {
+      MutexLock lock(&mu_);
+      while (coordination_queue_.empty() && !stopping_) {
+        coordination_cv_.Wait(&mu_);
+      }
+      if (coordination_queue_.empty()) return;  // engine destroyed
+      task = std::move(coordination_queue_.front());
+      coordination_queue_.pop_front();
+      --committed_coordinators_;
+    }
+    StatusOr<QueryResult> result = task.run();
+    {
+      // Commit to the next task before the caller sees this result, so
+      // the caller's next Submit finds this thread instead of starting
+      // another one.
+      MutexLock lock(&mu_);
+      ++committed_coordinators_;
+    }
+    task.promise->set_value(std::move(result));
+  }
 }
 
 Status ThetaEngine::WaitForAdmission(uint64_t ticket,

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <list>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -134,7 +136,8 @@ class PreparedQuery {
 /// "Serving"; EngineOptions serving knobs).
 ///
 /// Thread safety: all entry points may be called concurrently. Submit
-/// returns a future and runs the query on its own coordination thread;
+/// returns a future and runs the query on its own coordination thread
+/// (reused by later Submits once the query has ended);
 /// map/reduce tasks of concurrent submissions share the engine's pool, so
 /// independent plans overlap. Determinism: with the same options and
 /// execution_seed, Execute and Submit produce byte-identical results at
@@ -143,7 +146,8 @@ class PreparedQuery {
 class ThetaEngine {
  public:
   explicit ThetaEngine(EngineOptions options = {});
-  /// Blocks until every in-flight Submit has finished.
+  /// Blocks until every in-flight Submit has finished, then joins the
+  /// coordination threads.
   ~ThetaEngine();
 
   ThetaEngine(const ThetaEngine&) = delete;
@@ -201,7 +205,7 @@ class ThetaEngine {
   std::future<StatusOr<QueryResult>> Submit(Query query);
   std::future<StatusOr<QueryResult>> Submit(const QueryBuilder& builder);
 
-  /// Cancels every in-flight Submit: each coordination thread carries a
+  /// Cancels every in-flight Submit: each submission carries a
   /// CancellationToken that its execution honors at job and task
   /// boundaries (and inside interruptible waits), so cancelled
   /// submissions resolve their futures promptly with kCancelled instead
@@ -271,10 +275,14 @@ class ThetaEngine {
   StatusOr<QueryResult> ExecuteCancellable(
       const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
       const std::string& pinned_key, const CancellationToken* token);
-  /// Shared Submit path: admission control + detached coordination thread.
+  /// Shared Submit path: admission control, then the task is handed to a
+  /// coordination thread.
   std::future<StatusOr<QueryResult>> SubmitInternal(
       Query query, std::shared_ptr<const QueryPlan> pinned,
       std::string pinned_key);
+  /// Body of one coordination thread: runs queued Submit tasks one at a
+  /// time until the engine is destroyed.
+  void CoordinationLoop();
   /// Blocks until this ticket reaches the queue front with a free slot (or
   /// its token is cancelled); records the queue wait on admission.
   Status WaitForAdmission(uint64_t ticket, const CancellationToken* token);
@@ -341,18 +349,36 @@ class ThetaEngine {
   CondVar admission_cv_;  // slot freed / queue front moved
   /// Source of truth for all session metrics; internally synchronized
   /// (handles are lock-free), so fault accounting from executor scope
-  /// guards and detached Submit threads lands here without touching mu_ —
-  /// which is what fixed the CancelInflight under-reporting bug. Mutable:
-  /// reading metrics on a const engine still registers handles on first
-  /// use.
+  /// guards and Submit coordination threads lands here without touching
+  /// mu_ — which is what fixed the CancelInflight under-reporting bug.
+  /// Mutable: reading metrics on a const engine still registers handles
+  /// on first use.
   mutable MetricsRegistry registry_;
   int inflight_submissions_ MRTHETA_GUARDED_BY(mu_) = 0;
   /// One token per in-flight Submit, registered for CancelInflight. The
-  /// coordination thread holds its own shared_ptr, so entries here are
+  /// submission's task holds its own shared_ptr, so entries here are
   /// alive by construction; each is deregistered when its submission ends.
   std::vector<std::shared_ptr<CancellationToken>> inflight_tokens_
       MRTHETA_GUARDED_BY(mu_);
   CondVar idle_cv_;  // signalled when a submission ends
+
+  // Coordination threads. Each Submit's task runs on one of them; a thread
+  // whose task has ended waits for the next instead of exiting, so
+  // back-to-back Submits reuse threads (and the malloc arenas those
+  // threads hold) instead of starting one per query. Joined by the
+  // destructor.
+  struct CoordinationTask {
+    std::function<StatusOr<QueryResult>()> run;
+    std::shared_ptr<std::promise<StatusOr<QueryResult>>> promise;
+  };
+  std::deque<CoordinationTask> coordination_queue_ MRTHETA_GUARDED_BY(mu_);
+  /// Threads that will take a queued task without another wake-up: new
+  /// ones and those that have finished a task. Never below the queue
+  /// length, so no task waits behind a busy thread.
+  int committed_coordinators_ MRTHETA_GUARDED_BY(mu_) = 0;
+  bool stopping_ MRTHETA_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> coordinators_ MRTHETA_GUARDED_BY(mu_);
+  CondVar coordination_cv_;  // a task was queued, or the engine is stopping
 };
 
 }  // namespace mrtheta

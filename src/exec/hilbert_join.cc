@@ -3,8 +3,11 @@
 #include "src/common/status.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <functional>
 #include <map>
+#include <ranges>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -134,6 +137,95 @@ struct HilbertBoundCondition {
   }
 };
 
+// One indexed condition of a depth, and whether the depth's input holds
+// its lhs endpoint (the other endpoint is bound at an earlier depth).
+struct IndexTerm {
+  const HilbertBoundCondition* bc = nullptr;  // in conditions_at_depth
+  bool cur_is_lhs = false;
+
+  int other_input() const {
+    return cur_is_lhs ? bc->rhs_input : bc->lhs_input;
+  }
+  // The endpoint column on the depth's own input.
+  ColumnRef cur_column() const {
+    return cur_is_lhs ? bc->cond.lhs : bc->cond.rhs;
+  }
+
+  // True when the condition holds for the smallest values of the depth's
+  // column and fails from some value on; false when it holds from some
+  // value on. Only meaningful for <, <=, >, >=.
+  bool HoldsOnPrefix() const {
+    const ThetaOp op = bc->cond.op;
+    const bool less = op == ThetaOp::kLt || op == ThetaOp::kLe;
+    return cur_is_lhs == less;
+  }
+};
+
+// How one depth's candidates are indexed, resolved once per job. Each
+// reduce group sorts the depth's candidates on a composite key: every
+// numeric equality against an earlier input, then the range column. A
+// lookup is one equal-range search on the equalities plus one partition
+// point per range condition on that column.
+struct DepthIndexPlan {
+  std::vector<IndexTerm> eq;
+  // Every range condition on range_col with a finite offset.
+  std::vector<IndexTerm> range;
+  ColumnRef range_col = {-1, -1};
+  ValueType range_type = ValueType::kInt64;
+  const int64_t* range_rid = nullptr;  // depth input row -> range_col row
+  // The earlier input every term reads, or -1 when they read several. Then
+  // a lookup depends only on that input's bound record, and each reduce
+  // group searches once per such record instead of once per prefix.
+  int key_input = -1;
+
+  bool active() const { return !eq.empty() || !range.empty(); }
+  int width() const {
+    return static_cast<int>(eq.size()) + (range.empty() ? 0 : 1);
+  }
+};
+
+// Key images for the composite sort. Both are bijective on their domain,
+// so sorting and comparing images is exact: no value is rounded.
+// Equality image: equal images <=> equal keys (the two zeros share one
+// image). Range image: unsigned order == numeric order.
+uint64_t EqualityImage(double key) {
+  return key == 0.0 ? 0 : std::bit_cast<uint64_t>(key);
+}
+uint64_t OrderedImage(int64_t v) {
+  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+}
+uint64_t OrderedImage(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+// The key of one endpoint of an equality condition, in the predicate's own
+// domain (LhsKey folds the offset in, as SortJoinRowSets keys do), as an
+// equality image. NaN keys, which equal nothing, report false.
+bool EqualityKey(const HilbertBoundCondition& bc, bool lhs, int64_t row,
+                 uint64_t* image) {
+  const CompiledPredicate& p = bc.pred;
+  if (p.domain() == CompiledPredicate::Domain::kInt64) {
+    *image = static_cast<uint64_t>(lhs ? p.LhsKeyInt(bc.LhsBaseRow(row))
+                                       : p.RhsKeyInt(bc.RhsBaseRow(row)));
+    return true;
+  }
+  const double key = lhs ? p.LhsKeyDouble(bc.LhsBaseRow(row))
+                         : p.RhsKeyDouble(bc.RhsBaseRow(row));
+  *image = EqualityImage(key);
+  return key == key;
+}
+
+// Index of the first position in [lo, hi) where `pred` fails; `pred` must
+// hold on a prefix of the range.
+template <typename Pred>
+size_t PartitionPoint(size_t lo, size_t hi, Pred pred) {
+  const auto positions = std::views::iota(lo, hi);
+  return lo + static_cast<size_t>(
+                  std::ranges::partition_point(positions, pred) -
+                  positions.begin());
+}
+
 // Shared state captured by the map and reduce closures.
 struct HilbertJobState {
   HilbertCurve curve;
@@ -145,12 +237,15 @@ struct HilbertJobState {
   std::vector<RelationPtr> base_relations = {};
   std::vector<JoinSide> inputs = {};
   std::vector<int> output_bases = {};
+  std::vector<RidSource> output_sources = {};  // per output base
   std::vector<int> dim_representative = {};  // dim -> lowest input index
   // conditions_at_depth[j] = conditions decidable once inputs 0..j are
   // assigned (and not before).
   std::vector<std::vector<HilbertBoundCondition>> conditions_at_depth = {};
+  // Per depth; depth 0 and every depth under KernelPolicy::kGenericOnly
+  // stay inactive and scan all of their candidates.
+  std::vector<DepthIndexPlan> index_plans = {};
   uint64_t seed = 0;
-  bool use_sorted_candidates = true;
   // ---- Skew handling (docs/SKEW.md) ----
   // Reduce tasks [0, residual_tasks) are Hilbert curve segments; tasks
   // [residual_tasks, residual_tasks + Σ group sizes) are per-heavy-value
@@ -209,10 +304,21 @@ struct HilbertJobState {
   }
 };
 
-// Backtracking join over one component's records. At every depth with a
-// numeric band condition against an already-bound input, candidates are
-// pre-sorted on the condition's column so each recursion step scans only
-// the qualifying value range (binary search) instead of the whole list.
+// One depth's candidates sorted on its plan's composite key, built per
+// reduce group.
+struct DepthIndex {
+  static constexpr uint32_t kUnsearched = ~uint32_t{0};
+
+  std::vector<uint64_t> keys;  // DepthIndexPlan::width() images per entry
+  std::vector<const MapOutputRecord*> recs;
+  // With a key input: the [lo, hi) found for each of its records, by the
+  // record's position in that depth's visit order.
+  std::vector<std::pair<uint32_t, uint32_t>> found;
+};
+
+// Backtracking join over one component's records. A depth with an active
+// index plan visits only the candidates its index returns for the bound
+// prefix; every condition of the depth is still checked per candidate.
 class ComponentJoiner {
  public:
   ComponentJoiner(const HilbertJobState& state, const ReduceContext& ctx,
@@ -225,10 +331,11 @@ class ComponentJoiner {
         // the curve ownership check is skipped there.
         heavy_(ctx.key >= static_cast<int64_t>(state.residual_tasks)) {
     const int dims = static_cast<int>(state_.inputs.size());
+    pos_.resize(dims);
     rows_.resize(dims);
     slices_.resize(dims);
-    depth_checks_.assign(dims, 0.0);
-    PrepareSortedCandidates();
+    calls_.assign(dims, 0.0);
+    row_.resize(state_.output_sources.size());
   }
 
   void Run() {
@@ -240,155 +347,147 @@ class ComponentJoiner {
         return;
       }
     }
+    index_.resize(num_inputs);
+    for (int d = 1; d < num_inputs; ++d) {
+      if (state_.index_plans[d].active()) BuildIndex(d);
+    }
     Recurse(0);
     ChargeComparisons();
   }
 
  private:
-  // One pre-sorted candidate list: records of a depth ordered by the value
-  // of `column` of the base relation covered by that input.
-  struct SortedCandidates {
-    bool active = false;
-    const HilbertBoundCondition* bc = nullptr;  // range condition, in state_
-    bool current_is_lhs = false;
-    std::vector<std::pair<double, const MapOutputRecord*>> entries;
-  };
-
-  void PrepareSortedCandidates() {
-    const int num_inputs = static_cast<int>(state_.inputs.size());
-    sorted_.resize(num_inputs);
-    if (!state_.use_sorted_candidates) return;
-    for (int d = 1; d < num_inputs; ++d) {
-      // Pick the first numeric non-<> condition at this depth whose other
-      // endpoint is bound earlier; it prunes by value range.
-      for (const HilbertBoundCondition& bc : state_.conditions_at_depth[d]) {
-        if (bc.cond.op == ThetaOp::kNe) continue;
-        if (bc.lhs_input == bc.rhs_input) continue;
-        const bool cur_is_lhs = bc.lhs_input == d;
-        const ColumnRef cur_ref = cur_is_lhs ? bc.cond.lhs : bc.cond.rhs;
-        const Relation& base = *state_.base_relations[cur_ref.relation];
-        const ValueType cur_type =
-            base.schema().column(cur_ref.column).type;
-        if (cur_type == ValueType::kString) continue;
-        SortedCandidates sc;
-        sc.active = true;
-        sc.bc = &bc;
-        sc.current_is_lhs = cur_is_lhs;
-        sc.entries.reserve(ctx_.records(d).size());
-        const int64_t* rid = cur_is_lhs ? bc.lhs_rid : bc.rhs_rid;
-        // Typed columnar extraction: the variant dispatch happens once per
-        // (depth, column), not once per record.
-        auto fill = [&](const auto& view) {
-          for (const MapOutputRecord* rec : ctx_.records(d)) {
-            const int64_t base_row =
-                rid != nullptr ? rid[rec->row] : rec->row;
-            sc.entries.emplace_back(static_cast<double>(view[base_row]),
-                                    rec);
-          }
-        };
-        if (cur_type == ValueType::kInt64) {
-          fill(ColumnView<int64_t>::Of(base, cur_ref.column));
-        } else {
-          fill(ColumnView<double>::Of(base, cur_ref.column));
+  void BuildIndex(int depth) {
+    const DepthIndexPlan& plan = state_.index_plans[depth];
+    const std::vector<const MapOutputRecord*>& recs = ctx_.records(depth);
+    const int w = plan.width();
+    // Unsorted images; a candidate whose key is NaN can satisfy no indexed
+    // condition and is left out.
+    std::vector<uint64_t> images(recs.size() * w);
+    std::vector<char> keep(recs.size(), 1);
+    for (size_t i = 0; i < recs.size(); ++i) {
+      for (size_t k = 0; k < plan.eq.size(); ++k) {
+        if (!EqualityKey(*plan.eq[k].bc, plan.eq[k].cur_is_lhs, recs[i]->row,
+                         &images[i * w + k])) {
+          keep[i] = 0;
         }
-        std::sort(sc.entries.begin(), sc.entries.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
-        sorted_[d] = std::move(sc);
-        break;
       }
+    }
+    if (!plan.range.empty()) {
+      // Typed columnar extraction: one type dispatch per depth.
+      auto fill = [&](const auto& view) {
+        for (size_t i = 0; i < recs.size(); ++i) {
+          const int64_t row = recs[i]->row;
+          const auto v =
+              view[plan.range_rid != nullptr ? plan.range_rid[row] : row];
+          images[i * w + w - 1] = OrderedImage(v);
+          if (v != v) keep[i] = 0;
+        }
+      };
+      const Relation& base = *state_.base_relations[plan.range_col.relation];
+      if (plan.range_type == ValueType::kInt64) {
+        fill(ColumnView<int64_t>::Of(base, plan.range_col.column));
+      } else {
+        fill(ColumnView<double>::Of(base, plan.range_col.column));
+      }
+    }
+    std::vector<uint32_t> order;
+    order.reserve(recs.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+      if (keep[i]) order.push_back(static_cast<uint32_t>(i));
+    }
+    // Ties keep arrival order, so the visit order is fully determined.
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const uint64_t* ka = images.data() + size_t{a} * w;
+      const uint64_t* kb = images.data() + size_t{b} * w;
+      for (int k = 0; k < w; ++k) {
+        if (ka[k] != kb[k]) return ka[k] < kb[k];
+      }
+      return a < b;
+    });
+    DepthIndex& index = index_[depth];
+    index.keys.resize(order.size() * w);
+    index.recs.resize(order.size());
+    for (size_t j = 0; j < order.size(); ++j) {
+      std::copy_n(images.data() + size_t{order[j]} * w, w,
+                  index.keys.data() + j * w);
+      index.recs[j] = recs[order[j]];
+    }
+    if (plan.key_input >= 0) {
+      index.found.assign(ctx_.records(plan.key_input).size(),
+                         {DepthIndex::kUnsearched, 0});
     }
   }
 
-  // Qualifying [lo, hi) index range in sorted_[depth] given the currently
-  // bound prefix. Condition form: (lhs + offset) op rhs.
-  std::pair<size_t, size_t> RangeFor(int depth) {
-    const SortedCandidates& sc = sorted_[depth];
-    const JoinCondition& cond = sc.bc->cond;
-    const ColumnRef other_ref = sc.current_is_lhs ? cond.rhs : cond.lhs;
-    const int other_pos =
-        sc.current_is_lhs ? sc.bc->rhs_input : sc.bc->lhs_input;
-    const int64_t* other_rid =
-        sc.current_is_lhs ? sc.bc->rhs_rid : sc.bc->lhs_rid;
-    const Relation& other_base = *state_.base_relations[other_ref.relation];
-    const int64_t other_base_row = other_rid != nullptr
-                                       ? other_rid[rows_[other_pos]]
-                                       : rows_[other_pos];
-    const double other_val =
-        other_base.GetDouble(other_base_row, other_ref.column);
-    const auto& e = sc.entries;
-    auto lower = [&](double v) {
-      return static_cast<size_t>(
-          std::lower_bound(e.begin(), e.end(), v,
-                           [](const auto& a, double x) {
-                             return a.first < x;
-                           }) -
-          e.begin());
-    };
-    auto upper = [&](double v) {
-      return static_cast<size_t>(
-          std::upper_bound(e.begin(), e.end(), v,
-                           [](double x, const auto& a) {
-                             return x < a.first;
-                           }) -
-          e.begin());
-    };
-    // Solve for the current column value `cur`.
-    if (sc.current_is_lhs) {
-      // (cur + off) op other_val  =>  cur op (other_val - off)
-      const double bound = other_val - cond.offset;
-      switch (cond.op) {
-        case ThetaOp::kLt:
-          return {0, lower(bound)};
-        case ThetaOp::kLe:
-          return {0, upper(bound)};
-        case ThetaOp::kGt:
-          return {upper(bound), e.size()};
-        case ThetaOp::kGe:
-          return {lower(bound), e.size()};
-        case ThetaOp::kEq:
-          return {lower(bound), upper(bound)};
-        case ThetaOp::kNe:
-          break;
+  // Candidate positions [lo, hi) of index_[depth] for the bound prefix.
+  std::pair<size_t, size_t> Lookup(int depth) {
+    const int key_input = state_.index_plans[depth].key_input;
+    if (key_input < 0) return Search(depth);
+    std::pair<uint32_t, uint32_t>& found = index_[depth].found[pos_[key_input]];
+    if (found.first == DepthIndex::kUnsearched) {
+      const auto [lo, hi] = Search(depth);
+      found = {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
+    }
+    return found;
+  }
+
+  std::pair<size_t, size_t> Search(int depth) {
+    const DepthIndexPlan& plan = state_.index_plans[depth];
+    const DepthIndex& index = index_[depth];
+    size_t lo = 0;
+    size_t hi = index.recs.size();
+    if (!plan.eq.empty()) {
+      const size_t k = plan.eq.size();
+      target_.resize(k);
+      uint64_t* t = target_.data();
+      for (size_t c = 0; c < k; ++c) {
+        const IndexTerm& term = plan.eq[c];
+        if (!EqualityKey(*term.bc, !term.cur_is_lhs,
+                         rows_[term.other_input()], t + c)) {
+          return {0, 0};
+        }
       }
-    } else {
-      // (other_val + off) op cur
-      const double bound = other_val + cond.offset;
-      switch (cond.op) {
-        case ThetaOp::kLt:  // bound < cur
-          return {upper(bound), e.size()};
-        case ThetaOp::kLe:
-          return {lower(bound), e.size()};
-        case ThetaOp::kGt:  // bound > cur
-          return {0, lower(bound)};
-        case ThetaOp::kGe:
-          return {0, upper(bound)};
-        case ThetaOp::kEq:
-          return {lower(bound), upper(bound)};
-        case ThetaOp::kNe:
-          break;
+      const int w = plan.width();
+      auto prefix = [&](size_t j) { return index.keys.data() + j * w; };
+      lo = PartitionPoint(lo, hi, [&](size_t j) {
+        return std::lexicographical_compare(prefix(j), prefix(j) + k, t,
+                                            t + k);
+      });
+      hi = PartitionPoint(lo, hi, [&](size_t j) {
+        return !std::lexicographical_compare(t, t + k, prefix(j),
+                                             prefix(j) + k);
+      });
+    }
+    // Within one equality group the candidates ascend in the range column,
+    // and each range condition's own comparison is monotone in it (its
+    // offset is finite, so cur + offset is never NaN).
+    for (const IndexTerm& term : plan.range) {
+      if (lo >= hi) break;
+      const HilbertBoundCondition& bc = *term.bc;
+      const int64_t other = rows_[term.other_input()];
+      auto holds = [&](size_t j) {
+        const int64_t cur = index.recs[j]->row;
+        return term.cur_is_lhs ? bc.Eval(cur, other) : bc.Eval(other, cur);
+      };
+      if (term.HoldsOnPrefix()) {
+        hi = PartitionPoint(lo, hi, holds);
+      } else {
+        lo = PartitionPoint(lo, hi, [&](size_t j) { return !holds(j); });
       }
     }
-    return {0, e.size()};
+    return {lo, hi};
   }
 
   void Recurse(int depth) {
     const int num_inputs = static_cast<int>(state_.inputs.size());
-    const bool use_sorted = depth > 0 && sorted_[depth].active;
+    calls_[depth] += 1.0;
+    const bool indexed = depth > 0 && state_.index_plans[depth].active();
     size_t lo = 0;
-    size_t hi = use_sorted ? sorted_[depth].entries.size()
-                           : ctx_.records(depth).size();
-    if (use_sorted) {
-      const auto range = RangeFor(depth);
-      lo = range.first;
-      hi = range.second;
-    }
+    size_t hi = ctx_.records(depth).size();
+    if (indexed) std::tie(lo, hi) = Lookup(depth);
     for (size_t i = lo; i < hi; ++i) {
-      const MapOutputRecord* rec = use_sorted
-                                       ? sorted_[depth].entries[i].second
-                                       : ctx_.records(depth)[i];
-      depth_checks_[depth] += 1.0;
+      const MapOutputRecord* rec = indexed ? index_[depth].recs[i]
+                                           : ctx_.records(depth)[i];
+      pos_[depth] = i;
       rows_[depth] = rec->row;
       slices_[depth] = static_cast<uint32_t>(rec->rec_id);
       bool pass = true;
@@ -409,14 +508,6 @@ class ComponentJoiner {
     }
   }
 
-  int InputCovering(int base) const {
-    for (int i = 0; i < static_cast<int>(state_.inputs.size()); ++i) {
-      if (state_.inputs[i].Covers(base)) return i;
-    }
-    MRTHETA_CHECK(false && "condition references uncovered base");
-    return 0;
-  }
-
   // Exactly-once ownership: the combination's cell must lie in this
   // component's curve range. Inputs sharing a fused dimension have equal
   // slices in any valid combination (their equality conditions held).
@@ -433,23 +524,27 @@ class ComponentJoiner {
   }
 
   void EmitRow() {
-    std::vector<Value> row;
-    row.reserve(state_.output_bases.size());
-    for (int base : state_.output_bases) {
-      const int pos = InputCovering(base);
-      row.push_back(
-          Value(state_.inputs[pos].BaseRow(rows_[pos], base)));
+    for (size_t j = 0; j < row_.size(); ++j) {
+      const RidSource& src = state_.output_sources[j];
+      row_[j] = src.BaseRow(rows_[src.input]);
     }
-    out_.Emit(row);
+    out_.Emit(row_);
   }
 
+  // Kernel-independent charge: the candidates the generic loop visits,
+  // |R_0| + Σ_{d≥1} calls(d)·|R_d|. Every kernel makes the same calls,
+  // because the prefixes that reach a depth are the join's own partial
+  // results, so indexing changes this process's wall clock, not the
+  // modeled cluster's.
   void ChargeComparisons() {
     // β frame: comparison work scales linearly with the represented
     // volume, like every other extrapolated quantity.
     double max_scale = 1.0;
     for (double s : state_.scales) max_scale = std::max(max_scale, s);
     double total = 0.0;
-    for (double c : depth_checks_) total += c;
+    for (int d = 0; d < static_cast<int>(calls_.size()); ++d) {
+      total += calls_[d] * static_cast<double>(ctx_.records(d).size());
+    }
     out_.AddComparisons(total * max_scale);
   }
 
@@ -457,10 +552,13 @@ class ComponentJoiner {
   const ReduceContext& ctx_;
   ReduceCollector& out_;
   const bool heavy_;
+  std::vector<size_t> pos_;  // visit-order position of each bound record
   std::vector<int64_t> rows_;
   std::vector<uint32_t> slices_;
-  std::vector<double> depth_checks_;
-  std::vector<SortedCandidates> sorted_;
+  std::vector<double> calls_;      // Recurse(d) invocations per depth
+  std::vector<int64_t> row_;       // output rid row scratch
+  std::vector<DepthIndex> index_;  // per depth; built by Run
+  std::vector<uint64_t> target_;   // Search's equality key scratch
 };
 
 }  // namespace
@@ -639,8 +737,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       .grouping = grouping,
       .base_relations = spec.base_relations,
       .inputs = spec.inputs,
-      .seed = spec.seed,
-      .use_sorted_candidates = spec.kernel_policy == KernelPolicy::kAuto});
+      .seed = spec.seed});
 
   const int kr = static_cast<int>(std::min<uint64_t>(
       static_cast<uint64_t>(skew.residual_tasks), curve->num_cells()));
@@ -692,6 +789,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     base_set.insert(side.bases.begin(), side.bases.end());
   }
   state->output_bases.assign(base_set.begin(), base_set.end());
+  state->output_sources = ResolveRidSources(state->output_bases, spec.inputs);
 
   // Bucket conditions by the deepest input they touch, binding type
   // dispatch and row resolution once per condition.
@@ -713,28 +811,75 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     state->conditions_at_depth[depth].push_back(bc);
   }
 
-  // The job is only a sort-theta job when some depth can actually activate
-  // a sorted candidate list (same qualification PrepareSortedCandidates
-  // applies: numeric, non-<>, endpoints on distinct inputs, one bound
-  // earlier); otherwise report the generic backtracking loop.
-  if (state->use_sorted_candidates) {
-    bool any_sorted = false;
-    for (int d = 1; d < num_inputs && !any_sorted; ++d) {
-      for (const HilbertBoundCondition& bc : state->conditions_at_depth[d]) {
-        if (bc.cond.op == ThetaOp::kNe) continue;
-        if (bc.lhs_input == bc.rhs_input) continue;
-        const ColumnRef cur = bc.lhs_input == d ? bc.cond.lhs : bc.cond.rhs;
-        if (spec.base_relations[cur.relation]
-                ->schema()
-                .column(cur.column)
-                .type == ValueType::kString) {
-          continue;
-        }
-        any_sorted = true;
-        break;
+  // One index plan per depth (DepthIndexPlan). The job reports the
+  // sort-theta kernel when some depth has one.
+  state->index_plans.resize(num_inputs);
+  bool any_index = false;
+  for (int d = 1; d < num_inputs && spec.kernel_policy == KernelPolicy::kAuto;
+       ++d) {
+    DepthIndexPlan& plan = state->index_plans[d];
+    // Numeric, non-<> conditions against an earlier input; their columns
+    // on this depth's input, in condition order, for the range choice.
+    std::vector<IndexTerm> range_terms;
+    std::vector<ColumnRef> range_cols;
+    for (const HilbertBoundCondition& bc : state->conditions_at_depth[d]) {
+      if (bc.lhs_input == bc.rhs_input || bc.cond.op == ThetaOp::kNe ||
+          bc.pred.domain() == CompiledPredicate::Domain::kString) {
+        continue;
       }
+      const IndexTerm term{&bc, bc.lhs_input == d};
+      if (bc.cond.op == ThetaOp::kEq) {
+        plan.eq.push_back(term);
+        continue;
+      }
+      // cur + ±inf is NaN at the opposite infinity, so the comparison is
+      // not monotone in the column; such a condition is only checked per
+      // candidate.
+      if (!std::isfinite(bc.cond.offset)) continue;
+      const ColumnRef cur = term.cur_column();
+      if (std::find(range_cols.begin(), range_cols.end(), cur) ==
+          range_cols.end()) {
+        range_cols.push_back(cur);
+      }
+      range_terms.push_back(term);
     }
-    state->use_sorted_candidates = any_sorted;
+    if (!range_cols.empty()) {
+      // The range column: the one whose base column has the most distinct
+      // values (first in condition order on ties).
+      plan.range_col = range_cols[0];
+      if (range_cols.size() > 1) {
+        double best = -1.0;
+        for (const ColumnRef& col : range_cols) {
+          const double distinct =
+              EstimateDistinct(*spec.base_relations[col.relation], col.column)
+                  .physical;
+          if (distinct > best) {
+            best = distinct;
+            plan.range_col = col;
+          }
+        }
+      }
+      for (const IndexTerm& term : range_terms) {
+        if (term.cur_column() == plan.range_col) plan.range.push_back(term);
+      }
+      plan.range_type = spec.base_relations[plan.range_col.relation]
+                            ->schema()
+                            .column(plan.range_col.column)
+                            .type;
+      plan.range_rid =
+          RidColumnFor(spec.inputs[d], plan.range_col.relation);
+    }
+    const int first = !plan.eq.empty()      ? plan.eq[0].other_input()
+                      : !plan.range.empty() ? plan.range[0].other_input()
+                                            : -1;
+    auto reads_first = [first](const IndexTerm& term) {
+      return term.other_input() == first;
+    };
+    if (std::all_of(plan.eq.begin(), plan.eq.end(), reads_first) &&
+        std::all_of(plan.range.begin(), plan.range.end(), reads_first)) {
+      plan.key_input = first;
+    }
+    any_index = any_index || plan.active();
   }
 
   MapReduceJobSpec job;
@@ -749,9 +894,8 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   job.output_schema = MakeIntermediateSchema(
       state->output_bases, spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
-  job.kernel = JoinKernelName(state->use_sorted_candidates
-                                  ? JoinKernel::kSortTheta
-                                  : JoinKernel::kGeneric);
+  job.kernel = JoinKernelName(any_index ? JoinKernel::kSortTheta
+                                        : JoinKernel::kGeneric);
   // β-extrapolation (the paper's Eq. 5 output model): results scale
   // linearly with the represented data volume.
   double row_scale = 1.0;

@@ -33,9 +33,10 @@ struct MultiwayJoinJobSpec {
   /// total grid bits (the coverage walk is O(2^bits)).
   int cells_per_segment = 64;
   int max_grid_bits = 18;
-  /// Reduce-side kernel selection: kAuto enables the per-depth sorted
-  /// candidate range scans; kGenericOnly forces the plain backtracking
-  /// loop (differential baselines).
+  /// Reduce-side kernel selection: kAuto indexes each depth's candidates
+  /// on all of its conditions against earlier inputs (docs/EXECUTOR.md);
+  /// kGenericOnly forces the plain backtracking loop (differential
+  /// baselines).
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
   /// Skew handling (docs/SKEW.md): kOff keeps the pure Hilbert assignment;
   /// kAuto / kForce both run heavy-hitter detection here (the per-plan-job
@@ -110,7 +111,9 @@ struct HilbertJoinPlanInfo {
 ///  Reduce: backtracking join over the component's tuples in trail order
 ///  with early condition pruning; a fully-assigned combination is emitted
 ///  only when its cell's curve position belongs to this component, which
-///  makes results exactly-once across reducers.
+///  makes results exactly-once across reducers. Under KernelPolicy::kAuto
+///  each depth visits only the candidates its composite-key index returns
+///  for the bound prefix.
 StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
                                                HilbertJoinPlanInfo* info =
                                                    nullptr);

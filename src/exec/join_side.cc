@@ -148,6 +148,21 @@ const int64_t* RidColumnFor(const JoinSide& side, int base) {
       ->data();
 }
 
+std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
+                                         const std::vector<JoinSide>& inputs) {
+  std::vector<RidSource> sources;
+  sources.reserve(output_bases.size());
+  for (int base : output_bases) {
+    const auto it = std::find_if(
+        inputs.begin(), inputs.end(),
+        [base](const JoinSide& side) { return side.Covers(base); });
+    MRTHETA_CHECK(it != inputs.end() && "output base not covered");
+    sources.push_back({static_cast<int>(it - inputs.begin()),
+                       RidColumnFor(*it, base)});
+  }
+  return sources;
+}
+
 StatusOr<Relation> ProjectResult(
     const Relation& intermediate, const std::vector<int>& covered_bases,
     const std::vector<RelationPtr>& base_relations,
@@ -164,20 +179,41 @@ StatusOr<Relation> ProjectResult(
     cols.emplace_back("R" + std::to_string(out.base) + "." + src.name,
                       src.type, src.avg_width);
   }
-  Relation result("projection", Schema(std::move(cols)));
-  for (int64_t r = 0; r < intermediate.num_rows(); ++r) {
-    std::vector<Value> row;
-    row.reserve(outputs.size());
-    for (const OutputColumn& out : outputs) {
-      const auto it = std::find(covered_bases.begin(), covered_bases.end(),
-                                out.base);
-      const int col = static_cast<int>(it - covered_bases.begin());
-      const int64_t base_row = intermediate.GetInt(r, col);
-      row.push_back(base_relations[out.base]->Get(base_row, out.column));
+  // Column-at-a-time gather through the rid columns into exactly sized
+  // typed columns: no per-cell Value boxing.
+  const int64_t rows = intermediate.num_rows();
+  std::vector<Relation::ColumnData> data;
+  data.reserve(outputs.size());
+  for (const OutputColumn& out : outputs) {
+    const auto it =
+        std::find(covered_bases.begin(), covered_bases.end(), out.base);
+    const int64_t* rid =
+        intermediate
+            .TryColumn<int64_t>(static_cast<int>(it - covered_bases.begin()))
+            ->data();
+    const Relation& base = *base_relations[out.base];
+    auto gather = [&](auto type_tag) {
+      using T = decltype(type_tag);
+      const std::vector<T>& src = *base.TryColumn<T>(out.column);
+      std::vector<T> dst;
+      dst.reserve(static_cast<size_t>(rows));
+      for (int64_t r = 0; r < rows; ++r) dst.push_back(src[rid[r]]);
+      data.emplace_back(std::move(dst));
+    };
+    switch (base.schema().column(out.column).type) {
+      case ValueType::kInt64:
+        gather(int64_t{});
+        break;
+      case ValueType::kDouble:
+        gather(double{});
+        break;
+      case ValueType::kString:
+        gather(std::string{});
+        break;
     }
-    MRTHETA_RETURN_IF_ERROR(result.AppendRow(row));
   }
-  return result;
+  return Relation::FromColumns("projection", Schema(std::move(cols)),
+                               std::move(data));
 }
 
 ColumnDistinct EstimateDistinct(const Relation& rel, int column,
@@ -188,7 +224,12 @@ ColumnDistinct EstimateDistinct(const Relation& rel, int column,
   std::vector<uint64_t> hashes;
   hashes.reserve(static_cast<size_t>(n));
   for (int64_t r = 0; r < n; ++r) {
-    hashes.push_back(HashValue(rel.Get(r, column)));
+    // int64 values are counted exactly: HashValue merges those past 2^53
+    // that round to one double.
+    const Value v = rel.Get(r, column);
+    hashes.push_back(v.type() == ValueType::kInt64
+                         ? MixHash(0x1234, static_cast<uint64_t>(v.AsInt()))
+                         : HashValue(v));
   }
   std::sort(hashes.begin(), hashes.end());
   const int64_t d =
@@ -220,14 +261,18 @@ uint64_t MixHash(uint64_t a, uint64_t b) {
 uint64_t HashValue(const Value& v) {
   switch (v.type()) {
     case ValueType::kInt64:
-      return MixHash(0x1234, static_cast<uint64_t>(v.AsInt()));
     case ValueType::kDouble: {
-      // Hash integral doubles like their int64 counterparts so that
-      // cross-type equi joins partition consistently.
+      // Numbers hash by their value as a double, the domain in which an
+      // int64 and a double key compare, so cross-type equi joins partition
+      // consistently. Above 2^53 several int64 values share one double and
+      // so one hash: a collision, which the reducers' condition checks
+      // resolve. Integral values hash like the int64 they equal.
       const double d = v.AsDouble();
-      const int64_t as_int = static_cast<int64_t>(d);
-      if (static_cast<double>(as_int) == d) {
-        return MixHash(0x1234, static_cast<uint64_t>(as_int));
+      if (d >= -0x1p63 && d < 0x1p63) {
+        const int64_t as_int = static_cast<int64_t>(d);
+        if (static_cast<double>(as_int) == d) {
+          return MixHash(0x1234, static_cast<uint64_t>(as_int));
+        }
       }
       uint64_t bits;
       __builtin_memcpy(&bits, &d, sizeof(bits));

@@ -107,6 +107,24 @@ int64_t SideShuffleBytes(const JoinSide& side,
 /// pointer.
 const int64_t* RidColumnFor(const JoinSide& side, int base);
 
+/// Where one column of a join job's rid-table output comes from: the
+/// position of the input covering its base, and that input's rid column
+/// for the base (null when the input is the base itself: rid == row).
+struct RidSource {
+  int input = 0;
+  const int64_t* rid = nullptr;
+
+  int64_t BaseRow(int64_t row) const {
+    return rid != nullptr ? rid[row] : row;
+  }
+};
+
+/// Resolves each of `output_bases` to the first of `inputs` covering it,
+/// once per job, so reducers emit rid rows without a per-row search. Every
+/// base must be covered by some input.
+std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
+                                         const std::vector<JoinSide>& inputs);
+
 /// Projects an intermediate result to output columns: for each
 /// (base, column) pair, emits the referenced base value. The intermediate
 /// must cover every requested base.
@@ -136,7 +154,10 @@ ColumnDistinct EstimateDistinct(const Relation& rel, int column,
 /// Deterministic 64-bit mix used for global-ID assignment and hash keys.
 uint64_t MixHash(uint64_t a, uint64_t b);
 
-/// Hash of a Value, for equi-join partition keys.
+/// Hash of a Value, for equi-join partition keys. Numbers hash by their
+/// value as a double, the domain in which int64 and double keys compare,
+/// so an int64 key and the double it equals share a partition. Past 2^53
+/// neighbouring int64 keys therefore share one hash (docs/EXECUTOR.md).
 uint64_t HashValue(const Value& v);
 
 }  // namespace mrtheta

@@ -29,6 +29,7 @@ struct MergeState {
   std::vector<const int64_t*> left_rids;
   std::vector<const int64_t*> right_rids;
   std::vector<int> output_bases;
+  std::vector<RidSource> output_sources;  // per output base; input 0 = left
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
@@ -64,15 +65,12 @@ struct MergeState {
     return true;
   }
 
-  void EmitPair(int64_t lrow, int64_t rrow, ReduceCollector& out) const {
-    std::vector<Value> row;
-    row.reserve(output_bases.size());
-    for (int base : output_bases) {
-      if (left.Covers(base)) {
-        row.push_back(Value(left.BaseRow(lrow, base)));
-      } else {
-        row.push_back(Value(right.BaseRow(rrow, base)));
-      }
+  // `row` is the group's scratch rid row (one cell per output base).
+  void EmitPair(int64_t lrow, int64_t rrow, std::vector<int64_t>& row,
+                ReduceCollector& out) const {
+    for (size_t j = 0; j < output_sources.size(); ++j) {
+      const RidSource& src = output_sources[j];
+      row[j] = src.BaseRow(src.input == 0 ? lrow : rrow);
     }
     out.Emit(row);
   }
@@ -82,6 +80,7 @@ struct MergeState {
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
+    std::vector<int64_t> row(output_sources.size());
     if (kernel_policy == KernelPolicy::kAuto && pairs >= kSortKernelMinPairs) {
       // Hash-key collisions made this group large: sort-merge on the first
       // shared rid, verify the rest per candidate.
@@ -99,7 +98,7 @@ struct MergeState {
                         const int64_t lrow = lrecs[lpos]->row;
                         const int64_t rrow = rrecs[rpos]->row;
                         if (TailRidsMatch(lrow, rrow)) {
-                          EmitPair(lrow, rrow, out);
+                          EmitPair(lrow, rrow, row, out);
                         }
                       });
       return;
@@ -107,7 +106,7 @@ struct MergeState {
     for (const MapOutputRecord* lrec : lrecs) {
       for (const MapOutputRecord* rrec : rrecs) {
         if (!RidsMatch(lrec->row, rrec->row)) continue;
-        EmitPair(lrec->row, rrec->row, out);
+        EmitPair(lrec->row, rrec->row, row, out);
       }
     }
   }
@@ -135,6 +134,8 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
   bases.insert(spec.right.bases.begin(), spec.right.bases.end());
   state->output_bases.assign(bases.begin(), bases.end());
+  state->output_sources =
+      ResolveRidSources(state->output_bases, {spec.left, spec.right});
   // Merge inputs ship only record IDs: 8 bytes per covered relation.
   state->left_bytes = 8 * static_cast<int64_t>(spec.left.bases.size());
   state->right_bytes = 8 * static_cast<int64_t>(spec.right.bases.size());

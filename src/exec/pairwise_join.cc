@@ -39,6 +39,7 @@ struct PairwiseState {
   /// Index into `bound` of the sort-kernel driver, -1 => generic loop.
   int sort_driver = -1;
   std::vector<int> output_bases;
+  std::vector<RidSource> output_sources;  // per output base; input 0 = left
   int64_t left_bytes = 0;
   int64_t right_bytes = 0;
 
@@ -59,15 +60,12 @@ struct PairwiseState {
     return true;
   }
 
-  void EmitPair(int64_t lrow, int64_t rrow, ReduceCollector& out) const {
-    std::vector<Value> row;
-    row.reserve(output_bases.size());
-    for (int base : output_bases) {
-      if (left.Covers(base)) {
-        row.push_back(Value(left.BaseRow(lrow, base)));
-      } else {
-        row.push_back(Value(right.BaseRow(rrow, base)));
-      }
+  // `row` is the group's scratch rid row (one cell per output base).
+  void EmitPair(int64_t lrow, int64_t rrow, std::vector<int64_t>& row,
+                ReduceCollector& out) const {
+    for (size_t j = 0; j < output_sources.size(); ++j) {
+      const RidSource& src = output_sources[j];
+      row[j] = src.BaseRow(src.input == 0 ? lrow : rrow);
     }
     out.Emit(row);
   }
@@ -81,6 +79,7 @@ struct PairwiseState {
                  ReduceCollector& out) const {
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
+    std::vector<int64_t> row(output_sources.size());
     if (sort_driver >= 0 && pairs >= kSortKernelMinPairs) {
       const BoundCondition& drv = bound[sort_driver];
       std::vector<int64_t> lrows, rrows;
@@ -98,7 +97,7 @@ struct PairwiseState {
                         const int64_t lrow = lrecs[lpos]->row;
                         const int64_t rrow = rrecs[rpos]->row;
                         if (MatchesResidual(lrow, rrow)) {
-                          EmitPair(lrow, rrow, out);
+                          EmitPair(lrow, rrow, row, out);
                         }
                       });
       return;
@@ -106,7 +105,7 @@ struct PairwiseState {
     for (const MapOutputRecord* l : lrecs) {
       for (const MapOutputRecord* r : rrecs) {
         if (Matches(l->row, r->row)) {
-          EmitPair(l->row, r->row, out);
+          EmitPair(l->row, r->row, row, out);
         }
       }
     }
@@ -152,6 +151,8 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
   std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
   bases.insert(spec.right.bases.begin(), spec.right.bases.end());
   state->output_bases.assign(bases.begin(), bases.end());
+  state->output_sources =
+      ResolveRidSources(state->output_bases, {spec.left, spec.right});
   state->left_bytes = SideShuffleBytes(spec.left, spec.conditions,
                                        spec.output_columns,
                                        spec.base_relations);

@@ -1,5 +1,7 @@
 #include "src/exec/theta_kernels.h"
 
+#include <cmath>
+
 namespace mrtheta {
 
 const char* JoinKernelName(JoinKernel kernel) {
@@ -23,8 +25,11 @@ SortKeyDomain ClassifySortKey(const JoinCondition& cond,
   if (l_string) {
     return cond.offset == 0.0 ? SortKeyDomain::kString : SortKeyDomain::kNone;
   }
-  const int64_t int_offset = static_cast<int64_t>(cond.offset);
-  if (lt == ValueType::kInt64 && rt == ValueType::kInt64 &&
+  // Only an offset inside int64's range may be cast (an infinite one is
+  // legal and stays in the double domain).
+  const bool in_range = std::abs(cond.offset) < 0x1p63;
+  const int64_t int_offset = in_range ? static_cast<int64_t>(cond.offset) : 0;
+  if (lt == ValueType::kInt64 && rt == ValueType::kInt64 && in_range &&
       static_cast<double>(int_offset) == cond.offset) {
     return SortKeyDomain::kInt64;
   }

@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,7 +60,7 @@ int HashPartition(int64_t key, int num_reduce_tasks);
 /// allocation, reservation, spill I/O, a partitioner out of range — latch
 /// into status() and turn subsequent Emits into no-ops; runners surface
 /// the latched status as the task's Status (kResourceExhausted for memory,
-/// matching the hardened ReduceCollector::Emit) instead of aborting on
+/// matching ReduceCollector::Emit) instead of aborting on
 /// bad_alloc.
 class MapEmitter {
  public:
@@ -176,18 +178,36 @@ class MapEmitter {
   int64_t spilled_bytes_ = 0;
 };
 
-/// Collects Reduce outputs and CPU accounting.
+/// Collects one reduce task's output rows and CPU accounting. Every job
+/// writes an all-int64 rid table (MakeIntermediateSchema; runners reject
+/// any other output schema), so a row is a span of int64 cells and lands
+/// in task-local column vectors. The runner builds the job's output
+/// relation from them once, after the reduce phase.
 class ReduceCollector {
  public:
-  explicit ReduceCollector(Relation* output) : output_(output) {}
+  explicit ReduceCollector(int num_columns)
+      : columns_(static_cast<size_t>(num_columns)) {}
 
-  /// Appends one result row to the job's output relation. A failed append
-  /// — schema mismatch (a builder bug) or an allocation failure
-  /// (kResourceExhausted) — latches the first error and turns subsequent
-  /// Emits into no-ops; runners surface it as the task's Status. This
-  /// used to be an assert(), i.e. silently ignored under NDEBUG Release
-  /// builds, and an abort on bad_alloc.
-  void Emit(const std::vector<Value>& row);
+  /// Appends one result row, one cell per output column. A row of the
+  /// wrong arity (a builder bug) or an allocation failure
+  /// (kResourceExhausted) latches the first error and turns subsequent
+  /// Emits into no-ops; runners surface it as the task's Status.
+  void Emit(std::span<const int64_t> row) {
+    if (!status_.ok()) return;  // latch the first error, drop the rest
+    if (row.size() != columns_.size()) {
+      status_ = Status::InvalidArgument(
+          "reduce output row arity " + std::to_string(row.size()) +
+          " != schema arity " + std::to_string(columns_.size()));
+      return;
+    }
+    try {
+      for (size_t c = 0; c < row.size(); ++c) columns_[c].push_back(row[c]);
+    } catch (const std::bad_alloc&) {
+      status_ = Status::ResourceExhausted("reduce output row append failed");
+      return;
+    }
+    ++rows_emitted_;
+  }
 
   /// Charges `n` *logical* tuple-pair comparisons to the current reduce
   /// task; drives the simulated CPU time of the task.
@@ -198,8 +218,13 @@ class ReduceCollector {
   /// First append error, or OK.
   const Status& status() const { return status_; }
 
+  /// Moves the collected columns out; the collector is spent afterwards.
+  std::vector<std::vector<int64_t>> TakeColumns() {
+    return std::move(columns_);
+  }
+
  private:
-  Relation* output_;
+  std::vector<std::vector<int64_t>> columns_;
   double comparisons_ = 0;
   int64_t rows_emitted_ = 0;
   Status status_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <new>
 
 #include "src/obs/trace.h"
 
@@ -33,21 +32,6 @@ int HashPartition(int64_t key, int num_reduce_tasks) {
                           static_cast<uint64_t>(num_reduce_tasks));
 }
 
-void ReduceCollector::Emit(const std::vector<Value>& row) {
-  if (!status_.ok()) return;  // latch the first error, drop the rest
-  try {
-    Status s = output_->AppendRow(row);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      return;
-    }
-  } catch (const std::bad_alloc&) {
-    status_ = Status::ResourceExhausted("reduce output row append failed");
-    return;
-  }
-  ++rows_emitted_;
-}
-
 int64_t JobMeasurement::MaxReduceInputBytes() const {
   int64_t mx = 0;
   for (int64_t b : reduce_input_bytes_logical) mx = std::max(mx, b);
@@ -56,7 +40,7 @@ int64_t JobMeasurement::MaxReduceInputBytes() const {
 
 StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
                                std::vector<MapOutputRecord>& records,
-                               Relation* output, bool presorted) {
+                               ReduceCollector& out, bool presorted) {
   const int num_tags = static_cast<int>(spec.inputs.size());
   if (!presorted) {
     std::sort(records.begin(), records.end(),
@@ -66,7 +50,6 @@ StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
                 return a.row < b.row;
               });
   }
-  ReduceCollector collector(output);
   size_t i = 0;
   while (i < records.size()) {
     size_t j = i;
@@ -79,16 +62,16 @@ StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
     ctx.key = records[i].key;
     ctx.by_tag = &by_tag;
     ctx.inputs = &spec.inputs;
-    spec.reduce(ctx, collector);
-    if (!collector.status().ok()) {
-      return WrapTaskError("reduce emit failed", spec, collector.status());
+    spec.reduce(ctx, out);
+    if (!out.status().ok()) {
+      return WrapTaskError("reduce emit failed", spec, out.status());
     }
     i = j;
   }
-  return collector.comparisons();
+  return out.comparisons();
 }
 
-StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
+Status ValidateJobSpec(const MapReduceJobSpec& spec) {
   if (spec.inputs.empty()) {
     return Status::InvalidArgument("job '" + spec.name + "' has no inputs");
   }
@@ -99,10 +82,56 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
   if (spec.num_reduce_tasks < 1) {
     return Status::InvalidArgument("num_reduce_tasks must be >= 1");
   }
+  for (const ColumnDef& col : spec.output_schema.columns()) {
+    if (col.type != ValueType::kInt64) {
+      return Status::InvalidArgument("job '" + spec.name +
+                                     "' output column '" + col.name +
+                                     "' is not int64");
+    }
+  }
+  return Status::OK();
+}
+
+Status FinishJobOutput(const MapReduceJobSpec& spec,
+                       std::vector<ReduceCollector>& tasks,
+                       PhysicalJobResult& result) {
+  int64_t rows = 0;
+  std::vector<std::vector<std::vector<int64_t>>> task_columns;
+  task_columns.reserve(tasks.size());
+  for (ReduceCollector& task : tasks) {
+    rows += task.rows_emitted();
+    task_columns.push_back(task.TakeColumns());
+  }
+  std::vector<Relation::ColumnData> data;
+  data.reserve(spec.output_schema.num_columns());
+  for (int c = 0; c < spec.output_schema.num_columns(); ++c) {
+    std::vector<int64_t> column;
+    column.reserve(static_cast<size_t>(rows));
+    for (std::vector<std::vector<int64_t>>& task : task_columns) {
+      column.insert(column.end(), task[c].begin(), task[c].end());
+      std::vector<int64_t>().swap(task[c]);
+    }
+    data.emplace_back(std::move(column));
+  }
+  JobMeasurement& m = result.metrics;
+  m.output_rows_physical = rows;
+  m.output_rows_logical =
+      static_cast<double>(rows) * spec.output_row_scale;
+  // Guard against llround overflow on extreme extrapolations.
+  const double capped_rows = std::min(m.output_rows_logical, 4.0e18);
+  StatusOr<Relation> output = Relation::FromColumns(
+      spec.output_name, spec.output_schema, std::move(data),
+      static_cast<int64_t>(std::llround(capped_rows)));
+  if (!output.ok()) return output.status();
+  result.output = std::make_shared<Relation>(*std::move(output));
+  m.output_bytes_logical = result.output->logical_bytes();
+  return Status::OK();
+}
+
+StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
+  MRTHETA_RETURN_IF_ERROR(ValidateJobSpec(spec));
 
   PhysicalJobResult result;
-  result.output =
-      std::make_shared<Relation>(spec.output_name, spec.output_schema);
   JobMeasurement& m = result.metrics;
 
   // ---- Map phase ----
@@ -169,28 +198,21 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
     reduce_phase.Arg("job", spec.name).Arg("tasks", static_cast<int64_t>(n));
   }
   m.reduce_comparisons_logical.assign(n, 0.0);
+  std::vector<ReduceCollector> task_outputs(
+      n, ReduceCollector(spec.output_schema.num_columns()));
   for (int t = 0; t < n; ++t) {
     TraceSpan task_span("reduce-task", "runtime");
     if (task_span.enabled()) {
       task_span.Arg("job", spec.name).Arg("task", static_cast<int64_t>(t));
     }
     StatusOr<double> comparisons =
-        RunReduceTask(spec, task_records[t], result.output.get());
+        RunReduceTask(spec, task_records[t], task_outputs[t]);
     if (!comparisons.ok()) return comparisons.status();
     m.reduce_comparisons_logical[t] = *comparisons;
   }
   reduce_phase.End();
 
-  // ---- Output accounting ----
-  m.output_rows_physical = result.output->num_rows();
-  m.output_rows_logical =
-      static_cast<double>(m.output_rows_physical) * spec.output_row_scale;
-  // Guard against llround overflow on extreme extrapolations.
-  const double capped_rows =
-      std::min(m.output_rows_logical, 4.0e18);
-  result.output->set_logical_rows(
-      static_cast<int64_t>(std::llround(capped_rows)));
-  m.output_bytes_logical = result.output->logical_bytes();
+  MRTHETA_RETURN_IF_ERROR(FinishJobOutput(spec, task_outputs, result));
   return result;
 }
 

@@ -34,9 +34,10 @@ struct PhysicalJobResult {
 StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 
 /// \brief Runs one reduce task: sorts `records` in place by (key, tag,
-/// row), groups by key, invokes spec.reduce per group into `output`, and
-/// returns the task's charged comparisons — or the first emit error, with
-/// its code preserved (kResourceExhausted for allocation failures).
+/// row), groups by key, invokes spec.reduce per group into `out` (the
+/// task's own collector), and returns the task's charged comparisons — or
+/// the first emit error, with its code preserved (kResourceExhausted for
+/// allocation failures).
 ///
 /// `presorted` skips the sort when the caller's records already arrive in
 /// (key, tag, row) order — the spill merge path (ShuffleSpool) produces
@@ -45,7 +46,7 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 /// sorted sequence unique for observable purposes.
 ///
 /// Idempotent per attempt: the sort is stable under re-sorting and emits
-/// go to the caller's (fresh, task-private) output relation, so the
+/// go to the caller's (fresh, task-private) collector, so the
 /// fault-tolerant runner can re-execute a failed task against the same
 /// record vector and commit only the successful attempt.
 ///
@@ -54,7 +55,21 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 /// their outputs byte-identical (docs/RUNTIME.md determinism contract).
 StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
                                std::vector<MapOutputRecord>& records,
-                               Relation* output, bool presorted = false);
+                               ReduceCollector& out, bool presorted = false);
+
+/// What both runners require of a job before running it: inputs, map and
+/// reduce functions, at least one reduce task, and an all-int64 output
+/// schema (reducers emit rid rows through ReduceCollector).
+Status ValidateJobSpec(const MapReduceJobSpec& spec);
+
+/// Builds `result.output` from the reduce tasks' collected rows and fills
+/// the output fields of `result.metrics`. The tasks' rows are concatenated
+/// in task order into exactly sized columns, each task column freed as
+/// soon as it is appended, and adopted in one Relation build (one
+/// generation).
+Status FinishJobOutput(const MapReduceJobSpec& spec,
+                       std::vector<ReduceCollector>& tasks,
+                       PhysicalJobResult& result);
 
 }  // namespace mrtheta
 

@@ -1,5 +1,7 @@
 #include "src/relation/column_view.h"
 
+#include <cmath>
+
 #include "src/common/status.h"
 
 namespace mrtheta {
@@ -56,9 +58,12 @@ CompiledPredicate CompiledPredicate::Compile(const JoinCondition& cond,
     p.domain_ = Domain::kString;
     return p;
   }
-  const int64_t int_offset = static_cast<int64_t>(cond.offset);
+  // Only an offset inside int64's range may be cast (an infinite one is
+  // legal and stays in the double domain).
+  const bool in_range = std::abs(cond.offset) < 0x1p63;
+  const int64_t int_offset = in_range ? static_cast<int64_t>(cond.offset) : 0;
   if (l.type == ValueType::kInt64 && r.type == ValueType::kInt64 &&
-      static_cast<double>(int_offset) == cond.offset) {
+      in_range && static_cast<double>(int_offset) == cond.offset) {
     p.domain_ = Domain::kInt64;
     p.offset_i64_ = int_offset;
   } else {

@@ -30,6 +30,40 @@ Relation::Relation(std::string name, Schema schema)
   }
 }
 
+StatusOr<Relation> Relation::FromColumns(std::string name, Schema schema,
+                                         std::vector<ColumnData> columns,
+                                         int64_t logical_rows) {
+  if (static_cast<int>(columns.size()) != schema.num_columns()) {
+    return Status::InvalidArgument(
+        "FromColumns: " + std::to_string(columns.size()) +
+        " columns for schema arity " + std::to_string(schema.num_columns()));
+  }
+  int64_t rows = 0;
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    if (static_cast<int>(columns[c].index()) !=
+        static_cast<int>(schema.column(c).type)) {
+      return Status::InvalidArgument("FromColumns: type mismatch in column " +
+                                     std::to_string(c));
+    }
+    const int64_t size = static_cast<int64_t>(std::visit(
+        [](const auto& v) { return v.size(); }, columns[c]));
+    if (c > 0 && size != rows) {
+      return Status::InvalidArgument("FromColumns: column " +
+                                     std::to_string(c) + " has " +
+                                     std::to_string(size) + " rows, not " +
+                                     std::to_string(rows));
+    }
+    rows = size;
+  }
+  Relation out;  // draws the relation's one generation
+  out.name_ = std::move(name);
+  out.schema_ = std::move(schema);
+  out.cols_ = std::move(columns);
+  out.num_rows_ = rows;
+  out.logical_rows_ = logical_rows;
+  return out;
+}
+
 Status Relation::AppendRow(const std::vector<Value>& row) {
   if (static_cast<int>(row.size()) != schema_.num_columns()) {
     return Status::InvalidArgument("row arity " + std::to_string(row.size()) +

@@ -27,8 +27,23 @@ namespace mrtheta {
 /// generating a representative sample.
 class Relation {
  public:
+  /// Storage of one column: the vector type matching its ValueType
+  /// (alternatives in ValueType order).
+  using ColumnData = std::variant<std::vector<int64_t>, std::vector<double>,
+                                  std::vector<std::string>>;
+
   Relation() = default;
   Relation(std::string name, Schema schema);
+
+  /// Builds a relation that adopts `columns` as its storage, without a
+  /// copy: one column per schema column, storage matching the column's
+  /// type, all of one length. `logical_rows` < 0 keeps logical ==
+  /// physical. The build is one mutation batch, so it draws exactly one
+  /// generation, where appending the same rows one by one draws one per
+  /// row.
+  static StatusOr<Relation> FromColumns(std::string name, Schema schema,
+                                        std::vector<ColumnData> columns,
+                                        int64_t logical_rows = -1);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
@@ -106,9 +121,6 @@ class Relation {
   std::string ToString(int64_t limit = 10) const;
 
  private:
-  using ColumnData = std::variant<std::vector<int64_t>, std::vector<double>,
-                                  std::vector<std::string>>;
-
   /// Next value of the process-wide generation counter (atomic).
   static uint64_t NextGeneration();
   void Touch() { generation_ = NextGeneration(); }

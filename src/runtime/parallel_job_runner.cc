@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -310,16 +309,7 @@ Status SelectTaskError(const std::vector<Status>& statuses) {
 StatusOr<PhysicalJobResult> RunJobParallel(
     const MapReduceJobSpec& spec, ThreadPool& pool,
     const ParallelRunnerOptions& options) {
-  if (spec.inputs.empty()) {
-    return Status::InvalidArgument("job '" + spec.name + "' has no inputs");
-  }
-  if (!spec.map || !spec.reduce) {
-    return Status::InvalidArgument("job '" + spec.name +
-                                   "' is missing map or reduce function");
-  }
-  if (spec.num_reduce_tasks < 1) {
-    return Status::InvalidArgument("num_reduce_tasks must be >= 1");
-  }
+  MRTHETA_RETURN_IF_ERROR(ValidateJobSpec(spec));
   if (options.injector != nullptr) {
     MRTHETA_RETURN_IF_ERROR(options.injector->plan().Validate());
     MRTHETA_RETURN_IF_ERROR(options.retry.Validate());
@@ -344,8 +334,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   };
 
   PhysicalJobResult result;
-  result.output =
-      std::make_shared<Relation>(spec.output_name, spec.output_schema);
   JobMeasurement& m = result.metrics;
 
   const int n = spec.num_reduce_tasks;
@@ -479,11 +467,8 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   // exactly the records the failed attempt saw; spilled tasks arrive
   // pre-merged in (key, tag, row) order and skip the reduce-side sort.
   m.reduce_comparisons_logical.assign(n, 0.0);
-  std::vector<Relation> task_outputs;
-  task_outputs.reserve(n);
-  for (int t = 0; t < n; ++t) {
-    task_outputs.emplace_back(spec.output_name, spec.output_schema);
-  }
+  const int width = spec.output_schema.num_columns();
+  std::vector<ReduceCollector> task_outputs(n, ReduceCollector(width));
   TaskTimeTracker reduce_tracker;
   std::vector<Status> reduce_status(n);
   TraceSpan reduce_phase("reduce-phase", "runtime");
@@ -492,9 +477,9 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   }
   pool.ParallelFor(n, [&](int64_t t) {
     double comparisons = 0.0;
-    Relation attempt_output;  // attempt-local until commit
+    ReduceCollector attempt_output(width);  // attempt-local until commit
     auto work = [&]() -> Status {
-      attempt_output = Relation(spec.output_name, spec.output_schema);
+      attempt_output = ReduceCollector(width);
       StatusOr<ShuffleSpool::MaterializedTask> input =
           spool.MaterializeTask(static_cast<int>(t));
       if (!input.ok()) return input.status();
@@ -504,7 +489,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
           static_cast<int64_t>(input->records.capacity()) *
           static_cast<int64_t>(sizeof(MapOutputRecord)));
       StatusOr<double> c = RunReduceTask(spec, input->records,
-                                         &attempt_output, input->sorted);
+                                         attempt_output, input->sorted);
       if (!c.ok()) return c.status();
       comparisons = *c;
       return Status::OK();
@@ -530,25 +515,10 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     }
   }
 
-  // Concatenate task outputs in task order — the sequential runner appends
-  // reduce output to one relation in exactly this order.
-  for (Relation& task_output : task_outputs) {
-    Status append = result.output->AppendRows(task_output);
-    if (!append.ok()) {
-      publish_report();
-      return append;
-    }
-  }
-
-  // ---- Output accounting (identical to the sequential runner) ----
-  m.output_rows_physical = result.output->num_rows();
-  m.output_rows_logical =
-      static_cast<double>(m.output_rows_physical) * spec.output_row_scale;
-  const double capped_rows = std::min(m.output_rows_logical, 4.0e18);
-  result.output->set_logical_rows(
-      static_cast<int64_t>(std::llround(capped_rows)));
-  m.output_bytes_logical = result.output->logical_bytes();
+  // Task outputs join in task order, as in the sequential runner.
+  Status finish = FinishJobOutput(spec, task_outputs, result);
   publish_report();
+  if (!finish.ok()) return finish;
   return result;
 }
 

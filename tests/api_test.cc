@@ -8,6 +8,8 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "src/core/planner.h"
 #include "src/cost/calibration.h"
 #include "src/exec/naive_join.h"
+#include "src/obs/trace.h"
 #include "src/workload/flights.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
@@ -604,7 +607,10 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
   options.max_queue_depth = 8;
   ThetaEngine engine(options);
   MobileDataOptions data;
-  data.physical_rows = 80;
+  // Large enough that the head query still holds the slot when the third
+  // Submit returns: at 80 rows it could finish first, and a free slot
+  // admits without queuing.
+  data.physical_rows = 1000;
   data.logical_bytes = 2 * kGiB;
   const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
@@ -644,6 +650,34 @@ TEST(ThetaEngineTest, DiscardedSubmitFutureNeitherBlocksNorLeaks) {
     engine.Submit(*query);
   }  // the destructor drains both in-flight submissions
   SUCCEED();
+}
+
+// A coordination thread whose query has ended takes the next Submit, so
+// back-to-back Submits run on one thread (one trace track) instead of
+// starting a thread each.
+TEST(ThetaEngineTest, BackToBackSubmitsReuseOneCoordinationThread) {
+  MobileDataOptions data;
+  data.physical_rows = 60;
+  const auto query = MobileQueryBuilder(1, data).Build();
+  ASSERT_TRUE(query.ok());
+  ThetaEngine engine;
+  Tracer tracer;
+  {
+    TraceSession session(&tracer);
+    for (int i = 0; i < 4; ++i) {
+      const auto result = engine.Submit(*query).get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+  }
+  int submits = 0;
+  std::set<int> tracks;
+  for (const TraceEvent& event : tracer.events()) {
+    if (std::string(event.name) != "submit") continue;
+    ++submits;
+    tracks.insert(event.tid);
+  }
+  EXPECT_EQ(submits, 4);
+  EXPECT_EQ(tracks.size(), 1u);
 }
 
 TEST(ThetaEngineTest, ExplainReportsPlanAndCachedStats) {

@@ -2,6 +2,7 @@
 // checked against the single-machine nested-loop oracle.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -95,6 +96,38 @@ TEST(EstimateDistinctTest, KeyLikeVsCategorical) {
   std::const_pointer_cast<Relation>(cat)->set_logical_rows(100000);
   const ColumnDistinct cd = EstimateDistinct(*cat, 0);
   EXPECT_NEAR(cd.logical, 20.0, 1.0);
+}
+
+// Numeric keys hash by their value as a double, so an int64 key and the
+// double it equals share a partition. Past 2^53 neighbouring int64 keys
+// therefore share one hash: a collision the reducers' condition checks
+// resolve. EstimateDistinct still counts int64 values exactly.
+TEST(HashValueTest, NumbersHashByTheirDoubleValue) {
+  const int64_t base = int64_t{1} << 60;  // doubles are 256 apart here
+  EXPECT_EQ(HashValue(Value(base + 1)),
+            HashValue(Value(static_cast<double>(base))));
+  EXPECT_EQ(HashValue(Value(base)), HashValue(Value(base + 128)));
+  EXPECT_NE(HashValue(Value(int64_t{5})), HashValue(Value(int64_t{6})));
+  EXPECT_EQ(HashValue(Value(int64_t{5})), HashValue(Value(5.0)));
+
+  auto keys = std::make_shared<Relation>(
+      "k", Schema({{"id", ValueType::kInt64}}));
+  for (int64_t i = 0; i < 256; ++i) keys->AppendIntRow({base + i});
+  EXPECT_EQ(EstimateDistinct(*keys, 0).physical, 256.0);
+
+  // Two hash groups hold all 256 keys; the equi-join still matches each
+  // key with itself only.
+  PairwiseJoinJobSpec pw;
+  pw.left = JoinSide::ForBase(keys, 0);
+  pw.right = JoinSide::ForBase(keys, 1);
+  pw.base_relations = {keys, keys};
+  pw.conditions = {{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0}};
+  pw.num_reduce_tasks = 8;
+  const auto equi = BuildEquiJoinJob(pw);
+  ASSERT_TRUE(equi.ok());
+  const auto result = RunJobPhysically(*equi);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->output->num_rows(), 256);
 }
 
 TEST(ProjectResultTest, ResolvesBaseValues) {
@@ -1069,6 +1102,105 @@ TEST(KernelSelectionTest, HilbertReportsEligibilityNotPolicy) {
   spec.conditions = {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0}};
   spec.kernel_policy = KernelPolicy::kGenericOnly;
   EXPECT_EQ(BuildHilbertJoinJob(spec)->kernel, "generic");
+}
+
+// The Hilbert index searches each range with the condition's own
+// comparison, in the predicate's own domain. In each case exactly one
+// row satisfies the condition under exact evaluation: an index that
+// re-derives a bound in doubles (`other - offset`), rounds an int64 key
+// to a double, or treats a comparison as monotone where an infinite
+// offset makes it NaN drops that row. One reduce task, so every
+// candidate meets every other in one group.
+TEST(HilbertIndexTest, ExactInThePredicateDomain) {
+  struct Case {
+    const char* name;
+    ValueType type;
+    std::vector<Value> a;  // input 0 (bound first)
+    std::vector<Value> b;  // input 1 (the indexed depth)
+    JoinCondition cond;
+  };
+  const int64_t two53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {"a.x < b.x above 2^53", ValueType::kInt64, {Value(two53)},
+       {Value(two53 + 1)}, {{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0}},
+      {"b.x + 0.7 > a.x", ValueType::kDouble, {Value(3.4)}, {Value(2.7)},
+       {{1, 0}, ThetaOp::kGt, {0, 0}, 0.7, 0}},
+      {"b.x + 0.3 >= a.x", ValueType::kDouble, {Value(4.198088070211341)},
+       {Value(3.8980880702113407)}, {{1, 0}, ThetaOp::kGe, {0, 0}, 0.3, 0}},
+      {"b.x + 0.16517871395709105 < a.x", ValueType::kDouble,
+       {Value(3.1651787139570913)}, {Value(3.0)},
+       {{1, 0}, ThetaOp::kLt, {0, 0}, 0.16517871395709105, 0}},
+      {"b.x + 1.1 <= a.x", ValueType::kDouble, {Value(2.3633007483484247)},
+       {Value(1.2633007483484249)}, {{1, 0}, ThetaOp::kLe, {0, 0}, 1.1, 0}},
+      // +inf + -inf is NaN: the comparison fails at the top of b.x.
+      {"b.x + -inf >= a.x", ValueType::kDouble, {Value(-inf)},
+       {Value(1.0), Value(inf)}, {{1, 0}, ThetaOp::kGe, {0, 0}, -inf, 0}},
+      // -inf + +inf is NaN: the comparison fails at the bottom of b.x.
+      {"b.x + inf <= a.x", ValueType::kDouble, {Value(inf)},
+       {Value(-inf), Value(-inf), Value(1.0)},
+       {{1, 0}, ThetaOp::kLe, {0, 0}, inf, 0}},
+  };
+  for (const Case& tc : cases) {
+    auto a = std::make_shared<Relation>("a", Schema({{"x", tc.type}}));
+    auto b = std::make_shared<Relation>("b", Schema({{"x", tc.type}}));
+    for (const Value& v : tc.a) ASSERT_TRUE(a->AppendRow({v}).ok());
+    for (const Value& v : tc.b) ASSERT_TRUE(b->AppendRow({v}).ok());
+    const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, {tc.cond});
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_EQ(oracle->num_rows(), 1) << tc.name;
+    for (KernelPolicy policy :
+         {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
+      MultiwayJoinJobSpec spec;
+      spec.inputs = {JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1)};
+      spec.base_relations = {a, b};
+      spec.conditions = {tc.cond};
+      spec.num_reduce_tasks = 1;
+      spec.kernel_policy = policy;
+      const auto job = BuildHilbertJoinJob(spec);
+      ASSERT_TRUE(job.ok());
+      const auto result = RunJobPhysically(*job);
+      ASSERT_TRUE(result.ok());
+      EXPECT_TRUE(SameRows(*oracle, *result->output))
+          << tc.name << " kernel=" << job->kernel << ": "
+          << result->output->num_rows() << " rows";
+    }
+  }
+}
+
+// An int64 key and a double key compare as doubles, so past 2^53 keys
+// that differ as int64 can be equal: both must land in one partition.
+// The Hilbert job fuses an offset-free equality into one hashed
+// dimension, and the equi-join hashes it into one reduce group.
+TEST(HilbertIndexTest, MixedNumericEqualityPartitionsTogether) {
+  auto a = std::make_shared<Relation>("a", Schema({{"x", ValueType::kDouble}}));
+  auto b = std::make_shared<Relation>("b", Schema({{"x", ValueType::kInt64}}));
+  ASSERT_TRUE(a->AppendRow({Value(-9007199254740992.0)}).ok());
+  b->AppendIntRow({-9007199254740993});  // == -2^53 as a double
+  const std::vector<JoinCondition> conds = {
+      {{1, 0}, ThetaOp::kEq, {0, 0}, 0.0, 0}};
+  const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, conds);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_EQ(oracle->num_rows(), 1);
+
+  MultiwayJoinJobSpec mw;
+  mw.inputs = {JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1)};
+  mw.base_relations = {a, b};
+  mw.conditions = conds;
+  mw.num_reduce_tasks = 8;
+  const auto hilbert = BuildHilbertJoinJob(mw);
+  ASSERT_TRUE(hilbert.ok());
+  EXPECT_TRUE(SameRows(*oracle, *RunJobPhysically(*hilbert)->output));
+
+  PairwiseJoinJobSpec pw;
+  pw.left = JoinSide::ForBase(a, 0);
+  pw.right = JoinSide::ForBase(b, 1);
+  pw.base_relations = {a, b};
+  pw.conditions = conds;
+  pw.num_reduce_tasks = 8;
+  const auto equi = BuildEquiJoinJob(pw);
+  ASSERT_TRUE(equi.ok());
+  EXPECT_TRUE(SameRows(*oracle, *RunJobPhysically(*equi)->output));
 }
 
 TEST(ChooseSortDriverTest, PrefersInequalityOverEquality) {

@@ -36,8 +36,9 @@ MapReduceJobSpec CountJob(RelationPtr rel, int reducers) {
     out.Emit(r.GetInt(row, 0), tag, row, row, 16);
   };
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
-    out.Emit({Value(ctx.key),
-              Value(static_cast<int64_t>(ctx.records(0).size()))});
+    const int64_t row[] = {ctx.key,
+                           static_cast<int64_t>(ctx.records(0).size())};
+    out.Emit(row);
   };
   return spec;
 }
@@ -61,7 +62,8 @@ TEST(JobRunnerTest, KeysArriveSortedWithinTask) {
   std::vector<int64_t> seen;
   spec.reduce = [&seen](const ReduceContext& ctx, ReduceCollector& out) {
     seen.push_back(ctx.key);
-    out.Emit({Value(ctx.key), Value(int64_t{0})});
+    const int64_t row[] = {ctx.key, 0};
+    out.Emit(row);
   };
   ASSERT_TRUE(RunJobPhysically(spec).ok());
   ASSERT_EQ(seen.size(), 10u);

@@ -220,6 +220,44 @@ TEST(RelationTest, GenerationChangesOnEveryMutation) {
   EXPECT_EQ(copy.generation(), rel.generation());
 }
 
+TEST(RelationTest, FromColumnsAdoptsStorageInOneGeneration) {
+  const Schema schema({{"a", ValueType::kInt64}, {"b", ValueType::kDouble}});
+  std::vector<int64_t> a = {1, 2, 3};
+  const int64_t* a_storage = a.data();
+  std::vector<Relation::ColumnData> columns;
+  columns.emplace_back(std::move(a));
+  columns.emplace_back(std::vector<double>{0.5, 1.5, 2.5});
+  // Generations come from one process-wide counter that nothing else
+  // draws from while this test runs: a build drawing exactly one lands
+  // exactly between two default-constructed relations.
+  const uint64_t before = Relation().generation();
+  StatusOr<Relation> rel =
+      Relation::FromColumns("f", schema, std::move(columns), 300);
+  const uint64_t after = Relation().generation();
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_EQ(rel->generation(), before + 1);
+  EXPECT_EQ(after, before + 2);
+  // Adopted, not copied.
+  EXPECT_EQ(rel->TryColumn<int64_t>(0)->data(), a_storage);
+  EXPECT_EQ(rel->num_rows(), 3);
+  EXPECT_EQ(rel->logical_rows(), 300);
+  EXPECT_EQ(rel->GetInt(2, 0), 3);
+  EXPECT_EQ(rel->GetDouble(1, 1), 1.5);
+
+  // Arity, type and length mismatches are a Status.
+  std::vector<Relation::ColumnData> one;
+  one.emplace_back(std::vector<int64_t>{1});
+  EXPECT_FALSE(Relation::FromColumns("f", schema, std::move(one)).ok());
+  std::vector<Relation::ColumnData> swapped;
+  swapped.emplace_back(std::vector<double>{1.0});
+  swapped.emplace_back(std::vector<int64_t>{1});
+  EXPECT_FALSE(Relation::FromColumns("f", schema, std::move(swapped)).ok());
+  std::vector<Relation::ColumnData> ragged;
+  ragged.emplace_back(std::vector<int64_t>{1, 2});
+  ragged.emplace_back(std::vector<double>{1.0});
+  EXPECT_FALSE(Relation::FromColumns("f", schema, std::move(ragged)).ok());
+}
+
 TEST(RelationTest, SetCellValidatesRowColAndType) {
   Relation rel("s", Schema({{"i", ValueType::kInt64},
                             {"s", ValueType::kString}}));

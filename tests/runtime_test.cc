@@ -478,8 +478,9 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
   };
   spec.combine = MakeDedupCombiner();
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
-    out.Emit({Value(ctx.key),
-              Value(static_cast<int64_t>(ctx.records(0).size()))});
+    const int64_t row[] = {ctx.key,
+                           static_cast<int64_t>(ctx.records(0).size())};
+    out.Emit(row);
   };
   const auto reference = RunJobPhysically(spec);
   ASSERT_TRUE(reference.ok());
