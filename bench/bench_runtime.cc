@@ -493,14 +493,13 @@ void RunMemBudget(ThetaEngine& engine, const std::string& out_path) {
     std::exit(1);
   }
   // The planner sizes RN(MRJ) for the tiny physical sample (RN <= 4 here),
-  // which makes ONE reduce task's merge working set comparable to the whole
+  // which makes ONE reduce task's gathered input comparable to the whole
   // budget — no budget can keep peak flat when a single indivisible task
-  // needs most of it. Pin a cluster-realistic fan-out instead. 128 reduce
-  // tasks balance the two overheads that bound peak above the budget: the
-  // per-task merge working set (~ shuffle_bytes / RN per in-flight task,
-  // favors large RN) and the spool's unspillable floor of
-  // RN * kMinSpillRecords records (favors small RN). All four runs execute
-  // this same plan, so the determinism contract is unchanged.
+  // needs most of it. Pin a cluster-realistic fan-out instead: with 128
+  // reduce tasks each in-flight task gathers ~ shuffle_bytes / 128. The
+  // other overshoot does not depend on RN: at most one partial page per
+  // running map task. All four runs execute this same plan, so the
+  // determinism contract is unchanged.
   QueryPlan mem_plan = *plan;
   for (PlanJob& job : mem_plan.jobs) job.num_reduce_tasks = 128;
 

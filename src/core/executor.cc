@@ -108,8 +108,9 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   // DAG job adds one coordinating thread that spends its time claiming
   // tasks inside ParallelFor (caller participation — the property that
   // makes nested fan-out deadlock-free). Sustained compute threads are
-  // therefore ~num_threads; the worst case (every job simultaneously in
-  // its sequential shuffle merge) is transient. See docs/RUNTIME.md.
+  // therefore ~num_threads; the worst case (every job simultaneously
+  // between its phases, replaying its shuffle byte sums) is transient.
+  // See docs/RUNTIME.md.
   const int num_threads = pool.num_threads();
 
   // Fault-tolerance machinery (docs/RUNTIME.md "Fault tolerance"). The

@@ -232,7 +232,6 @@ struct HilbertJobState {
   std::shared_ptr<const SegmentCoverage> coverage = nullptr;
   DimensionGrouping grouping = {};
   std::vector<int64_t> logical_rows = {};   // per input
-  std::vector<int64_t> record_bytes = {};   // per input
   std::vector<double> scales = {};          // per input
   std::vector<RelationPtr> base_relations = {};
   std::vector<JoinSide> inputs = {};
@@ -299,7 +298,7 @@ struct HilbertJobState {
     const std::vector<int>& stride = heavy_strides[g];
     for (int t = 0; t < group.num_tasks; ++t) {
       if ((t / stride[tag]) % share != bucket) continue;
-      out.Emit(group.first_task + t, tag, row, slice, record_bytes[tag]);
+      out.Emit(group.first_task + t, tag, row, slice);
     }
   }
 };
@@ -602,8 +601,8 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   // per-key reducer grids out of the task budget for the worst dimension.
   // Shuffle payload width per input: pruned for base sides when the spec
   // carries a required-column analysis; intermediates are already pruned by
-  // their producer's output schema. Drives record emits, skew detection
-  // volumes and the emitted byte accounting alike.
+  // their producer's output schema. Drives the job inputs' record widths
+  // and the skew detection volumes alike.
   std::vector<int64_t> shuffle_bytes(num_inputs, 0);
   for (int i = 0; i < num_inputs; ++i) {
     shuffle_bytes[i] = SideShuffleBytes(spec.inputs[i], spec.conditions,
@@ -774,7 +773,6 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
     const JoinSide& side = spec.inputs[i];
     state->logical_rows.push_back(
         std::max<int64_t>(1, side.data->logical_rows()));
-    state->record_bytes.push_back(shuffle_bytes[i]);
     state->scales.push_back(side.scale);
   }
   state->dim_representative.assign(dims, -1);
@@ -884,8 +882,9 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
 
   MapReduceJobSpec job;
   job.name = spec.name;
-  for (const JoinSide& side : spec.inputs) {
-    job.inputs.push_back({side.data, side.scale});
+  for (int i = 0; i < num_inputs; ++i) {
+    job.inputs.push_back(
+        {spec.inputs[i].data, spec.inputs[i].scale, shuffle_bytes[i]});
   }
   job.num_reduce_tasks = kr + skew.heavy_tasks;
   job.partition = [](int64_t key, int n) {
@@ -962,7 +961,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       }
     }
     for (int seg : state->coverage->SegmentsForSlice(dim, slice)) {
-      out.Emit(seg, tag, row, slice, state->record_bytes[tag]);
+      out.Emit(seg, tag, row, slice);
     }
   };
 

@@ -30,8 +30,6 @@ struct MergeState {
   std::vector<const int64_t*> right_rids;
   std::vector<int> output_bases;
   std::vector<RidSource> output_sources;  // per output base; input 0 = left
-  int64_t left_bytes = 0;
-  int64_t right_bytes = 0;
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
 
   int64_t LeftRid(size_t k, int64_t row) const {
@@ -136,14 +134,13 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   state->output_bases.assign(bases.begin(), bases.end());
   state->output_sources =
       ResolveRidSources(state->output_bases, {spec.left, spec.right});
-  // Merge inputs ship only record IDs: 8 bytes per covered relation.
-  state->left_bytes = 8 * static_cast<int64_t>(spec.left.bases.size());
-  state->right_bytes = 8 * static_cast<int64_t>(spec.right.bases.size());
-
   MapReduceJobSpec job;
   job.name = spec.name;
-  job.inputs.push_back({spec.left.data, spec.left.scale});
-  job.inputs.push_back({spec.right.data, spec.right.scale});
+  // Merge inputs ship only record IDs: 8 bytes per covered relation.
+  job.inputs.push_back({spec.left.data, spec.left.scale,
+                        8 * static_cast<int64_t>(spec.left.bases.size())});
+  job.inputs.push_back({spec.right.data, spec.right.scale,
+                        8 * static_cast<int64_t>(spec.right.bases.size())});
   job.num_reduce_tasks = spec.num_reduce_tasks;
   job.output_schema = MakeIntermediateSchema(
       state->output_bases, spec.base_relations, spec.output_columns);
@@ -165,8 +162,7 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
     // Merge inputs are normally intermediates (already filtered by their
     // producers); the check is a no-op then but keeps base sides correct.
     if (!(tag == 0 ? state->left : state->right).PassesFilter(row)) return;
-    out.Emit(static_cast<int64_t>(state->KeyOf(tag, row)), tag, row, row,
-             tag == 0 ? state->left_bytes : state->right_bytes);
+    out.Emit(static_cast<int64_t>(state->KeyOf(tag, row)), tag, row, row);
   };
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
     const auto& lrecs = ctx.records(0);

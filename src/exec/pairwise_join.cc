@@ -40,8 +40,6 @@ struct PairwiseState {
   int sort_driver = -1;
   std::vector<int> output_bases;
   std::vector<RidSource> output_sources;  // per output base; input 0 = left
-  int64_t left_bytes = 0;
-  int64_t right_bytes = 0;
 
   bool Matches(int64_t lrow, int64_t rrow) const {
     for (const BoundCondition& bc : bound) {
@@ -153,12 +151,6 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
   state->output_bases.assign(bases.begin(), bases.end());
   state->output_sources =
       ResolveRidSources(state->output_bases, {spec.left, spec.right});
-  state->left_bytes = SideShuffleBytes(spec.left, spec.conditions,
-                                       spec.output_columns,
-                                       spec.base_relations);
-  state->right_bytes = SideShuffleBytes(spec.right, spec.conditions,
-                                        spec.output_columns,
-                                        spec.base_relations);
   return state;
 }
 
@@ -166,8 +158,14 @@ MapReduceJobSpec MakeJobShell(const PairwiseJoinJobSpec& spec,
                               const PairwiseState& state) {
   MapReduceJobSpec job;
   job.name = spec.name;
-  job.inputs.push_back({spec.left.data, spec.left.scale});
-  job.inputs.push_back({spec.right.data, spec.right.scale});
+  job.inputs.push_back(
+      {spec.left.data, spec.left.scale,
+       SideShuffleBytes(spec.left, spec.conditions, spec.output_columns,
+                        spec.base_relations)});
+  job.inputs.push_back(
+      {spec.right.data, spec.right.scale,
+       SideShuffleBytes(spec.right, spec.conditions, spec.output_columns,
+                        spec.base_relations)});
   job.num_reduce_tasks = spec.num_reduce_tasks;
   job.output_schema = MakeIntermediateSchema(
       state.output_bases, spec.base_relations, spec.output_columns);
@@ -222,8 +220,7 @@ StatusOr<MapReduceJobSpec> BuildEquiJoinJob(const PairwiseJoinJobSpec& spec) {
     const int64_t base_row = side.BaseRow(row, ref.relation);
     const Value v =
         state->base_relations[ref.relation]->Get(base_row, ref.column);
-    out.Emit(static_cast<int64_t>(HashValue(v)), tag, row, /*rec_id=*/row,
-             tag == 0 ? state->left_bytes : state->right_bytes);
+    out.Emit(static_cast<int64_t>(HashValue(v)), tag, row, /*rec_id=*/row);
   };
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
     const auto& lrecs = ctx.records(0);
@@ -299,16 +296,14 @@ StatusOr<MapReduceJobSpec> BuildOneBucketThetaJob(
           MixHash(seed, static_cast<uint64_t>(row)) %
           static_cast<uint64_t>(grid_rows));
       for (int c = 0; c < grid_cols; ++c) {
-        out.Emit(static_cast<int64_t>(band) * grid_cols + c, tag, row, row,
-                 state->left_bytes);
+        out.Emit(static_cast<int64_t>(band) * grid_cols + c, tag, row, row);
       }
     } else {
       const int band = static_cast<int>(
           MixHash(seed + 1, static_cast<uint64_t>(row)) %
           static_cast<uint64_t>(grid_cols));
       for (int r = 0; r < grid_rows; ++r) {
-        out.Emit(static_cast<int64_t>(r) * grid_cols + band, tag, row, row,
-                 state->right_bytes);
+        out.Emit(static_cast<int64_t>(r) * grid_cols + band, tag, row, row);
       }
     }
   };

@@ -1,6 +1,7 @@
 #ifndef MRTHETA_MAPREDUCE_JOB_H_
 #define MRTHETA_MAPREDUCE_JOB_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <new>
@@ -17,18 +18,17 @@ namespace mrtheta {
 
 /// One record emitted by a Map task: a partition key plus a *reference* to a
 /// physical tuple (tag = which input, row = row index). `rec_id` carries the
-/// tuple's logical global ID (the paper's randomly assigned GlobalID) and
-/// `bytes` the serialized size charged to the shuffle. `target` is the
-/// record's reduce task, computed at emit time by the emitter's partitioner
-/// (it fills what used to be struct padding, so records stay 40 bytes and
-/// can be spilled to disk as raw POD).
+/// tuple's logical global ID (the paper's randomly assigned GlobalID).
+/// `target` is the record's reduce task, computed at emit time by the
+/// emitter's partitioner. The record's shuffle size is its input's
+/// JobInput::record_bytes. Records are 32 bytes of POD, so they spill to
+/// disk as raw bytes.
 struct MapOutputRecord {
   int64_t key = 0;
   int32_t tag = 0;
   int32_t target = 0;
   int64_t row = 0;
   int64_t rec_id = 0;
-  int64_t bytes = 0;
 };
 
 /// Optional map-side combiner (docs/MEMORY.md): invoked once per input row
@@ -50,17 +50,20 @@ using PartitionFn = std::function<int(int64_t key, int num_reduce_tasks)>;
 /// Default partitioner: mixed hash modulo n (Hadoop's HashPartitioner).
 int HashPartition(int64_t key, int num_reduce_tasks);
 
-/// \brief Collects Map outputs into fixed-size KV pages owned by the
-/// process MemoryBudget, optionally flushing full pages to a spill file
-/// when the budget is exceeded (docs/MEMORY.md).
+/// \brief Collects one map task's outputs into fixed-size KV pages owned
+/// by the process MemoryBudget, optionally spilling them to a file when the
+/// budget is exceeded (docs/MEMORY.md).
 ///
 /// Map functions call Emit once per (key, record); runners call EndRow()
-/// after each input row (the combine/spill boundary) and stream the
-/// records back in emit order with ForEach(). All failures — page
-/// allocation, reservation, spill I/O, a partitioner out of range — latch
-/// into status() and turn subsequent Emits into no-ops; runners surface
-/// the latched status as the task's Status (kResourceExhausted for memory,
-/// matching ReduceCollector::Emit) instead of aborting on
+/// after each input row (the combine/spill boundary). The sequential
+/// runner streams the records back in emit order with ForEach(). The
+/// parallel runner calls Finish() at the end of the map task, which
+/// indexes the output by reduce task; each reduce task then reads its own
+/// records with ReadSpilledTask() and CopyResidentTask(). All failures —
+/// page allocation, reservation, spill I/O, a partitioner out of range —
+/// latch into status() and turn subsequent Emits into no-ops; runners
+/// surface the latched status as the task's Status (kResourceExhausted for
+/// memory, matching ReduceCollector::Emit) instead of aborting on
 /// bad_alloc.
 class MapEmitter {
  public:
@@ -85,16 +88,16 @@ class MapEmitter {
   /// Installs the per-row combiner applied by EndRow(); null disables.
   void set_combine(CombineFn combine) { combine_ = std::move(combine); }
 
-  /// Arms spilling: once the global budget's in-use bytes exceed
-  /// `limit_bytes`, EndRow() flushes full pages to a file in `dir` (not
-  /// owned; must outlive the emitter). Never armed = pure in-memory.
+  /// Arms spilling to a file in `dir` (not owned; must outlive the
+  /// emitter): EndRow() spills full pages once the global budget's in-use
+  /// bytes exceed `limit_bytes`, and Finish() every resident record once
+  /// they exceed half of it. Never armed = pure in-memory.
   void EnableSpill(int64_t limit_bytes, SpillDirectory* dir) {
     spill_limit_bytes_ = limit_bytes;
     spill_dir_ = dir;
   }
 
-  void Emit(int64_t key, int32_t tag, int64_t row, int64_t rec_id,
-            int64_t bytes) {
+  void Emit(int64_t key, int32_t tag, int64_t row, int64_t rec_id) {
     if (!status_.ok()) return;
     int32_t target = 0;
     if (num_reduce_tasks_ > 0) {
@@ -115,7 +118,6 @@ class MapEmitter {
     rec->target = target;
     rec->row = row;
     rec->rec_id = rec_id;
-    rec->bytes = bytes;
     ++size_;
   }
 
@@ -125,14 +127,38 @@ class MapEmitter {
   void Reserve(size_t records);
 
   /// Row boundary: applies the combiner to the records the row emitted,
-  /// then (when spilling is armed and the budget is exceeded) flushes
-  /// full pages to disk. Runners call it after every spec.map invocation.
+  /// then (when spilling is armed and the budget is exceeded) spills the
+  /// full pages as one run. Runners call it after every spec.map
+  /// invocation.
   void EndRow();
 
-  /// Streams every record in emit order — the spilled prefix from disk,
-  /// then the in-memory pages. Returns the latched status (or a read
-  /// error) without invoking `fn` when the emitter is poisoned.
+  /// Ends the map task. When spilling is armed and more than half the
+  /// budget is in use, the resident records, partial page included, spill
+  /// as a final run; otherwise they are indexed by reduce task with a
+  /// stable counting sort (the index is charged to the budget). Returns
+  /// status(). After it, the emitter is read-only and safe to read from
+  /// several threads.
+  Status Finish();
+
+  /// Streams every record in emit order. Only for an emitter that never
+  /// spilled (the sequential runner's): spilled runs are stored by reduce
+  /// task, not in emit order. Returns the latched status without invoking
+  /// `fn` when the emitter is poisoned.
   Status ForEach(const std::function<void(const MapOutputRecord&)>& fn);
+
+  /// Per-reduce-task record counts, spilled and resident. After Finish().
+  const std::vector<int64_t>& task_records() const { return task_records_; }
+  /// Of task_records(t), those in spilled runs. After Finish().
+  int64_t spilled_task_records(int t) const {
+    return task_records_[t] - ResidentTaskRecords(t);
+  }
+
+  /// Writes reduce task `t`'s spilled records to `out`, run by run, each
+  /// run's in emit order. After Finish(); reads the spill file by position.
+  Status ReadSpilledTask(int t, MapOutputRecord* out) const;
+  /// Writes reduce task `t`'s resident records to `out` in emit order.
+  /// After Finish().
+  void CopyResidentTask(int t, MapOutputRecord* out) const;
 
   /// Records emitted (post-combine), spilled or resident.
   int64_t size() const { return size_; }
@@ -140,30 +166,44 @@ class MapEmitter {
   /// First latched error, or OK.
   const Status& status() const { return status_; }
 
-  /// Bytes flushed to the spill file so far (0 = never spilled).
+  /// Bytes written to the spill file so far (0 = never spilled).
   int64_t spilled_bytes() const { return spilled_bytes_; }
   /// Spill files created by this emitter (0 or 1).
   int64_t spill_files() const { return spill_file_.has_value() ? 1 : 0; }
 
-  /// Releases every page to the budget, removes the spill file, and
-  /// resets the emitter to freshly constructed state (partitioner,
-  /// combiner and spill arming included).
+  /// Releases every page and the index to the budget, removes the spill
+  /// file, and resets the emitter to freshly constructed state
+  /// (partitioner, combiner and spill arming included).
   void Clear();
 
  private:
   static MapOutputRecord* PageRecords(const MemoryBudget::PagePtr& page) {
     return reinterpret_cast<MapOutputRecord*>(page.get());
   }
+  const MapOutputRecord& Resident(int64_t i) const {
+    return PageRecords(pages_[i / kRecordsPerPage])[i % kRecordsPerPage];
+  }
+  int num_tasks() const { return std::max(num_reduce_tasks_, 1); }
+  int64_t ResidentTaskRecords(int t) const {
+    return index_offsets_.empty()
+               ? 0
+               : index_offsets_[t + 1] - index_offsets_[t];
+  }
 
   bool AddPage();       // latches on failure
   void ApplyCombine();  // combine_ over [row_mark_, size_)
-  void SpillFullPages();
+  /// Fills index_/index_offsets_ with the first `count` resident records
+  /// ordered by target, emit order within a target. Latches on failure.
+  bool IndexResident(int64_t count);
+  /// Spills the first `count` resident records (whole pages, or all of
+  /// them) as one run partitioned by reduce task.
+  void SpillRun(int64_t count);
 
   std::vector<MemoryBudget::PagePtr> pages_;
   /// Records in pages_.back(); every earlier page is full. 0 iff empty.
   int64_t last_page_records_ = 0;
   int64_t size_ = 0;
-  int64_t spilled_records_ = 0;  ///< prefix of emit order now on disk
+  int64_t spilled_records_ = 0;  ///< records written to spill runs
   int64_t row_mark_ = 0;         ///< size() when the current row began
   Status status_;
 
@@ -176,6 +216,17 @@ class MapEmitter {
   SpillDirectory* spill_dir_ = nullptr;
   std::optional<SpillFile> spill_file_;
   int64_t spilled_bytes_ = 0;
+  /// num_tasks() + 1 entries per spilled run: the record offset in the
+  /// spill file where each reduce task's segment starts, then the run's
+  /// end.
+  std::vector<int64_t> run_offsets_;
+
+  /// Resident record positions grouped by target (scratch for SpillRun
+  /// until Finish), and the num_tasks() + 1 group boundaries in it.
+  std::vector<uint32_t> index_;
+  std::vector<int64_t> index_offsets_;
+  ScopedCharge index_charge_;
+  std::vector<int64_t> task_records_;  ///< filled by Finish()
 };
 
 /// Collects one reduce task's output rows and CPU accounting. Every job
@@ -232,10 +283,12 @@ class ReduceCollector {
 
 /// One input of a job. `scale` = logical_rows / physical_rows for this
 /// input; executors use it to convert measured physical volumes into the
-/// logical volumes the simulator clocks.
+/// logical volumes the simulator clocks. `record_bytes` is the serialized
+/// size the shuffle charges for each map output record of this input.
 struct JobInput {
   RelationPtr relation;
   double scale = 1.0;
+  int64_t record_bytes = 0;
 
   int64_t logical_bytes() const { return relation->logical_bytes(); }
 };
@@ -256,7 +309,9 @@ struct ReduceContext {
   }
 };
 
-/// Map function: invoked once per physical row of every input.
+/// Map function: invoked once per physical row of every input. Every
+/// record it emits carries `tag`, the input being mapped: the shuffle
+/// charges a record its input's record_bytes and scale.
 using MapFn = std::function<void(int tag, const Relation& rel, int64_t row,
                                  MapEmitter& out)>;
 

@@ -39,17 +39,15 @@ int64_t JobMeasurement::MaxReduceInputBytes() const {
 }
 
 StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
-                               std::vector<MapOutputRecord>& records,
-                               ReduceCollector& out, bool presorted) {
+                               std::span<MapOutputRecord> records,
+                               ReduceCollector& out) {
   const int num_tags = static_cast<int>(spec.inputs.size());
-  if (!presorted) {
-    std::sort(records.begin(), records.end(),
-              [](const MapOutputRecord& a, const MapOutputRecord& b) {
-                if (a.key != b.key) return a.key < b.key;
-                if (a.tag != b.tag) return a.tag < b.tag;
-                return a.row < b.row;
-              });
-  }
+  std::sort(records.begin(), records.end(),
+            [](const MapOutputRecord& a, const MapOutputRecord& b) {
+              if (a.key != b.key) return a.key < b.key;
+              if (a.tag != b.tag) return a.tag < b.tag;
+              return a.row < b.row;
+            });
   size_t i = 0;
   while (i < records.size()) {
     size_t j = i;
@@ -69,6 +67,34 @@ StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
     i = j;
   }
   return out.comparisons();
+}
+
+void ReplayShuffleBytes(const MapReduceJobSpec& spec,
+                        std::span<const ShuffleCounts> splits,
+                        JobMeasurement& m) {
+  const int n = spec.num_reduce_tasks;
+  std::vector<double> task_bytes(n, 0.0);
+  double map_out_bytes = 0.0;
+  for (const ShuffleCounts& split : splits) {
+    const JobInput& input = spec.inputs[split.tag];
+    const double scaled_bytes =
+        static_cast<double>(input.record_bytes) * input.scale;
+    // One addition per record, never count * scaled_bytes: the sums must
+    // round exactly as a per-record walk does.
+    int64_t records = 0;
+    for (int t = 0; t < n; ++t) {
+      for (int64_t k = 0; k < split.task_records[t]; ++k) {
+        task_bytes[t] += scaled_bytes;
+      }
+      records += split.task_records[t];
+    }
+    for (int64_t k = 0; k < records; ++k) map_out_bytes += scaled_bytes;
+  }
+  m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
+  m.reduce_input_bytes_logical.resize(n);
+  for (int t = 0; t < n; ++t) {
+    m.reduce_input_bytes_logical[t] = static_cast<int64_t>(task_bytes[t]);
+  }
 }
 
 Status ValidateJobSpec(const MapReduceJobSpec& spec) {
@@ -170,26 +196,21 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec) {
   // ---- Shuffle: route by the emit-time target, charge logical bytes ----
   TraceSpan shuffle_phase("shuffle-merge", "runtime");
   if (shuffle_phase.enabled()) shuffle_phase.Arg("job", spec.name);
+  const int num_inputs = static_cast<int>(spec.inputs.size());
   std::vector<std::vector<MapOutputRecord>> task_records(n);
-  std::vector<double> task_bytes(n, 0.0);
-  double map_out_bytes = 0.0;
+  std::vector<std::vector<int64_t>> input_task_records(
+      num_inputs, std::vector<int64_t>(n, 0));
   Status walk = emitter.ForEach([&](const MapOutputRecord& rec) {
-    const double scaled_bytes =
-        static_cast<double>(rec.bytes) * spec.inputs[rec.tag].scale;
-    task_bytes[rec.target] += scaled_bytes;
-    map_out_bytes += scaled_bytes;
+    ++input_task_records[rec.tag][rec.target];
     task_records[rec.target].push_back(rec);
   });
   if (!walk.ok()) return WrapTaskError("shuffle walk failed", spec, walk);
-  result.spill_bytes = emitter.spilled_bytes();
-  result.spill_files = emitter.spill_files();
   emitter.Clear();
-  m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
-  m.reduce_input_bytes_logical.resize(n);
-  for (int t = 0; t < n; ++t) {
-    m.reduce_input_bytes_logical[t] = static_cast<int64_t>(task_bytes[t]);
+  std::vector<ShuffleCounts> counts;
+  for (int tag = 0; tag < num_inputs; ++tag) {
+    counts.push_back({tag, input_task_records[tag]});
   }
-
+  ReplayShuffleBytes(spec, counts, m);
   shuffle_phase.End();
 
   // ---- Reduce phase: per task, sort by key then group ----

@@ -2,6 +2,8 @@
 #define MRTHETA_MAPREDUCE_JOB_RUNNER_H_
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/mapreduce/job.h"
@@ -39,23 +41,35 @@ StatusOr<PhysicalJobResult> RunJobPhysically(const MapReduceJobSpec& spec);
 /// the first emit error, with its code preserved (kResourceExhausted for
 /// allocation failures).
 ///
-/// `presorted` skips the sort when the caller's records already arrive in
-/// (key, tag, row) order — the spill merge path (ShuffleSpool) produces
-/// exactly that order, so re-sorting would be pure waste. Safe because
-/// comparator ties are identical records by the emit contract, making the
-/// sorted sequence unique for observable purposes.
-///
 /// Idempotent per attempt: the sort is stable under re-sorting and emits
 /// go to the caller's (fresh, task-private) collector, so the
 /// fault-tolerant runner can re-execute a failed task against the same
-/// record vector and commit only the successful attempt.
+/// records and commit only the successful attempt.
 ///
 /// Shared by the sequential runner and the parallel runner
 /// (src/runtime/parallel_job_runner.cc) — one implementation is what keeps
 /// their outputs byte-identical (docs/RUNTIME.md determinism contract).
 StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
-                               std::vector<MapOutputRecord>& records,
-                               ReduceCollector& out, bool presorted = false);
+                               std::span<MapOutputRecord> records,
+                               ReduceCollector& out);
+
+/// How many map output records of input `tag` went to each reduce task,
+/// over one contiguous stretch of the emit order: a map split, or the
+/// sequential runner's whole input.
+struct ShuffleCounts {
+  int tag = 0;
+  std::span<const int64_t> task_records;
+};
+
+/// Fills `m.map_output_bytes_logical` and `m.reduce_input_bytes_logical`
+/// from the per-task record counts of `splits`, given in emit order. Each
+/// record adds its input's record_bytes * scale once to its task's total
+/// and once to the map total: the same floating-point additions, in the
+/// same order per sum, as a walk over every record in emit order. Shared
+/// by both runners so their byte accounting is bit-identical.
+void ReplayShuffleBytes(const MapReduceJobSpec& spec,
+                        std::span<const ShuffleCounts> splits,
+                        JobMeasurement& m);
 
 /// What both runners require of a job before running it: inputs, map and
 /// reduce functions, at least one reduce task, and an all-int64 output

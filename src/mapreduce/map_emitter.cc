@@ -1,4 +1,5 @@
-#include <algorithm>
+#include <array>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -7,6 +8,10 @@
 #include "src/obs/trace.h"
 
 namespace mrtheta {
+
+namespace {
+constexpr int64_t kRecordBytes = static_cast<int64_t>(sizeof(MapOutputRecord));
+}  // namespace
 
 CombineFn MakeDedupCombiner() {
   return [](std::vector<MapOutputRecord>& records) {
@@ -20,7 +25,7 @@ CombineFn MakeDedupCombiner() {
       for (size_t j = 0; j < out && !duplicate; ++j) {
         const MapOutputRecord& k = records[j];
         duplicate = k.key == r.key && k.tag == r.tag && k.row == r.row &&
-                    k.rec_id == r.rec_id && k.bytes == r.bytes;
+                    k.rec_id == r.rec_id;
       }
       if (!duplicate) records[out++] = r;
     }
@@ -30,28 +35,9 @@ CombineFn MakeDedupCombiner() {
 
 MapEmitter& MapEmitter::operator=(MapEmitter&& other) noexcept {
   if (this != &other) {
-    Clear();  // return our pages to the budget before adopting other's
-    pages_ = std::move(other.pages_);
-    last_page_records_ = other.last_page_records_;
-    size_ = other.size_;
-    spilled_records_ = other.spilled_records_;
-    row_mark_ = other.row_mark_;
-    status_ = std::move(other.status_);
-    partition_ = std::move(other.partition_);
-    num_reduce_tasks_ = other.num_reduce_tasks_;
-    combine_ = std::move(other.combine_);
-    combine_buf_ = std::move(other.combine_buf_);
-    spill_limit_bytes_ = other.spill_limit_bytes_;
-    spill_dir_ = other.spill_dir_;
-    spill_file_ = std::move(other.spill_file_);
-    spilled_bytes_ = other.spilled_bytes_;
-    other.pages_.clear();
-    other.last_page_records_ = 0;
-    other.size_ = 0;
-    other.spilled_records_ = 0;
-    other.row_mark_ = 0;
-    other.spill_file_.reset();
-    other.spilled_bytes_ = 0;
+    this->~MapEmitter();  // return our pages to the budget first
+    new (this) MapEmitter(std::move(other));
+    other.Clear();
   }
   return *this;
 }
@@ -93,7 +79,11 @@ void MapEmitter::EndRow() {
   if (combine_ && size_ > row_mark_) ApplyCombine();
   if (status_.ok() && spill_dir_ != nullptr &&
       MemoryBudget::Global().OverBudget(spill_limit_bytes_)) {
-    SpillFullPages();
+    // Full pages only; the partial last page keeps filling. Spilling at a
+    // row boundary can never split a combine slice.
+    int64_t full = static_cast<int64_t>(pages_.size());
+    if (full > 0 && last_page_records_ < kRecordsPerPage) --full;
+    if (full > 0) SpillRun(full * kRecordsPerPage);
   }
   row_mark_ = size_;
 }
@@ -107,8 +97,7 @@ void MapEmitter::ApplyCombine() {
   try {
     combine_buf_.reserve(static_cast<size_t>(end_mem - begin_mem));
     for (int64_t i = begin_mem; i < end_mem; ++i) {
-      combine_buf_.push_back(
-          PageRecords(pages_[i / kRecordsPerPage])[i % kRecordsPerPage]);
+      combine_buf_.push_back(Resident(i));
     }
     combine_(combine_buf_);
   } catch (const std::bad_alloc&) {
@@ -131,17 +120,41 @@ void MapEmitter::ApplyCombine() {
   // ...and re-append the combined records. Re-partitioned through Emit so
   // a combiner that rewrites keys cannot leave stale targets behind.
   for (const MapOutputRecord& rec : combine_buf_) {
-    Emit(rec.key, rec.tag, rec.row, rec.rec_id, rec.bytes);
+    Emit(rec.key, rec.tag, rec.row, rec.rec_id);
   }
   combine_buf_.clear();
 }
 
-void MapEmitter::SpillFullPages() {
-  // Full pages are everything except a trailing partial page. Spilling
-  // whole pages at a row boundary can never split a combine slice.
-  size_t full = pages_.size();
-  if (full > 0 && last_page_records_ < kRecordsPerPage) --full;
-  if (full == 0) return;
+bool MapEmitter::IndexResident(int64_t count) {
+  if (count > std::numeric_limits<uint32_t>::max()) {
+    status_ = Status::ResourceExhausted(
+        "map task holds " + std::to_string(count) +
+        " resident records, more than its index can address");
+    return false;
+  }
+  const int n = num_tasks();
+  std::vector<int64_t> cursor;
+  try {
+    index_offsets_.assign(static_cast<size_t>(n) + 1, 0);
+    index_.resize(static_cast<size_t>(count));
+    cursor.resize(static_cast<size_t>(n));
+  } catch (const std::bad_alloc&) {
+    status_ = Status::ResourceExhausted("map output index allocation failed");
+    return false;
+  }
+  for (int64_t i = 0; i < count; ++i) ++index_offsets_[Resident(i).target + 1];
+  for (int t = 0; t < n; ++t) {
+    index_offsets_[t + 1] += index_offsets_[t];
+    cursor[t] = index_offsets_[t];
+  }
+  // A forward scatter keeps each task's positions in emit order.
+  for (int64_t i = 0; i < count; ++i) {
+    index_[cursor[Resident(i).target]++] = static_cast<uint32_t>(i);
+  }
+  return true;
+}
+
+void MapEmitter::SpillRun(int64_t count) {
   if (!spill_file_.has_value()) {
     StatusOr<SpillFile> file = SpillFile::Create(*spill_dir_);
     if (!file.ok()) {
@@ -150,49 +163,105 @@ void MapEmitter::SpillFullPages() {
     }
     spill_file_ = *std::move(file);
   }
+  if (!IndexResident(count)) return;
   TraceSpan span("spill-write", "mem");
-  int64_t flushed = 0;
-  for (size_t i = 0; i < full; ++i) {
-    const int64_t bytes =
-        kRecordsPerPage * static_cast<int64_t>(sizeof(MapOutputRecord));
-    Status s = spill_file_->Append(pages_[i].get(), bytes);
-    if (!s.ok()) {
-      status_ = std::move(s);
-      break;
+  const int64_t base = spill_file_->bytes_written() / kRecordBytes;
+  std::array<MapOutputRecord, 512> stage;
+  size_t staged = 0;
+  for (int64_t i = 0; i < count; ++i) {
+    stage[staged++] = Resident(index_[i]);
+    if (staged == stage.size() || i + 1 == count) {
+      Status s = spill_file_->Append(
+          stage.data(), static_cast<int64_t>(staged) * kRecordBytes);
+      if (!s.ok()) {
+        status_ = std::move(s);
+        return;
+      }
+      staged = 0;
     }
-    flushed += bytes;
-    spilled_records_ += kRecordsPerPage;
-    MemoryBudget::Global().ReleasePage(std::move(pages_[i]));
   }
-  spilled_bytes_ += flushed;
-  if (span.enabled()) span.Arg("bytes", flushed);
-  // Drop the flushed prefix (pages_[i] are null up to the failure point).
-  size_t kept = 0;
-  for (size_t i = 0; i < pages_.size(); ++i) {
-    if (pages_[i] != nullptr) pages_[kept++] = std::move(pages_[i]);
+  try {
+    for (int64_t offset : index_offsets_) run_offsets_.push_back(base + offset);
+  } catch (const std::bad_alloc&) {
+    status_ = Status::ResourceExhausted("spill run offsets growth failed");
+    return;
   }
-  pages_.resize(kept);
+  spilled_records_ += count;
+  spilled_bytes_ += count * kRecordBytes;
+  if (span.enabled()) span.Arg("bytes", count * kRecordBytes);
+  // The run is whole pages, or every resident record: drop its pages.
+  const size_t pages = static_cast<size_t>(
+      (count + kRecordsPerPage - 1) / kRecordsPerPage);
+  for (size_t p = 0; p < pages; ++p) {
+    MemoryBudget::Global().ReleasePage(std::move(pages_[p]));
+  }
+  pages_.erase(pages_.begin(), pages_.begin() + static_cast<ptrdiff_t>(pages));
   if (pages_.empty()) last_page_records_ = 0;
+  index_ = {};
+  index_offsets_.clear();
+}
+
+Status MapEmitter::Finish() {
+  if (!status_.ok()) return status_;
+  const int64_t resident = size_ - spilled_records_;
+  // Resident output lives until the reduce phase ends, so a finished task
+  // keeps its records only while at most half the budget is in use: the
+  // running tasks keep the other half to fill, and their runs stay many
+  // pages long instead of one page each.
+  const int64_t keep_limit = spill_limit_bytes_ - spill_limit_bytes_ / 2;
+  if (resident > 0 && spill_dir_ != nullptr &&
+      MemoryBudget::Global().OverBudget(keep_limit)) {
+    SpillRun(resident);
+  } else if (IndexResident(resident)) {
+    index_charge_ = ScopedCharge(
+        static_cast<int64_t>(index_.capacity() * sizeof(uint32_t) +
+                             index_offsets_.capacity() * sizeof(int64_t)));
+  }
+  if (status_.ok() && spill_file_.has_value()) status_ = spill_file_->Finish();
+  if (!status_.ok()) return status_;
+  const int n = num_tasks();
+  try {
+    task_records_.assign(static_cast<size_t>(n), 0);
+  } catch (const std::bad_alloc&) {
+    status_ = Status::ResourceExhausted("map output counts allocation failed");
+    return status_;
+  }
+  const size_t stride = static_cast<size_t>(n) + 1;
+  for (size_t r = 0; r < run_offsets_.size(); r += stride) {
+    for (int t = 0; t < n; ++t) {
+      task_records_[t] += run_offsets_[r + t + 1] - run_offsets_[r + t];
+    }
+  }
+  for (int t = 0; t < n; ++t) task_records_[t] += ResidentTaskRecords(t);
+  return status_;
+}
+
+Status MapEmitter::ReadSpilledTask(int t, MapOutputRecord* out) const {
+  const size_t stride = static_cast<size_t>(num_tasks()) + 1;
+  for (size_t r = 0; r < run_offsets_.size(); r += stride) {
+    const int64_t begin = run_offsets_[r + t];
+    const int64_t count = run_offsets_[r + t + 1] - begin;
+    if (count == 0) continue;
+    MRTHETA_RETURN_IF_ERROR(spill_file_->ReadAt(out, begin * kRecordBytes,
+                                                count * kRecordBytes));
+    out += count;
+  }
+  return Status::OK();
+}
+
+void MapEmitter::CopyResidentTask(int t, MapOutputRecord* out) const {
+  if (index_offsets_.empty()) return;
+  for (int64_t i = index_offsets_[t]; i < index_offsets_[t + 1]; ++i) {
+    *out++ = Resident(index_[i]);
+  }
 }
 
 Status MapEmitter::ForEach(
     const std::function<void(const MapOutputRecord&)>& fn) {
   if (!status_.ok()) return status_;
-  if (spill_file_.has_value()) {
-    MRTHETA_RETURN_IF_ERROR(spill_file_->Finish());
-    StatusOr<SpillFile::Reader> reader =
-        spill_file_->OpenReader(0, spill_file_->bytes_written());
-    if (!reader.ok()) return reader.status();
-    MapOutputRecord buffer[512];
-    for (;;) {
-      StatusOr<int64_t> got =
-          reader->Read(buffer, static_cast<int64_t>(sizeof(buffer)));
-      if (!got.ok()) return got.status();
-      if (*got == 0) break;
-      const int64_t count =
-          *got / static_cast<int64_t>(sizeof(MapOutputRecord));
-      for (int64_t i = 0; i < count; ++i) fn(buffer[i]);
-    }
+  if (spilled_records_ > 0) {
+    return Status::FailedPrecondition(
+        "ForEach over a map emitter that spilled");
   }
   for (size_t p = 0; p < pages_.size(); ++p) {
     const int64_t count =
@@ -221,6 +290,11 @@ void MapEmitter::Clear() {
   spill_dir_ = nullptr;
   spill_file_.reset();
   spilled_bytes_ = 0;
+  run_offsets_.clear();
+  index_ = {};
+  index_offsets_.clear();
+  index_charge_.Release();
+  task_records_.clear();
 }
 
 }  // namespace mrtheta

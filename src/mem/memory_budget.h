@@ -12,12 +12,13 @@
 
 namespace mrtheta {
 
-/// Registry name of ShuffleSpool's partition lock (src/mem/shuffle_spool.h).
-/// It lives here because MemoryBudget is the *enforcement* site of the
+/// Registry name for shuffle partition locks. No runtime lock takes it
+/// today: map tasks partition their own output, without a shared lock. It
+/// lives here because MemoryBudget is the *enforcement* site of the
 /// cross-subsystem lock-ordering contract: the page-pool lock (free_mu_)
-/// must never be acquired while a spool partition lock is held — spilling
-/// under the partition lock while the pool blocks on the same budget is
-/// the deadlock shape docs/STATIC_ANALYSIS.md describes. Static EXCLUDES
+/// must never be acquired while a partition lock is held — spilling under
+/// the partition lock while the pool blocks on the same budget is the
+/// deadlock shape docs/STATIC_ANALYSIS.md describes. Static EXCLUDES
 /// annotations cannot name another class's private mutex, so the runtime
 /// guard in AcquirePage/ReleasePage checks the thread-local held-lock
 /// registry by this name instead (tests/thread_safety_test.cc proves it).
@@ -28,11 +29,11 @@ inline constexpr char kSpoolPartitionLockName[] = "mem.spool_partition";
 ///
 /// Two kinds of usage are tracked against one shared ledger:
 ///  - fixed-size KV *pages* (AcquirePage/ReleasePage) backing MapEmitter
-///    and ShuffleSpool buffers; released pages are recycled through a
-///    small freelist, and a cached free page does not count as in use;
+///    buffers; released pages are recycled through a small freelist, and
+///    a cached free page does not count as in use;
 ///  - *charges* (Charge/Uncharge, or the ScopedCharge RAII) for tracked
-///    allocations that are not page-shaped, e.g. a reduce task's merged
-///    record vector.
+///    allocations that are not page-shaped, e.g. a map task's index by
+///    reduce task or a reduce task's gathered record vector.
 ///
 /// The budget never refuses memory — exceeding a limit is a *spill
 /// signal*, not an allocation failure, so the runtime always makes
@@ -70,7 +71,7 @@ class MemoryBudget {
   /// Hands out one kPageBytes page (recycled or freshly allocated) and
   /// charges it to the ledger. Only a real allocation failure errors
   /// (kResourceExhausted); being over limit does not. Must not be called
-  /// with a spool partition lock held (CHECK-enforced, see
+  /// with a shuffle partition lock held (CHECK-enforced, see
   /// kSpoolPartitionLockName above).
   StatusOr<PagePtr> AcquirePage() MRTHETA_EXCLUDES(free_mu_);
   /// Uncharges and recycles `page` (freelist-capped; excess pages free).

@@ -1,9 +1,10 @@
 #include "src/mem/spill.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <new>
@@ -71,10 +72,12 @@ StatusOr<std::string> SpillDirectory::NewFilePath() {
 SpillFile::SpillFile(SpillFile&& other) noexcept
     : path_(std::move(other.path_)),
       write_handle_(other.write_handle_),
+      read_fd_(other.read_fd_),
       bytes_written_(other.bytes_written_),
       finished_(other.finished_) {
   other.path_.clear();
   other.write_handle_ = nullptr;
+  other.read_fd_ = -1;
   other.bytes_written_ = 0;
   other.finished_ = false;
 }
@@ -89,6 +92,7 @@ SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
 
 SpillFile::~SpillFile() {
   if (write_handle_ != nullptr) std::fclose(write_handle_);
+  if (read_fd_ >= 0) ::close(read_fd_);
   if (!path_.empty()) {
     std::error_code ec;  // best-effort
     std::filesystem::remove(path_, ec);
@@ -135,63 +139,34 @@ Status SpillFile::Finish() {
     return Status::ResourceExhausted("failed to flush spill file '" + path_ +
                                      "' (disk full?)");
   }
+  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (read_fd_ < 0) {
+    return Status::Internal("failed to reopen spill file '" + path_ + "'");
+  }
   return Status::OK();
 }
 
-SpillFile::Reader::Reader(Reader&& other) noexcept
-    : handle_(other.handle_), remaining_(other.remaining_) {
-  other.handle_ = nullptr;
-  other.remaining_ = 0;
-}
-
-SpillFile::Reader& SpillFile::Reader::operator=(Reader&& other) noexcept {
-  if (this != &other) {
-    if (handle_ != nullptr) std::fclose(handle_);
-    handle_ = other.handle_;
-    remaining_ = other.remaining_;
-    other.handle_ = nullptr;
-    other.remaining_ = 0;
-  }
-  return *this;
-}
-
-SpillFile::Reader::~Reader() {
-  if (handle_ != nullptr) std::fclose(handle_);
-}
-
-StatusOr<int64_t> SpillFile::Reader::Read(void* out, int64_t bytes) {
-  if (handle_ == nullptr) {
-    return Status::Internal("spill reader is not open");
-  }
-  const int64_t want = std::min(bytes, remaining_);
-  if (want <= 0) return int64_t{0};
-  const size_t got = std::fread(out, 1, static_cast<size_t>(want), handle_);
-  if (got != static_cast<size_t>(want)) {
-    return Status::Internal("short read from spill file");
-  }
-  remaining_ -= want;
-  return want;
-}
-
-StatusOr<SpillFile::Reader> SpillFile::OpenReader(int64_t offset,
-                                                  int64_t length) const {
-  if (!finished_) {
+Status SpillFile::ReadAt(void* out, int64_t offset, int64_t bytes) const {
+  if (read_fd_ < 0) {
     return Status::Internal("spill file '" + path_ +
                             "' read before Finish()");
   }
-  if (offset < 0 || length < 0 || offset + length > bytes_written_) {
+  if (offset < 0 || bytes < 0 || offset > bytes_written_ - bytes) {
     return Status::Internal("spill read range out of bounds");
   }
-  Reader reader;
-  reader.handle_ = std::fopen(path_.c_str(), "rb");
-  if (reader.handle_ == nullptr) {
-    return Status::Internal("failed to reopen spill file '" + path_ + "'");
+  auto* dst = static_cast<unsigned char*>(out);
+  while (bytes > 0) {
+    const ssize_t got = ::pread(read_fd_, dst, static_cast<size_t>(bytes),
+                                static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) {
+      return Status::Internal("short read from spill file '" + path_ + "'");
+    }
+    dst += got;
+    offset += got;
+    bytes -= got;
   }
-  if (std::fseek(reader.handle_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::Internal("failed to seek spill file '" + path_ + "'");
-  }
-  reader.remaining_ = length;
-  return reader;
+  return Status::OK();
 }
 
 }  // namespace mrtheta

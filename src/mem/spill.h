@@ -43,9 +43,9 @@ class SpillDirectory {
 };
 
 /// \brief One append-then-read spill stream: raw bytes written
-/// sequentially, later read back by independent readers. The file is
-/// removed on destruction, so an abandoned attempt's spill disappears
-/// with its emitter.
+/// sequentially, then read back by position. The file is removed on
+/// destruction, so an abandoned attempt's spill disappears with its
+/// emitter.
 ///
 /// Record-agnostic by design (callers write POD record arrays as bytes),
 /// which keeps src/mem free of src/mapreduce types.
@@ -65,41 +65,21 @@ class SpillFile {
 
   /// Appends `bytes` raw bytes. Invalid after Finish().
   Status Append(const void* data, int64_t bytes);
-  /// Flushes and closes the write handle; readers opened after this see
-  /// every appended byte. Idempotent.
+  /// Flushes and closes the write handle, then opens the one read
+  /// descriptor every ReadAt() shares. Idempotent.
   Status Finish();
 
   int64_t bytes_written() const { return bytes_written_; }
   const std::string& path() const { return path_; }
 
-  /// Sequential reader over bytes [offset, offset + length) of a finished
-  /// stream. Each reader owns its own file handle, so concurrent readers
-  /// over disjoint (or identical) ranges are safe.
-  class Reader {
-   public:
-    Reader() = default;
-    Reader(Reader&& other) noexcept;
-    Reader& operator=(Reader&& other) noexcept;
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
-    ~Reader();
-
-    /// Reads exactly min(bytes, remaining) bytes into `out`; returns the
-    /// count (0 at end of range).
-    StatusOr<int64_t> Read(void* out, int64_t bytes);
-
-   private:
-    friend class SpillFile;
-    std::FILE* handle_ = nullptr;
-    int64_t remaining_ = 0;
-  };
-
-  /// Opens a reader over [offset, offset + length). Requires Finish().
-  StatusOr<Reader> OpenReader(int64_t offset, int64_t length) const;
+  /// Reads bytes [offset, offset + bytes) of a finished stream into `out`
+  /// with pread(2), so concurrent reads of one file need no lock.
+  Status ReadAt(void* out, int64_t offset, int64_t bytes) const;
 
  private:
   std::string path_;
   std::FILE* write_handle_ = nullptr;
+  int read_fd_ = -1;
   int64_t bytes_written_ = 0;
   bool finished_ = false;
 };

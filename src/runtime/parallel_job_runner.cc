@@ -9,7 +9,6 @@
 
 #include "src/common/thread_annotations.h"
 #include "src/mem/memory_budget.h"
-#include "src/mem/shuffle_spool.h"
 #include "src/obs/trace.h"
 
 namespace mrtheta {
@@ -28,8 +27,11 @@ struct MapSplit {
   int64_t begin = 0;
   int64_t end = 0;
 
-  // Committed map output of the split's winning attempt, in the split's
-  // row order; each record carries its emit-time reduce target.
+  // Committed map output of the split's winning attempt, indexed by
+  // reduce task (MapEmitter::Finish). Written once by the commit, then
+  // frozen: reduce tasks read it concurrently without a lock. It lives
+  // until the reduce phase ends, so a retried reduce attempt gathers the
+  // same records again.
   MapEmitter emitter;
 };
 
@@ -287,6 +289,44 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
   }
 }
 
+/// Copies reduce task `t`'s records from every split, in split order, into
+/// one exactly sized vector: emit order restricted to `t`. Within a split,
+/// its spilled runs come first, then its resident records — the order in
+/// which the split emitted them. Reads nothing destructively.
+StatusOr<std::vector<MapOutputRecord>> GatherTask(
+    const std::vector<MapSplit>& splits, int t) {
+  int64_t total = 0;
+  int64_t spilled = 0;
+  for (const MapSplit& split : splits) {
+    total += split.emitter.task_records()[t];
+    spilled += split.emitter.spilled_task_records(t);
+  }
+  std::vector<MapOutputRecord> records;
+  try {
+    records.resize(static_cast<size_t>(total));
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("gathering " + std::to_string(total) +
+                                     " records for reduce task " +
+                                     std::to_string(t) + " failed");
+  }
+  if (spilled > 0) {
+    TraceSpan span("spill-merge", "mem");
+    if (span.enabled()) span.Arg("records", spilled);
+    MapOutputRecord* out = records.data();
+    for (const MapSplit& split : splits) {
+      MRTHETA_RETURN_IF_ERROR(split.emitter.ReadSpilledTask(t, out));
+      out += split.emitter.task_records()[t];
+    }
+  }
+  MapOutputRecord* out = records.data();
+  for (const MapSplit& split : splits) {
+    split.emitter.CopyResidentTask(t,
+                                   out + split.emitter.spilled_task_records(t));
+    out += split.emitter.task_records()[t];
+  }
+  return records;
+}
+
 /// Deterministic job-level error: the lowest-index task's non-cancelled
 /// failure. Cancellations are consequences of some other failure, so they
 /// only surface when no task reported a real error (i.e. the cancellation
@@ -360,9 +400,9 @@ StatusOr<PhysicalJobResult> RunJobParallel(
         MapEmitter emitter;  // attempt-local until commit
         auto work = [&]() -> Status {
           // Fresh buffers per attempt; replacing the emitter also removes
-          // any spill file a previous failed attempt left behind. Reduce
-          // targets are computed at emit time — off the sequential merge
-          // path; partitioners are pure functions of (key, n).
+          // any spill file a previous failed attempt left behind.
+          // Partitioners are pure functions of (key, n), so each map task
+          // computes its records' reduce targets itself.
           emitter = MapEmitter();
           emitter.SetPartitioner(partition, n);
           if (spec.combine) emitter.set_combine(spec.combine);
@@ -381,7 +421,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
             spec.map(split.tag, rel, row, emitter);
             emitter.EndRow();  // combine + spill boundary
           }
-          const Status& s = emitter.status();
+          const Status s = emitter.Finish();  // index by reduce task
           if (!s.ok()) {
             return Status::WithCode(s.code(), "map emit failed in job '" +
                                                   spec.name +
@@ -405,67 +445,34 @@ StatusOr<PhysicalJobResult> RunJobParallel(
       return map_error;
     }
   }
-  for (MapSplit& split : splits) {
+  std::vector<ShuffleCounts> counts;
+  counts.reserve(splits.size());
+  for (const MapSplit& split : splits) {
     m.map_output_records_physical += split.emitter.size();
+    result.spill_bytes += split.emitter.spilled_bytes();
+    result.spill_files += split.emitter.spill_files();
+    counts.push_back({split.tag, split.emitter.task_records()});
   }
   if (ctx.Cancelled()) {  // external cancel between phases
     publish_report();
     return ctx.CancelledStatus(spec.name);
   }
 
-  // ---- Shuffle merge: sequential walk in split order ----
-  // Byte accounting uses floating-point accumulation, so this walk visits
-  // records in exactly the sequential runner's order; the per-record work
-  // (two additions, one push) is trivial next to map/reduce compute.
+  // ---- Shuffle: byte accounting only ----
+  // The map tasks partitioned their own output; what remains between the
+  // phases is replaying the simulator's byte sums from the per-split
+  // counts, in the sequential runner's addition order.
   TraceSpan shuffle_phase("shuffle-merge", "runtime");
   if (shuffle_phase.enabled()) shuffle_phase.Arg("job", spec.name);
-  ShuffleSpool spool(n, budgeted ? options.mem_budget_bytes : 0,
-                     budgeted ? options.spill_dir : nullptr);
-  std::vector<double> task_bytes(n, 0.0);
-  double map_out_bytes = 0.0;
-  for (MapSplit& split : splits) {
-    const double scale = spec.inputs[split.tag].scale;
-    result.spill_bytes += split.emitter.spilled_bytes();
-    result.spill_files += split.emitter.spill_files();
-    Status walk = split.emitter.ForEach([&](const MapOutputRecord& rec) {
-      const double scaled_bytes = static_cast<double>(rec.bytes) * scale;
-      task_bytes[rec.target] += scaled_bytes;
-      map_out_bytes += scaled_bytes;
-      spool.Append(rec.target, rec);
-    });
-    if (walk.ok() && !spool.status().ok()) walk = spool.status();
-    if (!walk.ok()) {
-      publish_report();
-      return Status::WithCode(walk.code(), "shuffle merge failed in job '" +
-                                               spec.name +
-                                               "': " + walk.message());
-    }
-    // The split's records are merged into the spool; release its buffers
-    // (and any spill file it made) eagerly.
-    split.emitter.Clear();
-  }
-  {
-    Status finish = spool.FinishWrites();
-    if (!finish.ok()) {
-      publish_report();
-      return finish;
-    }
-  }
-  result.spill_bytes += spool.spill_bytes();
-  result.spill_files += spool.spill_files();
-  m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
-  m.reduce_input_bytes_logical.resize(n);
-  for (int t = 0; t < n; ++t) {
-    m.reduce_input_bytes_logical[t] = static_cast<int64_t>(task_bytes[t]);
-  }
+  ReplayShuffleBytes(spec, counts, m);
   shuffle_phase.End();
 
   // ---- Reduce phase: restartable tasks, each with a private output ----
-  // RunReduceTask is the same sort+group+reduce loop the sequential runner
-  // uses — sharing it is what keeps the runners byte-identical.
-  // MaterializeTask is non-destructive, so a retried attempt reduces
-  // exactly the records the failed attempt saw; spilled tasks arrive
-  // pre-merged in (key, tag, row) order and skip the reduce-side sort.
+  // Each task gathers its partition from every split, then runs
+  // RunReduceTask — the same sort+group+reduce loop the sequential runner
+  // uses; sharing it is what keeps the runners byte-identical. The gather
+  // leaves the map output intact, so a retried attempt reduces exactly
+  // the records the failed attempt saw.
   m.reduce_comparisons_logical.assign(n, 0.0);
   const int width = spec.output_schema.num_columns();
   std::vector<ReduceCollector> task_outputs(n, ReduceCollector(width));
@@ -480,16 +487,14 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     ReduceCollector attempt_output(width);  // attempt-local until commit
     auto work = [&]() -> Status {
       attempt_output = ReduceCollector(width);
-      StatusOr<ShuffleSpool::MaterializedTask> input =
-          spool.MaterializeTask(static_cast<int>(t));
-      if (!input.ok()) return input.status();
-      // Account the materialized vector so concurrent reduce tasks show
-      // up in peak-memory tracking (it frees with the attempt).
-      ScopedCharge charge(
-          static_cast<int64_t>(input->records.capacity()) *
-          static_cast<int64_t>(sizeof(MapOutputRecord)));
-      StatusOr<double> c = RunReduceTask(spec, input->records,
-                                         attempt_output, input->sorted);
+      StatusOr<std::vector<MapOutputRecord>> records =
+          GatherTask(splits, static_cast<int>(t));
+      if (!records.ok()) return records.status();
+      // Account the gathered vector so concurrent reduce tasks show up in
+      // peak-memory tracking (it frees with the attempt).
+      ScopedCharge charge(static_cast<int64_t>(records->capacity()) *
+                          static_cast<int64_t>(sizeof(MapOutputRecord)));
+      StatusOr<double> c = RunReduceTask(spec, *records, attempt_output);
       if (!c.ok()) return c.status();
       comparisons = *c;
       return Status::OK();
@@ -497,7 +502,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     auto commit = [&]() {
       m.reduce_comparisons_logical[t] = comparisons;
       task_outputs[t] = std::move(attempt_output);
-      spool.ReleaseTask(static_cast<int>(t));
     };
     reduce_status[t] = RunRestartableTask(
         ctx, spec.name, FaultPoint::kReduceAlloc, FaultPoint::kReduceTask,

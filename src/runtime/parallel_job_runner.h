@@ -37,8 +37,8 @@ struct ParallelRunnerOptions {
   /// report feeds back into results or simulated metrics.
   FaultReport* fault_report = nullptr;
   /// Spill threshold (docs/MEMORY.md): once MemoryBudget::Global()'s
-  /// in-use bytes exceed this, map emitters flush full pages and the
-  /// shuffle spool writes sorted runs to `spill_dir`. <= 0 disables
+  /// in-use bytes exceed this, map emitters spill their output to
+  /// `spill_dir` in runs partitioned by reduce task. <= 0 disables
   /// spilling. The budget is a spill trigger, not a hard cap — outputs
   /// and simulated metrics are byte-identical at any setting.
   int64_t mem_budget_bytes = 0;
@@ -50,18 +50,19 @@ struct ParallelRunnerOptions {
 /// \brief Multi-threaded, deterministic executor for one MapReduceJobSpec.
 ///
 /// Mirrors the phases of RunJobPhysically (src/mapreduce/job_runner.cc) but
-/// fans them out over a ThreadPool:
+/// fans them out over a ThreadPool, shuffling the way the paper's cost
+/// model prices it:
 ///  - map tasks over contiguous input-row splits, each with a private
-///    MapEmitter, merged in (input, split) order — reproducing the exact
-///    record order of the sequential runner;
-///  - a hash-partitioned shuffle into per-reduce-task buckets (reduce
-///    targets computed at emit time by the map tasks; the merge walk itself
-///    is sequential so the floating-point byte accounting accumulates in
-///    the sequential runner's order). Under a memory budget the buckets
-///    live in a ShuffleSpool that spills sorted runs to disk and k-way
-///    merges them back per reduce task (docs/MEMORY.md);
-///  - reduce tasks running concurrently, each collecting into a private
-///    output relation; task outputs are concatenated in task order.
+///    MapEmitter that partitions its own output by reduce task (and, under
+///    a memory budget, spills it in runs partitioned the same way,
+///    docs/MEMORY.md);
+///  - between the phases, only the simulator's byte accounting, replayed
+///    from per-split record counts in the sequential runner's order
+///    (ReplayShuffleBytes);
+///  - reduce tasks running concurrently, each gathering its partition from
+///    every split in (input, split) order — the sequential runner's record
+///    order restricted to the task — and collecting into a private output;
+///    task outputs are concatenated in task order.
 ///
 /// Fault tolerance: with `options.injector` set, map splits and reduce
 /// partitions become restartable units — each attempt works into fresh

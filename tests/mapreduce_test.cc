@@ -3,6 +3,7 @@
 // bounded-memory emit/spill machinery (docs/MEMORY.md).
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,7 +11,6 @@
 #include "src/mapreduce/load_model.h"
 #include "src/mapreduce/sim_cluster.h"
 #include "src/mem/memory_budget.h"
-#include "src/mem/shuffle_spool.h"
 #include "src/mem/spill.h"
 
 namespace mrtheta {
@@ -28,12 +28,12 @@ RelationPtr MakeInts(int64_t rows, int64_t logical_rows = 0) {
 MapReduceJobSpec CountJob(RelationPtr rel, int reducers) {
   MapReduceJobSpec spec;
   spec.name = "count";
-  spec.inputs.push_back({rel, 1.0});
+  spec.inputs.push_back({rel, 1.0, /*record_bytes=*/16});
   spec.num_reduce_tasks = reducers;
   spec.output_schema = Schema({{"key", ValueType::kInt64},
                                {"count", ValueType::kInt64}});
   spec.map = [](int tag, const Relation& r, int64_t row, MapEmitter& out) {
-    out.Emit(r.GetInt(row, 0), tag, row, row, 16);
+    out.Emit(r.GetInt(row, 0), tag, row, row);
   };
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
     const int64_t row[] = {ctx.key,
@@ -171,7 +171,7 @@ TEST(MapEmitterTest, PagedEmitRoundTripsInOrderAcrossPages) {
   emitter.SetPartitioner(HashPartition, 8);
   const int64_t n = 3 * MapEmitter::kRecordsPerPage + 7;
   for (int64_t i = 0; i < n; ++i) {
-    emitter.Emit(i, static_cast<int32_t>(i % 3), i * 2, i * 3, 16);
+    emitter.Emit(i, static_cast<int32_t>(i % 3), i * 2, i * 3);
     emitter.EndRow();
   }
   ASSERT_TRUE(emitter.status().ok()) << emitter.status().ToString();
@@ -193,59 +193,121 @@ TEST(MapEmitterTest, PagedEmitRoundTripsInOrderAcrossPages) {
 TEST(MapEmitterTest, ReserveFailureLatchesResourceExhausted) {
   MapEmitter emitter;
   emitter.SetPartitioner(HashPartition, 4);
-  emitter.Emit(1, 0, 0, 0, 16);
+  emitter.Emit(1, 0, 0, 0);
   // An absurd reservation must latch kResourceExhausted, not abort.
   emitter.Reserve(static_cast<size_t>(int64_t{1} << 60));
   EXPECT_EQ(emitter.status().code(), StatusCode::kResourceExhausted)
       << emitter.status().ToString();
   // Latched: later emits are dropped, the first error survives.
-  emitter.Emit(2, 0, 0, 0, 16);
+  emitter.Emit(2, 0, 0, 0);
   EXPECT_EQ(emitter.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(MapEmitterTest, SpilledEmitterStreamsIdenticallyToInMemory) {
-  // The same emit sequence through an unbudgeted emitter and through one
-  // spilling under a 1-byte limit must stream back identically.
-  MapEmitter plain;
-  plain.SetPartitioner(HashPartition, 4);
-  SpillDirectory dir;
-  MapEmitter spilling;
-  spilling.SetPartitioner(HashPartition, 4);
-  spilling.EnableSpill(1, &dir);
+TEST(MapEmitterTest, SpilledEmitterYieldsEachTaskInEmitOrder) {
+  // One emit sequence through three emitters: unbudgeted; spilling under
+  // a 1-byte limit (a run per filled page, then the tail as a final run
+  // at Finish); and spilling under a 3-page limit, which spills its three
+  // full pages as a run when the fourth is taken but ends with one page,
+  // within the half of the limit Finish allows, so its partial page stays
+  // resident. Each must yield every reduce task's records in emit order,
+  // with its runs and its resident index holding each record once.
+  constexpr int kTasks = 5;
   const int64_t rows = 4000;
+  std::vector<std::vector<MapOutputRecord>> expected(kTasks);
   for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t e = 0; e < 2; ++e) {
-      plain.Emit(r % 97, static_cast<int32_t>(e), r, r, 16);
-      spilling.Emit(r % 97, static_cast<int32_t>(e), r, r, 16);
+    for (int32_t e = 0; e < 2; ++e) {
+      MapOutputRecord rec;
+      rec.key = r % 97;
+      rec.tag = e;
+      rec.target = HashPartition(rec.key, kTasks);
+      rec.row = r;
+      rec.rec_id = r;
+      expected[rec.target].push_back(rec);
     }
-    plain.EndRow();
-    spilling.EndRow();
   }
-  ASSERT_TRUE(plain.status().ok());
-  ASSERT_TRUE(spilling.status().ok()) << spilling.status().ToString();
-  EXPECT_GT(spilling.spilled_bytes(), 0);
-  EXPECT_EQ(spilling.spill_files(), 1);
-  EXPECT_EQ(spilling.size(), plain.size());
-  std::vector<MapOutputRecord> a, b;
-  ASSERT_TRUE(plain.ForEach([&](const MapOutputRecord& r) {
-    a.push_back(r);
-  }).ok());
-  ASSERT_TRUE(spilling.ForEach([&](const MapOutputRecord& r) {
-    b.push_back(r);
-  }).ok());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].key, b[i].key) << i;
-    ASSERT_EQ(a[i].tag, b[i].tag) << i;
-    ASSERT_EQ(a[i].target, b[i].target) << i;
-    ASSERT_EQ(a[i].row, b[i].row) << i;
-    ASSERT_EQ(a[i].rec_id, b[i].rec_id) << i;
-    ASSERT_EQ(a[i].bytes, b[i].bytes) << i;
+  auto emit_all = [&](MapEmitter& emitter) {
+    emitter.SetPartitioner(HashPartition, kTasks);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int32_t e = 0; e < 2; ++e) emitter.Emit(r % 97, e, r, r);
+      emitter.EndRow();
+    }
+    return emitter.Finish();
+  };
+  SpillDirectory dir;
+  // Built first, while nothing else holds budget memory.
+  ASSERT_EQ(MemoryBudget::Global().in_use_bytes(), 0);
+  MapEmitter mixed;
+  mixed.EnableSpill(3 * MemoryBudget::kPageBytes, &dir);
+  ASSERT_TRUE(emit_all(mixed).ok()) << mixed.status().ToString();
+  MapEmitter spilling;
+  spilling.EnableSpill(1, &dir);
+  ASSERT_TRUE(emit_all(spilling).ok()) << spilling.status().ToString();
+  MapEmitter plain;
+  ASSERT_TRUE(emit_all(plain).ok());
+
+  const int64_t record_bytes = sizeof(MapOutputRecord);
+  EXPECT_EQ(plain.spilled_bytes(), 0);
+  EXPECT_EQ(spilling.spilled_bytes(), spilling.size() * record_bytes);
+  EXPECT_GT(mixed.spilled_bytes(), 0);
+  EXPECT_LT(mixed.spilled_bytes(), mixed.size() * record_bytes);
+  auto same = [](const MapOutputRecord& a, const MapOutputRecord& b) {
+    return a.key == b.key && a.tag == b.tag && a.target == b.target &&
+           a.row == b.row && a.rec_id == b.rec_id;
+  };
+  for (const MapEmitter* emitter : {&plain, &spilling, &mixed}) {
+    EXPECT_EQ(emitter->size(), 2 * rows);
+    int64_t spilled = 0;
+    for (int t = 0; t < kTasks; ++t) {
+      const size_t n = expected[t].size();
+      ASSERT_EQ(emitter->task_records()[t], static_cast<int64_t>(n)) << t;
+      // Read twice: a retried reduce attempt gathers the same records.
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<MapOutputRecord> got(n);
+        ASSERT_TRUE(emitter->ReadSpilledTask(t, got.data()).ok());
+        emitter->CopyResidentTask(
+            t, got.data() + emitter->spilled_task_records(t));
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(same(got[i], expected[t][i]))
+              << "spilled " << emitter->spilled_bytes() << " task " << t
+              << " i " << i;
+        }
+      }
+      spilled += emitter->spilled_task_records(t);
+    }
+    EXPECT_EQ(spilled * record_bytes, emitter->spilled_bytes());
   }
   // Clear removes the spill file and resets the emitter.
   spilling.Clear();
   EXPECT_EQ(spilling.size(), 0);
   EXPECT_EQ(spilling.spilled_bytes(), 0);
+  EXPECT_EQ(spilling.spill_files(), 0);
+}
+
+TEST(MapEmitterTest, FinishKeepsResidentOutputWithinHalfTheBudget) {
+  // Resident output lives until the reduce phase ends, so Finish keeps it
+  // only while at most half the budget is in use. Above that the whole
+  // tail spills as one run, although the budget itself was never crossed.
+  ASSERT_EQ(MemoryBudget::Global().in_use_bytes(), 0);
+  SpillDirectory dir;
+  auto finish = [&dir](int64_t records) {
+    MapEmitter emitter;
+    emitter.SetPartitioner(HashPartition, 3);
+    emitter.EnableSpill(4 * MemoryBudget::kPageBytes, &dir);
+    for (int64_t r = 0; r < records; ++r) {
+      emitter.Emit(r, 0, r, r);
+      emitter.EndRow();
+    }
+    EXPECT_TRUE(emitter.Finish().ok()) << emitter.status().ToString();
+    return std::pair<int64_t, int64_t>(emitter.spilled_bytes(),
+                                       emitter.spill_files());
+  };
+  const int64_t page = MapEmitter::kRecordsPerPage;
+  // Two pages in use: exactly half the limit, so the records stay.
+  EXPECT_EQ(finish(page * 3 / 2), std::make_pair(int64_t{0}, int64_t{0}));
+  // Three pages: over half, so all of them spill.
+  const int64_t spilled =
+      page * 5 / 2 * static_cast<int64_t>(sizeof(MapOutputRecord));
+  EXPECT_EQ(finish(page * 5 / 2), std::make_pair(spilled, int64_t{1}));
 }
 
 TEST(CombinerTest, DedupCombinerDropsDuplicatesWithinARow) {
@@ -254,17 +316,17 @@ TEST(CombinerTest, DedupCombinerDropsDuplicatesWithinARow) {
   emitter.set_combine(MakeDedupCombiner());
   // Row 0: 3 distinct records each emitted twice -> 3 survive.
   for (int rep = 0; rep < 2; ++rep) {
-    for (int64_t k = 0; k < 3; ++k) emitter.Emit(k, 0, 7, 7, 16);
+    for (int64_t k = 0; k < 3; ++k) emitter.Emit(k, 0, 7, 7);
   }
   emitter.EndRow();
   EXPECT_EQ(emitter.size(), 3);
   // Row 1: all distinct -> no-op.
-  for (int64_t k = 0; k < 4; ++k) emitter.Emit(k, 1, 8, 8, 16);
+  for (int64_t k = 0; k < 4; ++k) emitter.Emit(k, 1, 8, 8);
   emitter.EndRow();
   EXPECT_EQ(emitter.size(), 7);
   // Duplicates across *different* rows are preserved: the row boundary is
   // the combine scope (the thread-count-invariant unit).
-  emitter.Emit(0, 0, 7, 7, 16);
+  emitter.Emit(0, 0, 7, 7);
   emitter.EndRow();
   EXPECT_EQ(emitter.size(), 8);
 }
@@ -294,8 +356,8 @@ TEST(CombinerTest, CombinedJobKeepsExactResults) {
   // job's.
   MapReduceJobSpec doubled = CountJob(MakeInts(1000), 4);
   doubled.map = [](int tag, const Relation& r, int64_t row, MapEmitter& out) {
-    out.Emit(r.GetInt(row, 0), tag, row, row, 16);
-    out.Emit(r.GetInt(row, 0), tag, row, row, 16);
+    out.Emit(r.GetInt(row, 0), tag, row, row);
+    out.Emit(r.GetInt(row, 0), tag, row, row);
   };
   doubled.combine = MakeDedupCombiner();
   const auto deduped = RunJobPhysically(doubled);
@@ -307,51 +369,6 @@ TEST(CombinerTest, CombinedJobKeepsExactResults) {
     EXPECT_EQ(deduped->output->GetInt(r, 1),
               reference->output->GetInt(r, 1));
   }
-}
-
-TEST(ShuffleSpoolTest, SpilledRunsMergeBackSorted) {
-  // Push enough records through a 2-task spool under a 1-byte limit that
-  // several sorted runs hit the shared spill file, then materialize: every
-  // record comes back, sorted by (key, tag, row), twice in a row (the
-  // chaos-retry path re-materializes).
-  ScopedMemoryBudget tiny(1);
-  SpillDirectory dir;
-  ShuffleSpool spool(2, 1, &dir);
-  const int64_t n = 20000;
-  for (int64_t i = 0; i < n; ++i) {
-    MapOutputRecord rec;
-    rec.key = (i * 2654435761u) % 1000;
-    rec.tag = static_cast<int32_t>(i % 2);
-    rec.target = static_cast<int32_t>(i % 2);
-    rec.row = i;
-    rec.rec_id = i;
-    rec.bytes = 16;
-    spool.Append(rec.target, rec);
-  }
-  ASSERT_TRUE(spool.status().ok()) << spool.status().ToString();
-  ASSERT_TRUE(spool.FinishWrites().ok());
-  EXPECT_GT(spool.spill_bytes(), 0);
-  EXPECT_EQ(spool.spill_files(), 1);
-  int64_t total = 0;
-  for (int task = 0; task < 2; ++task) {
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto got = spool.MaterializeTask(task);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ASSERT_TRUE(got->sorted);
-      for (size_t i = 0; i + 1 < got->records.size(); ++i) {
-        const MapOutputRecord& a = got->records[i];
-        const MapOutputRecord& b = got->records[i + 1];
-        const bool le = a.key < b.key ||
-                        (a.key == b.key &&
-                         (a.tag < b.tag ||
-                          (a.tag == b.tag && a.row <= b.row)));
-        ASSERT_TRUE(le) << "task " << task << " index " << i;
-      }
-      if (pass == 0) total += static_cast<int64_t>(got->records.size());
-    }
-    spool.ReleaseTask(task);
-  }
-  EXPECT_EQ(total, n);
 }
 
 // ---- Discrete-event engine ----

@@ -192,7 +192,7 @@ TEST(DagSchedulerTest, RejectsCyclesAndBadDeps) {
 // ---- ParallelJobRunner differential suite ----
 
 RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
-                    uint64_t seed) {
+                    uint64_t seed, int64_t logical_rows = 0) {
   auto rel = std::make_shared<Relation>(
       name, Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
   Rng rng(seed);
@@ -200,6 +200,7 @@ RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
     rel->AppendIntRow({static_cast<int64_t>(rng.Uniform(key_range)),
                        static_cast<int64_t>(rng.Uniform(10))});
   }
+  if (logical_rows > 0) rel->set_logical_rows(logical_rows);
   return rel;
 }
 
@@ -410,9 +411,9 @@ TEST(ParallelRunnerDifferentialTest, MergeJoin) {
 
 // ---- Bounded-memory spill differential (docs/MEMORY.md) ----
 
-// A job big enough that a tight budget *must* spill — both in the map
-// emitters (full pages) and in the shuffle spool (sorted runs) — so the
-// differential is not vacuously in-memory.
+// A job big enough that a tight budget *must* spill — every map task ends
+// over budget and spills its output as runs partitioned by reduce task —
+// so the differential is not vacuously in-memory.
 MapReduceJobSpec LargeEquiJoinSpec() {
   RelationPtr a = MakeRel("a", 3000, 40, 2400);
   RelationPtr b = MakeRel("b", 3000, 40, 2401);
@@ -466,14 +467,14 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
   for (int64_t i = 0; i < 4000; ++i) rel->AppendIntRow({i % 64, i});
   MapReduceJobSpec spec;
   spec.name = "dup-count";
-  spec.inputs.push_back({rel, 1.0});
+  spec.inputs.push_back({rel, 1.0, /*record_bytes=*/16});
   spec.num_reduce_tasks = 4;
   spec.output_schema =
       Schema({{"key", ValueType::kInt64}, {"count", ValueType::kInt64}});
   spec.map = [](int tag, const Relation& r, int64_t row, MapEmitter& out) {
     // Three identical emissions per row; the combiner keeps one.
     for (int rep = 0; rep < 3; ++rep) {
-      out.Emit(r.GetInt(row, 0), tag, row, row, 16);
+      out.Emit(r.GetInt(row, 0), tag, row, row);
     }
   };
   spec.combine = MakeDedupCombiner();
@@ -498,6 +499,53 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
         << "threads=" << threads;
     EXPECT_TRUE(IdenticalMetrics(reference->metrics, result->metrics))
         << "threads=" << threads;
+  }
+}
+
+TEST(SpillDifferentialTest, ByteAccountingMatchesAtNonIntegerScales) {
+  // Scales near 1e11 make each record's charge (width * scale) a double
+  // whose sums round differently under any other grouping or order of the
+  // additions; with logical_rows == num_rows every order gives the same
+  // sums. Split shape, thread count and budget must not move a bit.
+  RelationPtr a = MakeRel("a", 3000, 40, 2500, 300000000000007);
+  RelationPtr b = MakeRel("b", 3000, 40, 2501, 200000000000011);
+  PairwiseJoinJobSpec spec;
+  spec.left = JoinSide::ForBase(a, 0);
+  spec.right = JoinSide::ForBase(b, 1);
+  spec.base_relations = {a, b};
+  spec.conditions = {{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0}};
+  spec.num_reduce_tasks = 7;
+  const auto job = BuildEquiJoinJob(spec);
+  ASSERT_TRUE(job.ok());
+  const auto reference = RunJobPhysically(*job);
+  ASSERT_TRUE(reference.ok());
+  // The per-record sums. Folding each task's count into one product reads
+  // 10000000000000360 map output bytes instead.
+  EXPECT_EQ(reference->metrics.map_output_bytes_logical, 9999999999999760);
+  EXPECT_EQ(reference->metrics.reduce_input_bytes_logical,
+            (std::vector<int64_t>{1480000000000066, 269333333333342,
+                                  2030666666666780, 1770000000000097,
+                                  1713333333333423, 1318666666666716,
+                                  1418000000000059}));
+  SpillDirectory spill_dir;
+  for (int64_t min_split_rows : {1, 16, 100000}) {
+    for (int threads : {1, 4}) {
+      for (int64_t budget : {int64_t{0}, int64_t{1}}) {
+        ThreadPool pool(threads);
+        ParallelRunnerOptions options;
+        options.min_split_rows = min_split_rows;
+        options.mem_budget_bytes = budget;
+        options.spill_dir = budget > 0 ? &spill_dir : nullptr;
+        const auto result = RunJobParallel(*job, pool, options);
+        const std::string at = "min_split_rows=" +
+                               std::to_string(min_split_rows) +
+                               " threads=" + std::to_string(threads) +
+                               " budget=" + std::to_string(budget);
+        ASSERT_TRUE(result.ok()) << at << ": " << result.status().ToString();
+        EXPECT_TRUE(IdenticalMetrics(reference->metrics, result->metrics))
+            << at;
+      }
+    }
   }
 }
 

@@ -113,10 +113,10 @@ TEST(CondVarTest, WaitReleasesAndReacquires) {
 // --- Cross-subsystem lock-ordering guard (satellite 6) ------------------
 //
 // MemoryBudget's page pool is a lock-hierarchy leaf: AcquirePage and
-// ReleasePage must never run while a shuffle-spool partition lock is
-// held (spill inside a partition critical section could wait on the pool
-// while a page holder waits on the partition — the classic inversion).
-// The static MRTHETA_EXCLUDES(free_mu_) cannot see the spool's private
+// ReleasePage must never run while a shuffle partition lock is held
+// (spill inside a partition critical section could wait on the pool while
+// a page holder waits on the partition — the classic inversion). The
+// static MRTHETA_EXCLUDES(free_mu_) cannot see another class's private
 // mutex, so the contract is enforced at runtime through the named
 // registry. These tests pin both sides of that guard.
 
@@ -135,8 +135,8 @@ TEST(LockOrderTest, PagePoolWorksUnderUnrelatedLocks) {
 }
 
 TEST(LockOrderDeathTest, AcquirePageUnderSpoolPartitionLockAborts) {
-  // Any mutex carrying the spool partition name is in the ordering class
-  // — this is exactly how ShuffleSpool's partition_mu_ registers itself.
+  // Any mutex carrying the partition lock name is in the ordering class,
+  // whichever class owns it.
   Mutex spool_like(kSpoolPartitionLockName);
   MutexLock lock(&spool_like);
   EXPECT_DEATH(
