@@ -363,9 +363,13 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
       static_cast<double>(last.output->logical_rows()) / cross;
 
   if (!query.outputs().empty()) {
+    TraceSpan project_span("project", "executor");
+    if (project_span.enabled()) {
+      project_span.Arg("rows", last.output->num_rows());
+    }
     StatusOr<Relation> projected =
         ProjectResult(*last.output, last.covered_bases, query.relations(),
-                      query.outputs());
+                      query.outputs(), &pool);
     if (!projected.ok()) return projected.status();
     result.projected = std::make_shared<Relation>(*std::move(projected));
   }

@@ -516,9 +516,8 @@ class ComponentJoiner {
     for (int d = 0; d < dims; ++d) {
       coords[d] = slices_[state_.dim_representative[d]];
     }
-    const uint64_t idx =
-        state_.curve.Encode(std::span<const uint32_t>(coords, dims));
-    return state_.coverage->SegmentOfIndex(idx) ==
+    return state_.coverage->SegmentOfCell(
+               std::span<const uint32_t>(coords, dims)) ==
            static_cast<int>(ctx_.key);
   }
 

@@ -12,6 +12,8 @@
 
 namespace mrtheta {
 
+class ThreadPool;
+
 // RequiredColumns / PrunedRowBytes / FindRequired — the column-pruning
 // payload descriptors the builders consume — live in relation/schema.h so
 // the plan layer can name them without depending on the exec layer.
@@ -128,6 +130,11 @@ std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
 /// Projects an intermediate result to output columns: for each
 /// (base, column) pair, emits the referenced base value. The intermediate
 /// must cover every requested base.
+///
+/// Every output column is reserved on the calling thread, as
+/// FinishJobOutput does, and one task per column gathers it through its
+/// rid column: on `pool` when given, inline when null, with identical
+/// results.
 struct OutputColumn {
   int base = 0;
   int column = 0;
@@ -135,7 +142,7 @@ struct OutputColumn {
 StatusOr<Relation> ProjectResult(
     const Relation& intermediate, const std::vector<int>& covered_bases,
     const std::vector<RelationPtr>& base_relations,
-    const std::vector<OutputColumn>& outputs);
+    const std::vector<OutputColumn>& outputs, ThreadPool* pool);
 
 /// Physical and extrapolated-logical distinct counts of a column: a column
 /// whose sample is nearly all-distinct is key-like, so its logical distinct

@@ -131,11 +131,19 @@ StatusOr<SegmentCoverage> SegmentCoverage::Build(const HilbertCurve& curve,
       num_segments, std::vector<std::vector<bool>>(
                         dims, std::vector<bool>(side, false)));
 
+  // Decode is Encode's inverse, so the table answers exactly what
+  // SegmentOfIndex(Encode(coords)) would.
+  cov.cell_segment_.resize(cov.num_cells_);
   std::vector<uint32_t> coords(dims);
   for (uint64_t idx = 0; idx < cov.num_cells_; ++idx) {
     const int seg = cov.SegmentOfIndex(idx);
     curve.Decode(idx, coords);
-    for (int d = 0; d < dims; ++d) seen[seg][d][coords[d]] = true;
+    uint64_t cell = 0;
+    for (int d = 0; d < dims; ++d) {
+      seen[seg][d][coords[d]] = true;
+      cell = cell * side + coords[d];
+    }
+    cov.cell_segment_[cell] = seg;
   }
 
   cov.slice_segments_.assign(

@@ -56,10 +56,14 @@ class HilbertCurve {
 /// the segment touches. A tuple of relation i that falls into slice s along
 /// dimension i must be replicated to every segment whose dimension-i coverage
 /// contains s — this is exactly Cnt(t, C) from Eq. (7).
+///
+/// It also records which segment owns each cell, in a row-major table of
+/// one int32 per cell (1 MiB at 2^18 cells), so reducers resolve a
+/// combination's owner with one lookup instead of re-encoding the curve.
 class SegmentCoverage {
  public:
-  /// Walks the whole curve once (O(num_cells · dims)) and builds coverage.
-  /// `num_segments` in [1, num_cells].
+  /// Walks the whole curve once (O(num_cells · dims)) and builds coverage
+  /// and the cell table. `num_segments` in [1, num_cells].
   static StatusOr<SegmentCoverage> Build(const HilbertCurve& curve,
                                          int num_segments);
 
@@ -79,8 +83,22 @@ class SegmentCoverage {
   }
 
   /// Segment owning curve position `index` (segments are balanced contiguous
-  /// ranges; used by reducers for duplicate-free result ownership).
+  /// ranges).
   int SegmentOfIndex(uint64_t index) const;
+
+  /// Segment owning the cell at `coords` (coords.size() == dims, each
+  /// < side()): SegmentOfIndex(curve.Encode(coords)), read from the table
+  /// Build filled while decoding every cell. Reducers use it for
+  /// duplicate-free result ownership.
+  int SegmentOfCell(std::span<const uint32_t> coords) const {
+    MRTHETA_DCHECK(static_cast<int>(coords.size()) == dims_);
+    uint64_t cell = 0;
+    for (int d = 0; d < dims_; ++d) {
+      MRTHETA_DCHECK(coords[d] < side_);
+      cell = cell * side_ + coords[d];
+    }
+    return cell_segment_[cell];
+  }
 
   /// First curve position of segment `seg`.
   uint64_t SegmentBegin(int seg) const;
@@ -110,6 +128,9 @@ class SegmentCoverage {
   std::vector<std::vector<std::vector<int>>> slice_segments_;
   // coverage_count_[seg][dim] -> #distinct slices touched.
   std::vector<std::vector<int>> coverage_count_;
+  // cell_segment_[row-major cell] -> owning segment (dimension 0 most
+  // significant).
+  std::vector<int32_t> cell_segment_;
 };
 
 /// Picks a grid order for partitioning a `dims`-dimensional cube into

@@ -10,6 +10,8 @@
 
 namespace mrtheta {
 
+class ThreadPool;
+
 /// Result of physically executing a job: the exact output relation (with
 /// logical cardinality attached) plus the measurements the simulator needs.
 /// `spill_bytes`/`spill_files` count shuffle bytes/files spilled to disk
@@ -81,9 +83,15 @@ Status ValidateJobSpec(const MapReduceJobSpec& spec);
 /// in task order into exactly sized columns, each task column freed as
 /// soon as it is appended, and adopted in one Relation build (one
 /// generation).
+///
+/// Every column is reserved on the calling thread, so the large blocks
+/// come from its malloc arena, not a pool worker's (docs/MEMORY.md,
+/// "Reducer output path"). One task per column then fills it: on `pool`
+/// when given, inline when null. The bytes and their order do not depend
+/// on which.
 Status FinishJobOutput(const MapReduceJobSpec& spec,
                        std::vector<ReduceCollector>& tasks,
-                       PhysicalJobResult& result);
+                       PhysicalJobResult& result, ThreadPool* pool);
 
 }  // namespace mrtheta
 

@@ -520,7 +520,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   }
 
   // Task outputs join in task order, as in the sequential runner.
-  Status finish = FinishJobOutput(spec, task_outputs, result);
+  Status finish = FinishJobOutput(spec, task_outputs, result, &pool);
   publish_report();
   if (!finish.ok()) return finish;
   return result;

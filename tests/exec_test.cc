@@ -137,7 +137,7 @@ TEST(ProjectResultTest, ResolvesBaseValues) {
   inter->AppendIntRow({3});
   inter->AppendIntRow({1});
   const auto projected =
-      ProjectResult(*inter, {0}, {base}, {{0, 0}, {0, 1}});
+      ProjectResult(*inter, {0}, {base}, {{0, 0}, {0, 1}}, nullptr);
   ASSERT_TRUE(projected.ok());
   EXPECT_EQ(projected->num_rows(), 2);
   EXPECT_EQ(projected->GetInt(0, 0), base->GetInt(3, 0));
@@ -148,7 +148,79 @@ TEST(ProjectResultTest, RejectsUncoveredBase) {
   RelationPtr base = MakeRel("b", 5, 100, 7);
   auto inter = std::make_shared<Relation>(
       "i", Schema({{"rid_0", ValueType::kInt64}}));
-  EXPECT_FALSE(ProjectResult(*inter, {0}, {base}, {{1, 0}}).ok());
+  EXPECT_FALSE(ProjectResult(*inter, {0}, {base}, {{1, 0}}, nullptr).ok());
+}
+
+// Column `c` of `a` and `b`: both stored as T, with equal cells in order.
+template <typename T>
+bool SameColumn(const Relation& a, const Relation& b, int c) {
+  const std::vector<T>* x = a.TryColumn<T>(c);
+  const std::vector<T>* y = b.TryColumn<T>(c);
+  return x != nullptr && y != nullptr && *x == *y;
+}
+
+TEST(ProjectResultTest, PooledGatherMatchesInline) {
+  // Two bases with a column of each type; the intermediate's rid columns
+  // cover both, in the order {1, 0}.
+  std::vector<RelationPtr> bases;
+  Rng rng(23);
+  for (const char* name : {"b0", "b1"}) {
+    auto base = std::make_shared<Relation>(
+        name, Schema({{"i", ValueType::kInt64},
+                      {"d", ValueType::kDouble},
+                      {"s", ValueType::kString}}));
+    for (int64_t r = 0; r < 40; ++r) {
+      ASSERT_TRUE(base->AppendRow(
+                          {Value(static_cast<int64_t>(rng.Uniform(1000))),
+                           Value(rng.UniformDouble()),
+                           Value(std::string(rng.Uniform(40), 'a' + r % 26))})
+                      .ok());
+    }
+    bases.push_back(base);
+  }
+  const std::vector<OutputColumn> outputs = {
+      {0, 2}, {1, 0}, {0, 1}, {1, 2}, {0, 0}, {1, 1}};
+  ThreadPool pool(4);
+  for (const int64_t rows : {int64_t{0}, int64_t{1000}}) {
+    auto inter = std::make_shared<Relation>(
+        "i", Schema({{"rid_1", ValueType::kInt64},
+                     {"rid_0", ValueType::kInt64}}));
+    for (int64_t r = 0; r < rows; ++r) {
+      inter->AppendIntRow({static_cast<int64_t>(rng.Uniform(40)),
+                           static_cast<int64_t>(rng.Uniform(40))});
+    }
+    const auto inline_result =
+        ProjectResult(*inter, {1, 0}, bases, outputs, nullptr);
+    const auto pooled = ProjectResult(*inter, {1, 0}, bases, outputs, &pool);
+    ASSERT_TRUE(inline_result.ok());
+    ASSERT_TRUE(pooled.ok());
+    ASSERT_EQ(pooled->num_rows(), rows);
+    ASSERT_EQ(inline_result->num_rows(), rows);
+    for (int c = 0; c < static_cast<int>(outputs.size()); ++c) {
+      const OutputColumn& out = outputs[c];
+      const ColumnDef& def = bases[out.base]->schema().column(out.column);
+      EXPECT_EQ(pooled->schema().column(c).name,
+                inline_result->schema().column(c).name);
+      EXPECT_EQ(pooled->schema().column(c).type, def.type);
+      switch (def.type) {
+        case ValueType::kInt64:
+          EXPECT_TRUE(SameColumn<int64_t>(*pooled, *inline_result, c));
+          break;
+        case ValueType::kDouble:
+          EXPECT_TRUE(SameColumn<double>(*pooled, *inline_result, c));
+          break;
+        case ValueType::kString:
+          EXPECT_TRUE(SameColumn<std::string>(*pooled, *inline_result, c));
+          break;
+      }
+      const int rid_col = out.base == 1 ? 0 : 1;
+      for (int64_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(pooled->Get(r, c),
+                  bases[out.base]->Get(inter->GetInt(r, rid_col), out.column))
+            << "row " << r << ", column " << c;
+      }
+    }
+  }
 }
 
 // ---- Hilbert multi-way join: parameterized oracle checks ----

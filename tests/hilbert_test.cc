@@ -77,6 +77,27 @@ TEST_P(HilbertPropertyTest, ConsecutiveCellsAreGridNeighbours) {
   }
 }
 
+TEST_P(HilbertPropertyTest, SegmentOfCellMatchesEncode) {
+  const auto [dims, order] = GetParam();
+  const HilbertCurve c = *HilbertCurve::Create(dims, order);
+  std::vector<uint32_t> coords(dims);
+  for (const uint64_t k : {uint64_t{1}, uint64_t{7}, c.num_cells()}) {
+    const SegmentCoverage cov =
+        *SegmentCoverage::Build(c, static_cast<int>(k));
+    // Cells in row-major order, independent of the table's own walk.
+    for (uint64_t cell = 0; cell < c.num_cells(); ++cell) {
+      uint64_t rest = cell;
+      for (int d = dims - 1; d >= 0; --d) {
+        coords[d] = static_cast<uint32_t>(rest % c.side());
+        rest /= c.side();
+      }
+      ASSERT_EQ(cov.SegmentOfCell(coords),
+                cov.SegmentOfIndex(c.Encode(coords)))
+          << "segments " << k << ", row-major cell " << cell;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     DimsOrders, HilbertPropertyTest,
     ::testing::Values(CurveParam{1, 6}, CurveParam{2, 3}, CurveParam{2, 5},

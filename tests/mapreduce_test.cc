@@ -12,6 +12,7 @@
 #include "src/mapreduce/sim_cluster.h"
 #include "src/mem/memory_budget.h"
 #include "src/mem/spill.h"
+#include "src/runtime/thread_pool.h"
 
 namespace mrtheta {
 namespace {
@@ -117,6 +118,56 @@ TEST(JobRunnerTest, CustomPartitioner) {
   // Keys 0,2,4,6,8 -> task 0; 1,3,5,7,9 -> task 1: both get 5*100*16 bytes.
   EXPECT_EQ(result->metrics.reduce_input_bytes_logical[0],
             result->metrics.reduce_input_bytes_logical[1]);
+}
+
+TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
+  MapReduceJobSpec spec;
+  spec.name = "finish";
+  spec.output_schema = Schema({{"a", ValueType::kInt64},
+                               {"b", ValueType::kInt64},
+                               {"c", ValueType::kInt64}});
+  spec.output_row_scale = 2.5;
+  // Rows emitted per reduce task: empty tasks between non-empty ones, and
+  // a job with no rows at all.
+  const std::vector<std::vector<int>> jobs = {{2, 0, 3, 0, 0, 1, 0},
+                                              {0, 0, 0}};
+  ThreadPool pool(4);
+  for (const std::vector<int>& task_rows : jobs) {
+    std::vector<int64_t> expected[3];
+    auto collect = [&](bool record) {
+      std::vector<ReduceCollector> tasks(task_rows.size(),
+                                         ReduceCollector(3));
+      int64_t next = 0;
+      for (size_t t = 0; t < task_rows.size(); ++t) {
+        for (int r = 0; r < task_rows[t]; ++r, ++next) {
+          const int64_t row[] = {next, 100 + next, 1000 * next};
+          tasks[t].Emit(row);
+          if (!record) continue;
+          for (int c = 0; c < 3; ++c) expected[c].push_back(row[c]);
+        }
+      }
+      return tasks;
+    };
+    std::vector<ReduceCollector> inline_tasks = collect(true);
+    std::vector<ReduceCollector> pooled_tasks = collect(false);
+    PhysicalJobResult inline_result;
+    PhysicalJobResult pooled;
+    ASSERT_TRUE(
+        FinishJobOutput(spec, inline_tasks, inline_result, nullptr).ok());
+    ASSERT_TRUE(FinishJobOutput(spec, pooled_tasks, pooled, &pool).ok());
+    EXPECT_EQ(pooled.metrics.output_rows_physical,
+              static_cast<int64_t>(expected[0].size()));
+    EXPECT_EQ(inline_result.metrics.output_rows_physical,
+              pooled.metrics.output_rows_physical);
+    EXPECT_EQ(inline_result.metrics.output_rows_logical,
+              pooled.metrics.output_rows_logical);
+    ASSERT_EQ(pooled.output->num_rows(),
+              static_cast<int64_t>(expected[0].size()));
+    for (int c = 0; c < 3; ++c) {
+      EXPECT_EQ(*pooled.output->TryColumn<int64_t>(c), expected[c]);
+      EXPECT_EQ(*inline_result.output->TryColumn<int64_t>(c), expected[c]);
+    }
+  }
 }
 
 TEST(HashPartitionTest, InRangeAndSpreads) {
