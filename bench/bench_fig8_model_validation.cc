@@ -8,7 +8,7 @@
 #include "bench/bench_util.h"
 #include "src/common/table_printer.h"
 #include "src/exec/hilbert_join.h"
-#include "src/mapreduce/job_runner.h"
+#include "src/runtime/parallel_job_runner.h"
 #include "src/workload/mobile.h"
 
 using namespace mrtheta;  // NOLINT
@@ -39,9 +39,13 @@ int main() {
     if (!job.ok()) return 1;
 
     // "Real": run physically, clock through the simulator.
-    const auto run = harness.cluster.RunJob(*job);
+    ThreadPool pool(1);
+    const auto run = RunJobParallel(*job, pool);
     if (!run.ok()) return 1;
-    const double simulated = ToSeconds(run->duration);
+    const auto report =
+        RunSimulation(cfg, {harness.cluster.BuildSimJob(*job, run->metrics)});
+    if (!report.ok()) return 1;
+    const double simulated = ToSeconds(report->makespan);
 
     // "Estimated": the fitted cost model on the measured profile.
     JobProfile profile;

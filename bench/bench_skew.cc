@@ -33,7 +33,7 @@
 #include "src/common/flags.h"
 #include "src/obs/obs_export.h"
 #include "src/exec/hilbert_join.h"
-#include "src/mapreduce/job_runner.h"
+#include "src/runtime/parallel_job_runner.h"
 #include "src/sched/skew_assigner.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
@@ -96,7 +96,8 @@ SkewBenchRecord PairRecord(SkewHandling skew_handling, uint64_t* fingerprint) {
     std::exit(1);
   }
   const auto start = std::chrono::steady_clock::now();
-  const auto result = RunJobPhysically(*spec);
+  ThreadPool pool(1);
+  const auto result = RunJobParallel(*spec, pool);
   if (!result.ok()) {
     std::fprintf(stderr, "station-pair run failed: %s\n",
                  result.status().ToString().c_str());

@@ -18,7 +18,7 @@ namespace mrtheta {
 /// instead of wiring four objects by hand.
 ///
 /// Every field keeps its subsystem's default, so `ThetaEngine engine;` is
-/// the paper's Table 1 test bed with the sequential reference runtime.
+/// the paper's Table 1 test bed on a one-thread runtime.
 struct EngineOptions {
   /// The simulated shared-nothing cluster (kP workers, Table 1 parameters).
   ClusterConfig cluster;

@@ -1,7 +1,6 @@
 #include "src/common/thread_annotations.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 namespace mrtheta {
@@ -39,16 +38,6 @@ void Mutex::PopHeld(const Mutex* mu) {
 bool Mutex::HeldByCurrentThread() const {
   const std::vector<const Mutex*>& held = HeldLocks();
   return std::find(held.begin(), held.end(), this) != held.end();
-}
-
-bool Mutex::ThisThreadHoldsNamed(const char* name) {
-  if (name == nullptr) return false;
-  for (const Mutex* mu : HeldLocks()) {
-    if (mu->name_ != nullptr && std::strcmp(mu->name_, name) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace mrtheta

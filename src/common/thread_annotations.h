@@ -21,8 +21,8 @@
 /// analysis cannot see through them. Use `Mutex` + `MutexLock` + `CondVar`
 /// below — a zero-overhead wrapper over std::mutex /
 /// std::condition_variable that additionally maintains a per-thread
-/// held-lock registry for runtime deadlock-ordering guards
-/// (ThisThreadHoldsNamed; see MemoryBudget's page-pool assertion).
+/// held-lock registry (HeldByCurrentThread) for runtime checks on paths
+/// the static analysis cannot follow.
 
 #if defined(__clang__) && !defined(SWIG)
 #define MRTHETA_THREAD_ANNOTATION_ATTRIBUTE_(x) __attribute__((x))
@@ -87,20 +87,15 @@ namespace mrtheta {
 
 /// \brief The project's annotated mutex: std::mutex plus (a) the
 /// MRTHETA_CAPABILITY attribute that makes Clang's thread-safety analysis
-/// track it, and (b) a per-thread held-lock registry for runtime
-/// deadlock-ordering guards that the static analysis cannot express across
-/// subsystems (e.g. "the page-pool lock is a leaf: never acquired while a
-/// spool partition lock is held" — see MemoryBudget::AcquirePage).
+/// track it, and (b) a per-thread held-lock registry behind
+/// HeldByCurrentThread.
 ///
 /// The registry costs one thread_local vector push/pop per Lock/Unlock —
 /// nanoseconds, and every Mutex in this codebase is on a per-task or
 /// per-phase path, never per-row.
-///
-/// `name` groups mutexes for ThisThreadHoldsNamed; pass nullptr (the
-/// default) for locks that no cross-subsystem ordering rule mentions.
 class MRTHETA_CAPABILITY("mutex") Mutex {
  public:
-  explicit Mutex(const char* name = nullptr) : name_(name) {}
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
@@ -123,15 +118,6 @@ class MRTHETA_CAPABILITY("mutex") Mutex {
   /// functions).
   bool HeldByCurrentThread() const;
 
-  /// True when the calling thread holds ANY Mutex constructed with `name`.
-  /// The runtime face of a cross-subsystem MRTHETA_EXCLUDES rule: the
-  /// static attribute can only name capabilities visible in the declaring
-  /// scope, so subsystem-boundary ordering invariants (page pool vs spool
-  /// partition lock) are asserted through the registry instead.
-  static bool ThisThreadHoldsNamed(const char* name);
-
-  const char* name() const { return name_; }
-
  private:
   friend class CondVar;
 
@@ -139,7 +125,6 @@ class MRTHETA_CAPABILITY("mutex") Mutex {
   static void PopHeld(const Mutex* mu);
 
   std::mutex mu_;
-  const char* const name_;
 };
 
 /// RAII critical section over a Mutex; the annotated replacement for

@@ -237,10 +237,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     job_span.Arg("job", spec->name);
 
     const auto job_start = std::chrono::steady_clock::now();
-    // Chaos and memory budgets route even single-threaded plans through
-    // the parallel runner (byte-identical to the sequential reference on a
-    // 1-thread pool) — RunJobPhysically has neither an injection point nor
-    // the spill machinery.
     FaultReport job_faults;
     ParallelRunnerOptions popts;
     if (chaos) {
@@ -254,10 +250,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
       popts.mem_budget_bytes = mem_budget;
       popts.spill_dir = &spill_dir;
     }
-    StatusOr<PhysicalJobResult> phys =
-        (num_threads > 1 || chaos || budgeted)
-            ? RunJobParallel(*spec, pool, popts)
-            : RunJobPhysically(*spec);
+    StatusOr<PhysicalJobResult> phys = RunJobParallel(*spec, pool, popts);
     // Keep the fault accounting even when the job failed: the runner
     // published everything it injected/retried into job_faults, and the
     // plan-level FaultPublisher reads it from this slot.
@@ -369,7 +362,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     }
     StatusOr<Relation> projected =
         ProjectResult(*last.output, last.covered_bases, query.relations(),
-                      query.outputs(), &pool);
+                      query.outputs(), pool);
     if (!projected.ok()) return projected.status();
     result.projected = std::make_shared<Relation>(*std::move(projected));
   }

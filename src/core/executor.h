@@ -92,12 +92,13 @@ struct ExecutionResult {
 /// Knobs controlling how plan jobs are lowered to physical kernels and
 /// scheduled onto the in-process runtime.
 struct ExecutorOptions {
-  /// Threads of the in-process runtime (src/runtime). 1 = the sequential
-  /// reference path (RunJobPhysically, jobs in plan order); > 1 fans map
-  /// and reduce tasks over a thread pool and overlaps plan jobs with
-  /// disjoint dependencies via the DAG scheduler. Results — output rows,
-  /// row order, measurements, simulated makespan — are identical at every
-  /// thread count (see docs/RUNTIME.md).
+  /// Threads of the in-process runtime (src/runtime). Every job runs on
+  /// RunJobParallel over a pool of this width: at 1 its map and reduce
+  /// tasks run inline and plan jobs run in plan order; above 1 the tasks
+  /// fan out over the pool and plan jobs with disjoint dependencies
+  /// overlap via the DAG scheduler. Results — output rows, row order,
+  /// measurements, simulated makespan — are identical at every thread
+  /// count (see docs/RUNTIME.md).
   int num_threads = 1;
   /// Skew handling for Hilbert join jobs (docs/SKEW.md). kAuto (default)
   /// splits heavy-hitter regions only for jobs the planner flagged
@@ -109,11 +110,9 @@ struct ExecutorOptions {
   /// Deterministic chaos plan (docs/RUNTIME.md "Fault tolerance"). The
   /// default picks up $MRTHETA_FAULT_PLAN, so any workload can run under
   /// reproducible chaos with no code changes — the CI chaos job sets
-  /// exactly that. When enabled, every job routes through the
-  /// fault-tolerant parallel runner (on a 1-thread pool at num_threads ==
-  /// 1, which is byte-identical to the sequential reference); outputs and
-  /// simulated metrics are unchanged as long as no task exhausts its
-  /// retries.
+  /// exactly that. When enabled, map and reduce tasks become restartable
+  /// units at every thread count; outputs and simulated metrics are
+  /// unchanged as long as no task exhausts its retries.
   FaultPlan fault_plan = FaultPlan::FromEnvironment();
   /// Retry + straggler-speculation policies; consulted only under an
   /// enabled fault_plan.
@@ -135,9 +134,8 @@ struct ExecutorOptions {
   /// MemoryBudget's in-use bytes exceed it, shuffle state spills to a
   /// per-execution temp directory (removed on success, failure and
   /// cancellation alike). 0 inherits MemoryBudget::Global()'s limit (the
-  /// $MRTHETA_MEM_BUDGET environment knob); every budgeted plan routes
-  /// through the parallel runner, even at one thread. The budget is a
-  /// spill trigger, not a hard cap — outputs and simulated metrics are
+  /// $MRTHETA_MEM_BUDGET environment knob). The budget is a spill
+  /// trigger, not a hard cap — outputs and simulated metrics are
   /// byte-identical at any setting.
   int64_t mem_budget_bytes = 0;
 };

@@ -177,7 +177,7 @@ Relation::ColumnData ReservedColumn(int64_t rows) {
 StatusOr<Relation> ProjectResult(
     const Relation& intermediate, const std::vector<int>& covered_bases,
     const std::vector<RelationPtr>& base_relations,
-    const std::vector<OutputColumn>& outputs, ThreadPool* pool) {
+    const std::vector<OutputColumn>& outputs, ThreadPool& pool) {
   std::vector<ColumnDef> cols;
   for (const OutputColumn& out : outputs) {
     if (std::find(covered_bases.begin(), covered_bases.end(), out.base) ==
@@ -230,12 +230,7 @@ StatusOr<Relation> ProjectResult(
         },
         data[i]);
   };
-  const int64_t width = static_cast<int64_t>(outputs.size());
-  if (pool != nullptr) {
-    pool->ParallelFor(width, gather);
-  } else {
-    for (int64_t i = 0; i < width; ++i) gather(i);
-  }
+  pool.ParallelFor(static_cast<int64_t>(outputs.size()), gather);
   return Relation::FromColumns("projection", Schema(std::move(cols)),
                                std::move(data));
 }

@@ -132,9 +132,8 @@ std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
 /// must cover every requested base.
 ///
 /// Every output column is reserved on the calling thread, as
-/// FinishJobOutput does, and one task per column gathers it through its
-/// rid column: on `pool` when given, inline when null, with identical
-/// results.
+/// FinishJobOutput does, and one task per column on `pool` gathers it
+/// through its rid column. The result does not depend on the pool's width.
 struct OutputColumn {
   int base = 0;
   int column = 0;
@@ -142,7 +141,7 @@ struct OutputColumn {
 StatusOr<Relation> ProjectResult(
     const Relation& intermediate, const std::vector<int>& covered_bases,
     const std::vector<RelationPtr>& base_relations,
-    const std::vector<OutputColumn>& outputs, ThreadPool* pool);
+    const std::vector<OutputColumn>& outputs, ThreadPool& pool);
 
 /// Physical and extrapolated-logical distinct counts of a column: a column
 /// whose sample is nearly all-distinct is key-like, so its logical distinct

@@ -54,17 +54,15 @@ int HashPartition(int64_t key, int num_reduce_tasks);
 /// by the process MemoryBudget, optionally spilling them to a file when the
 /// budget is exceeded (docs/MEMORY.md).
 ///
-/// Map functions call Emit once per (key, record); runners call EndRow()
-/// after each input row (the combine/spill boundary). The sequential
-/// runner streams the records back in emit order with ForEach(). The
-/// parallel runner calls Finish() at the end of the map task, which
-/// indexes the output by reduce task; each reduce task then reads its own
-/// records with ReadSpilledTask() and CopyResidentTask(). All failures —
-/// page allocation, reservation, spill I/O, a partitioner out of range —
-/// latch into status() and turn subsequent Emits into no-ops; runners
-/// surface the latched status as the task's Status (kResourceExhausted for
-/// memory, matching ReduceCollector::Emit) instead of aborting on
-/// bad_alloc.
+/// Map functions call Emit once per (key, record); the runner calls
+/// EndRow() after each input row (the combine/spill boundary) and Finish()
+/// at the end of the map task, which indexes the output by reduce task;
+/// each reduce task then reads its own records with ReadSpilledTask() and
+/// CopyResidentTask(). All failures — page allocation, reservation, spill
+/// I/O, a partitioner out of range — latch into status() and turn
+/// subsequent Emits into no-ops; the runner surfaces the latched status as
+/// the task's Status (kResourceExhausted for memory, matching
+/// ReduceCollector::Emit) instead of aborting on bad_alloc.
 class MapEmitter {
  public:
   static constexpr int64_t kRecordsPerPage =
@@ -79,7 +77,7 @@ class MapEmitter {
 
   /// Sets the partitioner evaluated at emit time; every record's `target`
   /// is its reduce task in [0, num_reduce_tasks). Must be called before
-  /// the first Emit (runners do).
+  /// the first Emit (the runner does).
   void SetPartitioner(PartitionFn partition, int num_reduce_tasks) {
     partition_ = std::move(partition);
     num_reduce_tasks_ = num_reduce_tasks;
@@ -128,7 +126,7 @@ class MapEmitter {
 
   /// Row boundary: applies the combiner to the records the row emitted,
   /// then (when spilling is armed and the budget is exceeded) spills the
-  /// full pages as one run. Runners call it after every spec.map
+  /// full pages as one run. The runner calls it after every spec.map
   /// invocation.
   void EndRow();
 
@@ -139,12 +137,6 @@ class MapEmitter {
   /// status(). After it, the emitter is read-only and safe to read from
   /// several threads.
   Status Finish();
-
-  /// Streams every record in emit order. Only for an emitter that never
-  /// spilled (the sequential runner's): spilled runs are stored by reduce
-  /// task, not in emit order. Returns the latched status without invoking
-  /// `fn` when the emitter is poisoned.
-  Status ForEach(const std::function<void(const MapOutputRecord&)>& fn);
 
   /// Per-reduce-task record counts, spilled and resident. After Finish().
   const std::vector<int64_t>& task_records() const { return task_records_; }
@@ -230,7 +222,7 @@ class MapEmitter {
 };
 
 /// Collects one reduce task's output rows and CPU accounting. Every job
-/// writes an all-int64 rid table (MakeIntermediateSchema; runners reject
+/// writes an all-int64 rid table (MakeIntermediateSchema; the runner rejects
 /// any other output schema), so a row is a span of int64 cells and lands
 /// in task-local column vectors. The runner builds the job's output
 /// relation from them once, after the reduce phase.
@@ -242,7 +234,7 @@ class ReduceCollector {
   /// Appends one result row, one cell per output column. A row of the
   /// wrong arity (a builder bug) or an allocation failure
   /// (kResourceExhausted) latches the first error and turns subsequent
-  /// Emits into no-ops; runners surface it as the task's Status.
+  /// Emits into no-ops; the runner surfaces it as the task's Status.
   void Emit(std::span<const int64_t> row) {
     if (!status_.ok()) return;  // latch the first error, drop the rest
     if (row.size() != columns_.size()) {
@@ -347,7 +339,7 @@ struct MapReduceJobSpec {
   std::string kernel = "generic";
   /// Expected Emit calls per input row, one entry per input (empty = 1.0
   /// for every input). Builders fill this from their replication factors so
-  /// runners can pre-size MapEmitter buffers; a hint only — correctness
+  /// the runner can pre-size MapEmitter buffers; a hint only — correctness
   /// never depends on it.
   std::vector<double> map_emits_per_row;
 

@@ -256,22 +256,6 @@ void MapEmitter::CopyResidentTask(int t, MapOutputRecord* out) const {
   }
 }
 
-Status MapEmitter::ForEach(
-    const std::function<void(const MapOutputRecord&)>& fn) {
-  if (!status_.ok()) return status_;
-  if (spilled_records_ > 0) {
-    return Status::FailedPrecondition(
-        "ForEach over a map emitter that spilled");
-  }
-  for (size_t p = 0; p < pages_.size(); ++p) {
-    const int64_t count =
-        p + 1 == pages_.size() ? last_page_records_ : kRecordsPerPage;
-    const MapOutputRecord* recs = PageRecords(pages_[p]);
-    for (int64_t i = 0; i < count; ++i) fn(recs[i]);
-  }
-  return Status::OK();
-}
-
 void MapEmitter::Clear() {
   for (MemoryBudget::PagePtr& page : pages_) {
     MemoryBudget::Global().ReleasePage(std::move(page));

@@ -66,20 +66,4 @@ SimJobSpec SimCluster::BuildSimJob(const MapReduceJobSpec& spec,
   return sim;
 }
 
-StatusOr<JobRunResult> SimCluster::RunJob(const MapReduceJobSpec& spec) const {
-  StatusOr<PhysicalJobResult> phys = RunJobPhysically(spec);
-  if (!phys.ok()) return phys.status();
-
-  JobRunResult result;
-  result.output = phys->output;
-  result.metrics = phys->metrics;
-
-  const SimJobSpec sim = BuildSimJob(spec, phys->metrics);
-  StatusOr<SimReport> report = RunSimulation(config_, {sim});
-  if (!report.ok()) return report.status();
-  result.timing = report->jobs[0];
-  result.duration = report->makespan;
-  return result;
-}
-
 }  // namespace mrtheta

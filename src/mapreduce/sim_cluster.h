@@ -1,38 +1,24 @@
 #ifndef MRTHETA_MAPREDUCE_SIM_CLUSTER_H_
 #define MRTHETA_MAPREDUCE_SIM_CLUSTER_H_
 
-#include <memory>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/mapreduce/cluster_config.h"
 #include "src/mapreduce/job.h"
-#include "src/mapreduce/job_runner.h"
 #include "src/mapreduce/sim_engine.h"
 
 namespace mrtheta {
 
-/// Everything known about one executed job: the exact result, the measured
-/// volumes, and the simulated wall-clock timing.
-struct JobRunResult {
-  std::shared_ptr<Relation> output;
-  JobMeasurement metrics;
-  SimJobResult timing;
-  SimTime duration = 0;  ///< finish - release (standalone: == makespan)
-};
-
-/// \brief The simulated cluster: executes MapReduce jobs exactly over
-/// physical tuples while advancing a simulated clock per the I/O + network
-/// cost model (docs/RUNTIME.md, "Measured vs simulated time").
+/// \brief The simulated cluster: turns the measurements of a physically
+/// executed job into simulated task durations per the I/O + network cost
+/// model (docs/RUNTIME.md, "Measured vs simulated time"); RunSimulation
+/// then clocks them on the cluster's slots.
 class SimCluster {
  public:
   explicit SimCluster(ClusterConfig config) : config_(config) {}
 
   const ClusterConfig& config() const { return config_; }
   ClusterConfig* mutable_config() { return &config_; }
-
-  /// Runs one job standalone (whole cluster available).
-  StatusOr<JobRunResult> RunJob(const MapReduceJobSpec& spec) const;
 
   /// Translates a measured job into the DES representation, applying the
   /// ground-truth timing model:

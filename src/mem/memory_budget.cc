@@ -39,11 +39,6 @@ MemoryBudget& MemoryBudget::Global() {
 }
 
 StatusOr<MemoryBudget::PagePtr> MemoryBudget::AcquirePage() {
-  // Lock-ordering contract (see kSpoolPartitionLockName): page-pool calls
-  // must never run under a spool partition lock. The static analysis cannot
-  // see across the subsystem boundary, so this is checked at runtime
-  // against the thread's held-lock registry, in every build type.
-  MRTHETA_CHECK(!Mutex::ThisThreadHoldsNamed(kSpoolPartitionLockName));
   {
     MutexLock lock(&free_mu_);
     if (!free_pages_.empty()) {
@@ -65,7 +60,6 @@ StatusOr<MemoryBudget::PagePtr> MemoryBudget::AcquirePage() {
 
 void MemoryBudget::ReleasePage(PagePtr page) {
   if (page == nullptr) return;
-  MRTHETA_CHECK(!Mutex::ThisThreadHoldsNamed(kSpoolPartitionLockName));
   Uncharge(kPageBytes);
   MutexLock lock(&free_mu_);
   if (free_pages_.size() < kMaxFreePages) {

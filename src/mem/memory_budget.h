@@ -12,18 +12,6 @@
 
 namespace mrtheta {
 
-/// Registry name for shuffle partition locks. No runtime lock takes it
-/// today: map tasks partition their own output, without a shared lock. It
-/// lives here because MemoryBudget is the *enforcement* site of the
-/// cross-subsystem lock-ordering contract: the page-pool lock (free_mu_)
-/// must never be acquired while a partition lock is held — spilling under
-/// the partition lock while the pool blocks on the same budget is the
-/// deadlock shape docs/STATIC_ANALYSIS.md describes. Static EXCLUDES
-/// annotations cannot name another class's private mutex, so the runtime
-/// guard in AcquirePage/ReleasePage checks the thread-local held-lock
-/// registry by this name instead (tests/thread_safety_test.cc proves it).
-inline constexpr char kSpoolPartitionLockName[] = "mem.spool_partition";
-
 /// \brief Process-wide accounting arena for the runtime's shuffle memory
 /// (docs/MEMORY.md).
 ///
@@ -70,12 +58,9 @@ class MemoryBudget {
 
   /// Hands out one kPageBytes page (recycled or freshly allocated) and
   /// charges it to the ledger. Only a real allocation failure errors
-  /// (kResourceExhausted); being over limit does not. Must not be called
-  /// with a shuffle partition lock held (CHECK-enforced, see
-  /// kSpoolPartitionLockName above).
+  /// (kResourceExhausted); being over limit does not.
   StatusOr<PagePtr> AcquirePage() MRTHETA_EXCLUDES(free_mu_);
   /// Uncharges and recycles `page` (freelist-capped; excess pages free).
-  /// Same lock-ordering contract as AcquirePage.
   void ReleasePage(PagePtr page) MRTHETA_EXCLUDES(free_mu_);
 
   /// Tracks a non-paged allocation of `bytes` against the ledger.
@@ -107,7 +92,7 @@ class MemoryBudget {
   std::atomic<int64_t> in_use_{0};
   std::atomic<int64_t> peak_{0};
 
-  Mutex free_mu_{"mem.page_pool"};
+  Mutex free_mu_;
   std::vector<PagePtr> free_pages_ MRTHETA_GUARDED_BY(free_mu_);
 };
 

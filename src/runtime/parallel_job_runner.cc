@@ -4,6 +4,8 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,7 +38,8 @@ struct MapSplit {
 };
 
 /// Splits every input into contiguous row ranges in (tag, range) order, so
-/// concatenating split outputs reproduces the sequential emit order.
+/// concatenating split outputs reproduces the emit order of one walk over
+/// every input.
 std::vector<MapSplit> PlanMapSplits(const MapReduceJobSpec& spec,
                                     const ThreadPool& pool,
                                     const ParallelRunnerOptions& options) {
@@ -289,6 +292,111 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
   }
 }
 
+/// What the runner requires of a job before running it: inputs, map and
+/// reduce functions, at least one reduce task, and an all-int64 output
+/// schema (reducers emit rid rows through ReduceCollector).
+Status ValidateJobSpec(const MapReduceJobSpec& spec) {
+  if (spec.inputs.empty()) {
+    return Status::InvalidArgument("job '" + spec.name + "' has no inputs");
+  }
+  if (!spec.map || !spec.reduce) {
+    return Status::InvalidArgument("job '" + spec.name +
+                                   "' is missing map or reduce function");
+  }
+  if (spec.num_reduce_tasks < 1) {
+    return Status::InvalidArgument("num_reduce_tasks must be >= 1");
+  }
+  for (const ColumnDef& col : spec.output_schema.columns()) {
+    if (col.type != ValueType::kInt64) {
+      return Status::InvalidArgument("job '" + spec.name +
+                                     "' output column '" + col.name +
+                                     "' is not int64");
+    }
+  }
+  return Status::OK();
+}
+
+/// Rewraps a task-internal error with job context, preserving its code so
+/// kResourceExhausted survives to the caller (admission control and tests
+/// key on the code, not the message).
+Status WrapTaskError(const std::string& what, const MapReduceJobSpec& spec,
+                     const Status& cause) {
+  return Status::WithCode(cause.code(), what + " in job '" + spec.name +
+                                            "': " + cause.message());
+}
+
+/// Fills `m.map_output_bytes_logical` and `m.reduce_input_bytes_logical`
+/// from the committed splits' per-task record counts, in split order. Each
+/// record adds its input's record_bytes * scale once to its task's total
+/// and once to the map total: the same floating-point additions, in the
+/// same order per sum, as a walk over every record in emit order, so the
+/// sums do not depend on the split shape.
+void ReplayShuffleBytes(const MapReduceJobSpec& spec,
+                        const std::vector<MapSplit>& splits,
+                        JobMeasurement& m) {
+  const int n = spec.num_reduce_tasks;
+  std::vector<double> task_bytes(n, 0.0);
+  double map_out_bytes = 0.0;
+  for (const MapSplit& split : splits) {
+    const JobInput& input = spec.inputs[split.tag];
+    const double scaled_bytes =
+        static_cast<double>(input.record_bytes) * input.scale;
+    const std::vector<int64_t>& task_records = split.emitter.task_records();
+    // One addition per record, never count * scaled_bytes: the sums must
+    // round exactly as a per-record walk does.
+    int64_t records = 0;
+    for (int t = 0; t < n; ++t) {
+      for (int64_t k = 0; k < task_records[t]; ++k) {
+        task_bytes[t] += scaled_bytes;
+      }
+      records += task_records[t];
+    }
+    for (int64_t k = 0; k < records; ++k) map_out_bytes += scaled_bytes;
+  }
+  m.map_output_bytes_logical = static_cast<int64_t>(map_out_bytes);
+  m.reduce_input_bytes_logical.resize(n);
+  for (int t = 0; t < n; ++t) {
+    m.reduce_input_bytes_logical[t] = static_cast<int64_t>(task_bytes[t]);
+  }
+}
+
+/// Runs one reduce task: sorts `records` in place by (key, tag, row),
+/// groups by key, invokes spec.reduce per group into `out` (the attempt's
+/// own collector), and returns the task's charged comparisons — or the
+/// first emit error, with its code preserved (kResourceExhausted for
+/// allocation failures). Idempotent per attempt: a retried attempt sorts
+/// a fresh gather of the same records into a fresh collector.
+StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
+                               std::span<MapOutputRecord> records,
+                               ReduceCollector& out) {
+  const int num_tags = static_cast<int>(spec.inputs.size());
+  std::sort(records.begin(), records.end(),
+            [](const MapOutputRecord& a, const MapOutputRecord& b) {
+              if (a.key != b.key) return a.key < b.key;
+              if (a.tag != b.tag) return a.tag < b.tag;
+              return a.row < b.row;
+            });
+  size_t i = 0;
+  while (i < records.size()) {
+    size_t j = i;
+    while (j < records.size() && records[j].key == records[i].key) ++j;
+    std::vector<std::vector<const MapOutputRecord*>> by_tag(num_tags);
+    for (size_t k = i; k < j; ++k) {
+      by_tag[records[k].tag].push_back(&records[k]);
+    }
+    ReduceContext ctx;
+    ctx.key = records[i].key;
+    ctx.by_tag = &by_tag;
+    ctx.inputs = &spec.inputs;
+    spec.reduce(ctx, out);
+    if (!out.status().ok()) {
+      return WrapTaskError("reduce emit failed", spec, out.status());
+    }
+    i = j;
+  }
+  return out.comparisons();
+}
+
 /// Copies reduce task `t`'s records from every split, in split order, into
 /// one exactly sized vector: emit order restricted to `t`. Within a split,
 /// its spilled runs come first, then its resident records — the order in
@@ -422,11 +530,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
             emitter.EndRow();  // combine + spill boundary
           }
           const Status s = emitter.Finish();  // index by reduce task
-          if (!s.ok()) {
-            return Status::WithCode(s.code(), "map emit failed in job '" +
-                                                  spec.name +
-                                                  "': " + s.message());
-          }
+          if (!s.ok()) return WrapTaskError("map emit failed", spec, s);
           return Status::OK();
         };
         auto commit = [&]() { split.emitter = std::move(emitter); };
@@ -445,13 +549,10 @@ StatusOr<PhysicalJobResult> RunJobParallel(
       return map_error;
     }
   }
-  std::vector<ShuffleCounts> counts;
-  counts.reserve(splits.size());
   for (const MapSplit& split : splits) {
     m.map_output_records_physical += split.emitter.size();
     result.spill_bytes += split.emitter.spilled_bytes();
     result.spill_files += split.emitter.spill_files();
-    counts.push_back({split.tag, split.emitter.task_records()});
   }
   if (ctx.Cancelled()) {  // external cancel between phases
     publish_report();
@@ -461,18 +562,17 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   // ---- Shuffle: byte accounting only ----
   // The map tasks partitioned their own output; what remains between the
   // phases is replaying the simulator's byte sums from the per-split
-  // counts, in the sequential runner's addition order.
+  // counts, in emit order.
   TraceSpan shuffle_phase("shuffle-merge", "runtime");
   if (shuffle_phase.enabled()) shuffle_phase.Arg("job", spec.name);
-  ReplayShuffleBytes(spec, counts, m);
+  ReplayShuffleBytes(spec, splits, m);
   shuffle_phase.End();
 
   // ---- Reduce phase: restartable tasks, each with a private output ----
-  // Each task gathers its partition from every split, then runs
-  // RunReduceTask — the same sort+group+reduce loop the sequential runner
-  // uses; sharing it is what keeps the runners byte-identical. The gather
-  // leaves the map output intact, so a retried attempt reduces exactly
-  // the records the failed attempt saw.
+  // Each task gathers its partition from every split, then sorts, groups
+  // and reduces it (RunReduceTask). The gather leaves the map output
+  // intact, so a retried attempt reduces exactly the records the failed
+  // attempt saw.
   m.reduce_comparisons_logical.assign(n, 0.0);
   const int width = spec.output_schema.num_columns();
   std::vector<ReduceCollector> task_outputs(n, ReduceCollector(width));
@@ -519,8 +619,8 @@ StatusOr<PhysicalJobResult> RunJobParallel(
     }
   }
 
-  // Task outputs join in task order, as in the sequential runner.
-  Status finish = FinishJobOutput(spec, task_outputs, result, &pool);
+  // Task outputs join in task order.
+  Status finish = FinishJobOutput(spec, task_outputs, result, pool);
   publish_report();
   if (!finish.ok()) return finish;
   return result;

@@ -11,7 +11,7 @@
 
 namespace mrtheta {
 
-/// Task-granularity knobs for ParallelJobRunner. The defaults keep per-task
+/// Task-granularity knobs for RunJobParallel. The defaults keep per-task
 /// overhead negligible while giving the pool enough splits to balance.
 struct ParallelRunnerOptions {
   /// Map splits never go below this many input rows (tiny splits cost more
@@ -47,22 +47,23 @@ struct ParallelRunnerOptions {
   SpillDirectory* spill_dir = nullptr;
 };
 
-/// \brief Multi-threaded, deterministic executor for one MapReduceJobSpec.
+/// \brief The physical runner: executes one MapReduceJobSpec over a
+/// ThreadPool, deterministically, at any pool width (a 1-thread pool runs
+/// every phase as an inline loop on the caller).
 ///
-/// Mirrors the phases of RunJobPhysically (src/mapreduce/job_runner.cc) but
-/// fans them out over a ThreadPool, shuffling the way the paper's cost
-/// model prices it:
+/// Semantics follow Hadoop, and the shuffle is the one the paper's cost
+/// model prices:
 ///  - map tasks over contiguous input-row splits, each with a private
 ///    MapEmitter that partitions its own output by reduce task (and, under
 ///    a memory budget, spills it in runs partitioned the same way,
 ///    docs/MEMORY.md);
 ///  - between the phases, only the simulator's byte accounting, replayed
-///    from per-split record counts in the sequential runner's order
-///    (ReplayShuffleBytes);
-///  - reduce tasks running concurrently, each gathering its partition from
-///    every split in (input, split) order — the sequential runner's record
-///    order restricted to the task — and collecting into a private output;
-///    task outputs are concatenated in task order.
+///    from per-split record counts in emit order;
+///  - reduce tasks, each gathering its partition from every split in
+///    (input, split) order — emit order restricted to the task — sorting
+///    it by (key, tag, row), invoking reduce once per key group, and
+///    collecting into a private output; task outputs are concatenated in
+///    task order.
 ///
 /// Fault tolerance: with `options.injector` set, map splits and reduce
 /// partitions become restartable units — each attempt works into fresh
@@ -74,15 +75,17 @@ struct ParallelRunnerOptions {
 /// budget cancels its sibling tasks and surfaces the last failure's code
 /// (kAborted / kResourceExhausted / kDeadlineExceeded); the job-level
 /// error is the lowest-index task's non-cancelled failure, so concurrent
-/// failures report deterministically.
+/// failures report deterministically. `options.cancel` is honored at every
+/// task boundary, with or without an injector.
 ///
-/// Determinism contract (tested by tests/runtime_test.cc and
-/// tests/fault_test.cc): for any spec, any pool size, and any FaultPlan
-/// the job survives, the output relation (including row order) and every
-/// JobMeasurement field are identical to RunJobPhysically's — commit-on-
-/// success makes re-execution invisible. Map and reduce closures must
-/// therefore be pure readers of their captured state — true for every
-/// builder in src/exec (state structs are immutable after build).
+/// Determinism contract (tested by tests/runtime_test.cc,
+/// tests/hilbert_join_test.cc and tests/fault_test.cc): for any spec, the
+/// output relation (including row order) and every JobMeasurement field
+/// are identical at every pool width, split shape and memory budget, and
+/// under every FaultPlan the job survives — commit-on-success makes
+/// re-execution invisible. Map and reduce closures must therefore be pure
+/// readers of their captured state — true for every builder in src/exec
+/// (state structs are immutable after build).
 StatusOr<PhysicalJobResult> RunJobParallel(
     const MapReduceJobSpec& spec, ThreadPool& pool,
     const ParallelRunnerOptions& options = {});

@@ -49,6 +49,15 @@ bool SameRows(const Relation& a, const Relation& b) {
   return true;
 }
 
+// Runs `job` on one thread, one map split per input: the reference run
+// that every other pool width, split shape and budget must reproduce.
+StatusOr<PhysicalJobResult> RunJob(const MapReduceJobSpec& job) {
+  ThreadPool pool(1);
+  ParallelRunnerOptions options;
+  options.min_split_rows = std::numeric_limits<int64_t>::max();
+  return RunJobParallel(job, pool, options);
+}
+
 // ---- JoinSide / helpers ----
 
 TEST(JoinSideTest, BaseAndIntermediateResolution) {
@@ -125,7 +134,7 @@ TEST(HashValueTest, NumbersHashByTheirDoubleValue) {
   pw.num_reduce_tasks = 8;
   const auto equi = BuildEquiJoinJob(pw);
   ASSERT_TRUE(equi.ok());
-  const auto result = RunJobPhysically(*equi);
+  const auto result = RunJob(*equi);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output->num_rows(), 256);
 }
@@ -136,8 +145,9 @@ TEST(ProjectResultTest, ResolvesBaseValues) {
       "i", Schema({{"rid_0", ValueType::kInt64}}));
   inter->AppendIntRow({3});
   inter->AppendIntRow({1});
+  ThreadPool pool(1);
   const auto projected =
-      ProjectResult(*inter, {0}, {base}, {{0, 0}, {0, 1}}, nullptr);
+      ProjectResult(*inter, {0}, {base}, {{0, 0}, {0, 1}}, pool);
   ASSERT_TRUE(projected.ok());
   EXPECT_EQ(projected->num_rows(), 2);
   EXPECT_EQ(projected->GetInt(0, 0), base->GetInt(3, 0));
@@ -148,7 +158,8 @@ TEST(ProjectResultTest, RejectsUncoveredBase) {
   RelationPtr base = MakeRel("b", 5, 100, 7);
   auto inter = std::make_shared<Relation>(
       "i", Schema({{"rid_0", ValueType::kInt64}}));
-  EXPECT_FALSE(ProjectResult(*inter, {0}, {base}, {{1, 0}}, nullptr).ok());
+  ThreadPool pool(1);
+  EXPECT_FALSE(ProjectResult(*inter, {0}, {base}, {{1, 0}}, pool).ok());
 }
 
 // Column `c` of `a` and `b`: both stored as T, with equal cells in order.
@@ -180,7 +191,8 @@ TEST(ProjectResultTest, PooledGatherMatchesInline) {
   }
   const std::vector<OutputColumn> outputs = {
       {0, 2}, {1, 0}, {0, 1}, {1, 2}, {0, 0}, {1, 1}};
-  ThreadPool pool(4);
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const int64_t rows : {int64_t{0}, int64_t{1000}}) {
     auto inter = std::make_shared<Relation>(
         "i", Schema({{"rid_1", ValueType::kInt64},
@@ -190,8 +202,8 @@ TEST(ProjectResultTest, PooledGatherMatchesInline) {
                            static_cast<int64_t>(rng.Uniform(40))});
     }
     const auto inline_result =
-        ProjectResult(*inter, {1, 0}, bases, outputs, nullptr);
-    const auto pooled = ProjectResult(*inter, {1, 0}, bases, outputs, &pool);
+        ProjectResult(*inter, {1, 0}, bases, outputs, one);
+    const auto pooled = ProjectResult(*inter, {1, 0}, bases, outputs, four);
     ASSERT_TRUE(inline_result.ok());
     ASSERT_TRUE(pooled.ok());
     ASSERT_EQ(pooled->num_rows(), rows);
@@ -255,7 +267,7 @@ TEST_P(HilbertJoinOracleTest, MatchesNaiveJoin) {
   HilbertJoinPlanInfo info;
   const auto job = BuildHilbertJoinJob(spec, &info);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(SameRows(*oracle, *result->output))
       << tc.name << ": hilbert " << result->output->num_rows()
@@ -308,7 +320,7 @@ TEST(HilbertJoinTest, SingleReducerStillCorrect) {
   spec.num_reduce_tasks = 1;
   const auto job = BuildHilbertJoinJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
   EXPECT_TRUE(SameRows(*oracle, *result->output));
@@ -339,7 +351,7 @@ TEST(HilbertJoinTest, DuplicationShrinksWithEqualityFusion) {
     spec.num_reduce_tasks = 32;
     const auto job = BuildHilbertJoinJob(spec);
     EXPECT_TRUE(job.ok());
-    return RunJobPhysically(*job)->metrics.map_output_records_physical;
+    return RunJob(*job)->metrics.map_output_records_physical;
   };
   const int64_t with_eq =
       run({{{0, 0}, ThetaOp::kLe, {1, 0}, 0.0, 0},
@@ -410,7 +422,7 @@ TEST(OneBucketThetaTest, MatchesNaive) {
   spec.num_reduce_tasks = 12;
   const auto job = BuildOneBucketThetaJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
   EXPECT_TRUE(SameRows(*oracle, *result->output));
@@ -429,7 +441,7 @@ TEST(OneBucketThetaTest, EveryPairMeetsExactlyOnce) {
   spec.num_reduce_tasks = 7;
   const auto job = BuildOneBucketThetaJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->output->num_rows(), 40 * 30);
 }
@@ -448,7 +460,7 @@ TEST_P(OneBucketOpTest, MatchesNaiveForOp) {
   spec.num_reduce_tasks = 9;
   const auto job = BuildOneBucketThetaJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
   EXPECT_TRUE(SameRows(*oracle, *result->output));
@@ -494,7 +506,7 @@ TEST(EquiJoinTest, StringKeys) {
   spec.num_reduce_tasks = 4;
   const auto job = BuildEquiJoinJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
   EXPECT_TRUE(SameRows(*oracle, *result->output));
@@ -521,7 +533,7 @@ TEST(EquiJoinTest, MatchesNaiveWithResidual) {
   spec.num_reduce_tasks = 8;
   const auto job = BuildEquiJoinJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
   EXPECT_TRUE(SameRows(*oracle, *result->output));
@@ -573,7 +585,7 @@ TEST(MergeJoinTest, RecombinesPartialResults) {
     const auto job = cond.op == ThetaOp::kEq ? BuildEquiJoinJob(spec)
                                              : BuildOneBucketThetaJob(spec);
     EXPECT_TRUE(job.ok());
-    return RunJobPhysically(*job)->output;
+    return RunJob(*job)->output;
   };
   auto ab_out = run_pair(JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1),
                          ab);
@@ -587,7 +599,7 @@ TEST(MergeJoinTest, RecombinesPartialResults) {
   merge.num_reduce_tasks = 4;
   const auto job = BuildMergeJob(merge);
   ASSERT_TRUE(job.ok());
-  const auto merged = RunJobPhysically(*job);
+  const auto merged = RunJob(*job);
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = NaiveMultiwayJoin(bases, {0, 1, 2}, {ab, bc});
@@ -701,8 +713,8 @@ void CheckPrunedMatchesFullWidth(
     const StatusOr<MapReduceJobSpec>& pruned_job) {
   ASSERT_TRUE(full_job.ok()) << full_job.status().ToString();
   ASSERT_TRUE(pruned_job.ok()) << pruned_job.status().ToString();
-  const auto full = RunJobPhysically(*full_job);
-  const auto pruned = RunJobPhysically(*pruned_job);
+  const auto full = RunJob(*full_job);
+  const auto pruned = RunJob(*pruned_job);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(pruned.ok());
 
@@ -793,7 +805,7 @@ TEST(PruningDifferentialTest, MergeJobPrunedMatchesFullWidth) {
                            ? BuildEquiJoinJob(spec)
                            : BuildOneBucketThetaJob(spec);
       EXPECT_TRUE(job.ok());
-      return RunJobPhysically(*job)->output;
+      return RunJob(*job)->output;
     };
     auto ab = run_pair(JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1),
                        {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0});
@@ -811,8 +823,8 @@ TEST(PruningDifferentialTest, MergeJobPrunedMatchesFullWidth) {
     // schema still shrinks the materialized intermediate.
     ASSERT_TRUE(full.ok());
     ASSERT_TRUE(pruned.ok());
-    const auto f = RunJobPhysically(*full);
-    const auto p = RunJobPhysically(*pruned);
+    const auto f = RunJob(*full);
+    const auto p = RunJob(*pruned);
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE(p.ok());
     ExpectIdenticalOutputs(*f->output, *p->output);
@@ -894,7 +906,7 @@ TEST(FilterPushdownTest, MapSideFiltersMatchFilteredOracle) {
     pw.num_reduce_tasks = 1 + static_cast<int>(rng.Uniform(6));
     const auto pw_job = BuildOneBucketThetaJob(pw);
     ASSERT_TRUE(pw_job.ok());
-    const auto pw_result = RunJobPhysically(*pw_job);
+    const auto pw_result = RunJob(*pw_job);
     ASSERT_TRUE(pw_result.ok());
     EXPECT_TRUE(SameRows(*oracle, *pw_result->output)) << "seed=" << seed;
 
@@ -906,7 +918,7 @@ TEST(FilterPushdownTest, MapSideFiltersMatchFilteredOracle) {
     mw.num_reduce_tasks = 1 + static_cast<int>(rng.Uniform(8));
     const auto mw_job = BuildHilbertJoinJob(mw);
     ASSERT_TRUE(mw_job.ok());
-    const auto mw_result = RunJobPhysically(*mw_job);
+    const auto mw_result = RunJob(*mw_job);
     ASSERT_TRUE(mw_result.ok());
     EXPECT_TRUE(SameRows(*oracle, *mw_result->output)) << "seed=" << seed;
   }
@@ -955,7 +967,7 @@ TEST(FilterPushdownTest, SkewDetectionSamplesPostFilterDistribution) {
   const auto oracle =
       NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions, filters);
   ASSERT_TRUE(oracle.ok());
-  const auto result = RunJobPhysically(*job);
+  const auto result = RunJob(*job);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(SameRows(*oracle, *result->output));
 }
@@ -971,13 +983,13 @@ TEST(FilterPushdownTest, EquiJoinFiltersShrinkShuffleNotInput) {
   spec.base_relations = {a, b};
   spec.conditions = conds;
   spec.num_reduce_tasks = 4;
-  const auto plain = RunJobPhysically(*BuildEquiJoinJob(spec));
+  const auto plain = RunJob(*BuildEquiJoinJob(spec));
   ASSERT_TRUE(plain.ok());
 
   const std::vector<SelectionFilter> filters = {
       {{0, 1}, ThetaOp::kLe, Value(int64_t{4}), 0.0}};
   spec.left.filter = CompiledRowFilter::CompileFor(0, filters, a);
-  const auto filtered = RunJobPhysically(*BuildEquiJoinJob(spec));
+  const auto filtered = RunJob(*BuildEquiJoinJob(spec));
   ASSERT_TRUE(filtered.ok());
 
   const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, conds, filters);
@@ -1129,7 +1141,7 @@ TEST(KernelDifferentialTest, OneBucketJobMatchesOracleUnderBothPolicies) {
       spec.kernel_policy = policy;
       const auto job = BuildOneBucketThetaJob(spec);
       ASSERT_TRUE(job.ok());
-      const auto result = RunJobPhysically(*job);
+      const auto result = RunJob(*job);
       ASSERT_TRUE(result.ok());
       EXPECT_TRUE(SameRows(*oracle, *result->output))
           << "seed=" << seed << " op=" << ThetaOpName(op)
@@ -1231,7 +1243,7 @@ TEST(HilbertIndexTest, ExactInThePredicateDomain) {
       spec.kernel_policy = policy;
       const auto job = BuildHilbertJoinJob(spec);
       ASSERT_TRUE(job.ok());
-      const auto result = RunJobPhysically(*job);
+      const auto result = RunJob(*job);
       ASSERT_TRUE(result.ok());
       EXPECT_TRUE(SameRows(*oracle, *result->output))
           << tc.name << " kernel=" << job->kernel << ": "
@@ -1262,7 +1274,7 @@ TEST(HilbertIndexTest, MixedNumericEqualityPartitionsTogether) {
   mw.num_reduce_tasks = 8;
   const auto hilbert = BuildHilbertJoinJob(mw);
   ASSERT_TRUE(hilbert.ok());
-  EXPECT_TRUE(SameRows(*oracle, *RunJobPhysically(*hilbert)->output));
+  EXPECT_TRUE(SameRows(*oracle, *RunJob(*hilbert)->output));
 
   PairwiseJoinJobSpec pw;
   pw.left = JoinSide::ForBase(a, 0);
@@ -1272,7 +1284,7 @@ TEST(HilbertIndexTest, MixedNumericEqualityPartitionsTogether) {
   pw.num_reduce_tasks = 8;
   const auto equi = BuildEquiJoinJob(pw);
   ASSERT_TRUE(equi.ok());
-  EXPECT_TRUE(SameRows(*oracle, *RunJobPhysically(*equi)->output));
+  EXPECT_TRUE(SameRows(*oracle, *RunJob(*equi)->output));
 }
 
 TEST(ChooseSortDriverTest, PrefersInequalityOverEquality) {
@@ -1295,15 +1307,15 @@ TEST(ChooseSortDriverTest, PrefersInequalityOverEquality) {
 
 // ---- Spill differential: every operator under a tight memory budget ----
 
-// Runs `job` through the parallel runner at {1, 4} threads under an
-// unlimited and a 1-byte budget (maximal spill pressure, docs/MEMORY.md)
-// and demands byte-identical rows — order included, stronger than
-// SameRows — and byte-identical JobMeasurement against the sequential
-// reference. Spilling may only change where shuffle records live.
+// Runs `job` at {1, 4} threads in small splits under an unlimited and a
+// 1-byte budget (maximal spill pressure, docs/MEMORY.md) and demands
+// byte-identical rows — order included, stronger than SameRows — and
+// byte-identical JobMeasurement against the one-split reference (RunJob).
+// Spilling may only change where shuffle records live.
 void CheckSpillInvariance(const StatusOr<MapReduceJobSpec>& job,
                           const std::string& label) {
   ASSERT_TRUE(job.ok()) << label << ": " << job.status().ToString();
-  const auto reference = RunJobPhysically(*job);
+  const auto reference = RunJob(*job);
   ASSERT_TRUE(reference.ok()) << label;
   SpillDirectory spill_dir;
   for (const int64_t budget : {int64_t{0}, int64_t{1}}) {
@@ -1385,7 +1397,7 @@ TEST(SpillDifferentialTest, AllFourOperatorsSurviveTightBudgets) {
     const auto job = cond.op == ThetaOp::kEq ? BuildEquiJoinJob(spec)
                                              : BuildOneBucketThetaJob(spec);
     EXPECT_TRUE(job.ok());
-    return RunJobPhysically(*job)->output;
+    return RunJob(*job)->output;
   };
   auto ab = run_pair(JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1),
                      {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0});

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -219,6 +220,15 @@ MapReduceJobSpec SmallEquiJoinSpec() {
   return ::testing::AssertionSuccess();
 }
 
+// Runs `spec` on one thread, one map split per input, without a budget or
+// faults: the reference every chaotic run must reproduce.
+StatusOr<PhysicalJobResult> RunReference(const MapReduceJobSpec& spec) {
+  ThreadPool pool(1);
+  ParallelRunnerOptions options;
+  options.min_split_rows = std::numeric_limits<int64_t>::max();
+  return RunJobParallel(spec, pool, options);
+}
+
 ParallelRunnerOptions ChaosOptions(const FaultInjector& injector,
                                    FaultReport* report) {
   ParallelRunnerOptions options;
@@ -232,7 +242,7 @@ ParallelRunnerOptions ChaosOptions(const FaultInjector& injector,
 
 TEST(RestartableTaskTest, RetriesMakeModerateChaosInvisible) {
   const MapReduceJobSpec spec = SmallEquiJoinSpec();
-  const auto reference = RunJobPhysically(spec);
+  const auto reference = RunReference(spec);
   ASSERT_TRUE(reference.ok());
   FaultPlan plan;
   plan.seed = 99;
@@ -312,7 +322,7 @@ TEST(RestartableTaskTest, HardTimeoutSurfacesDeadlineExceeded) {
 
 TEST(RestartableTaskTest, StragglersAreSpeculativelyReExecuted) {
   const MapReduceJobSpec spec = SmallEquiJoinSpec();
-  const auto reference = RunJobPhysically(spec);
+  const auto reference = RunReference(spec);
   ASSERT_TRUE(reference.ok());
   FaultPlan plan;
   plan.seed = 21;
@@ -653,6 +663,49 @@ TEST(EngineFaultTest, CancelInflightResolvesSubmissionsPromptly) {
   ThetaEngine engine2(clean);
   const auto ok_result = engine2.Execute(SmallMobileQuery());
   EXPECT_TRUE(ok_result.ok());
+}
+
+TEST(EngineFaultTest, CancelInflightStopsAFaultFreeOneThreadJobMidway) {
+  // docs/API.md: CancelInflight stops an in-flight Submit at its next task
+  // boundary. Here on the plainest path: one runtime thread per query (a
+  // session pool capped per query, as serving runs it), no fault plan
+  // (whatever the environment says) and no engine budget.
+  EngineOptions options;
+  options.executor.num_threads = 2;
+  options.per_query_threads = 1;
+  options.executor.fault_plan = FaultPlan{};
+  ThetaEngine engine(options);
+  MobileDataOptions data;
+  data.physical_rows = 2000;
+  data.logical_bytes = 2 * kGiB;
+  const auto q = MobileQueryBuilder(1, data).Build();
+  ASSERT_TRUE(q.ok());
+  // Warm-up: calibration, statistics and the cached plan. The plan is one
+  // Hilbert job, so the cancellation has to stop that job's tasks.
+  const auto report = engine.Explain(*q);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->plan.jobs.size(), 1u);
+  ASSERT_EQ(report->plan.jobs[0].kind, PlanJobKind::kHilbertJoin);
+
+  // The uncancelled one-thread run, timed; the cancel lands a quarter in.
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(engine.Execute(*q).ok());
+  const std::chrono::duration<double> full =
+      std::chrono::steady_clock::now() - start;
+  auto future = engine.Submit(*q);
+  std::this_thread::sleep_for(full / 4);
+  engine.CancelInflight();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  const auto result = future.get();
+  ASSERT_FALSE(result.ok()) << "ran to completion; uncancelled run took "
+                            << full.count() << " s";
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+      << result.status().ToString();
+  // Stopped by the runner at a task boundary, not before the job began.
+  EXPECT_NE(result.status().message().find("cancelled by caller"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Seeded differential tests of the Hilbert multi-way join's per-depth
 // index: generated jobs against the independent naive oracle under both
-// kernel policies, byte-identity across runners, thread counts and a
+// kernel policies, byte-identity across thread counts, split shapes and a
 // memory budget, and the kernel-independent comparison charge.
 
 #include <cstdint>
@@ -38,6 +38,15 @@ void ExpectIdenticalRows(const Relation& a, const Relation& b,
 }
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Runs `job` on one thread, one map split per input, without a budget or
+// faults: the reference every other run must reproduce byte for byte.
+StatusOr<PhysicalJobResult> RunReference(const MapReduceJobSpec& job) {
+  ThreadPool pool(1);
+  ParallelRunnerOptions options;
+  options.min_split_rows = std::numeric_limits<int64_t>::max();
+  return RunJobParallel(job, pool, options);
+}
 
 // Two columns, each int64 or double. Values sit around `center` (0 or
 // ±2^53) within a domain of `domain` steps; double columns add halves, so
@@ -186,14 +195,15 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
       const auto job = BuildHilbertJoinJob(spec);
       ASSERT_TRUE(job.ok()) << label << ": " << job.status().ToString();
       const std::string at = label + " kernel=" + job->kernel;
-      const auto reference = RunJobPhysically(*job);
+      const auto reference = RunReference(*job);
       ASSERT_TRUE(reference.ok()) << at;
       // Check 1: the result multiset is the oracle's.
       ExpectIdenticalRows(*oracle, SortedByRows(*reference->output), at);
       comparisons[policy == KernelPolicy::kAuto ? 0 : 1] =
           reference->metrics.reduce_comparisons_logical;
 
-      // Check 2: rows and row order are identical on every runner.
+      // Check 2: rows and row order are identical at every pool width,
+      // split shape and budget.
       struct Setting {
         const char* name;
         ThreadPool* pool;
@@ -236,8 +246,8 @@ void ExpectKernelIndependentCharge(const Query& query,
   const auto generic = BuildHilbertJoinJob(spec);
   ASSERT_TRUE(indexed.ok() && generic.ok()) << label;
   EXPECT_EQ(indexed->kernel, "sort-theta") << label;
-  const auto a = RunJobPhysically(*indexed);
-  const auto b = RunJobPhysically(*generic);
+  const auto a = RunReference(*indexed);
+  const auto b = RunReference(*generic);
   ASSERT_TRUE(a.ok() && b.ok()) << label;
   EXPECT_GT(a->output->num_rows(), 0) << label;
   ExpectIdenticalRows(SortedByRows(*a->output), SortedByRows(*b->output),

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/mapreduce/job_runner.h"
 #include "src/mapreduce/load_model.h"
 #include "src/mapreduce/sim_cluster.h"
 #include "src/mem/memory_budget.h"
 #include "src/mem/spill.h"
+#include "src/runtime/parallel_job_runner.h"
 #include "src/runtime/thread_pool.h"
 
 namespace mrtheta {
@@ -44,8 +46,14 @@ MapReduceJobSpec CountJob(RelationPtr rel, int reducers) {
   return spec;
 }
 
+// Runs `spec` on a one-thread pool.
+StatusOr<PhysicalJobResult> RunJob(const MapReduceJobSpec& spec) {
+  ThreadPool pool(1);
+  return RunJobParallel(spec, pool);
+}
+
 TEST(JobRunnerTest, GroupCountIsExact) {
-  const auto result = RunJobPhysically(CountJob(MakeInts(1000), 4));
+  const auto result = RunJob(CountJob(MakeInts(1000), 4));
   ASSERT_TRUE(result.ok());
   const Relation& out = *result->output;
   ASSERT_EQ(out.num_rows(), 10);
@@ -66,7 +74,7 @@ TEST(JobRunnerTest, KeysArriveSortedWithinTask) {
     const int64_t row[] = {ctx.key, 0};
     out.Emit(row);
   };
-  ASSERT_TRUE(RunJobPhysically(spec).ok());
+  ASSERT_TRUE(RunJob(spec).ok());
   ASSERT_EQ(seen.size(), 10u);
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
@@ -77,7 +85,7 @@ TEST(JobRunnerTest, MetricsScaleWithLogicalVolume) {
   auto rel = MakeInts(100, 10000);
   MapReduceJobSpec spec = CountJob(rel, 2);
   spec.inputs[0].scale = 100.0;
-  const auto result = RunJobPhysically(spec);
+  const auto result = RunJob(spec);
   ASSERT_TRUE(result.ok());
   const JobMeasurement& m = result->metrics;
   EXPECT_EQ(m.input_bytes_logical, rel->logical_bytes());
@@ -91,7 +99,7 @@ TEST(JobRunnerTest, MetricsScaleWithLogicalVolume) {
 TEST(JobRunnerTest, OutputRowScale) {
   MapReduceJobSpec spec = CountJob(MakeInts(100), 1);
   spec.output_row_scale = 7.0;
-  const auto result = RunJobPhysically(spec);
+  const auto result = RunJob(spec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->metrics.output_rows_physical, 10);
   EXPECT_EQ(result->metrics.output_rows_logical, 70.0);
@@ -100,12 +108,12 @@ TEST(JobRunnerTest, OutputRowScale) {
 
 TEST(JobRunnerTest, ValidatesSpec) {
   MapReduceJobSpec empty;
-  EXPECT_FALSE(RunJobPhysically(empty).ok());
+  EXPECT_FALSE(RunJob(empty).ok());
   MapReduceJobSpec no_reduce = CountJob(MakeInts(10), 1);
   no_reduce.reduce = nullptr;
-  EXPECT_FALSE(RunJobPhysically(no_reduce).ok());
+  EXPECT_FALSE(RunJob(no_reduce).ok());
   MapReduceJobSpec bad_n = CountJob(MakeInts(10), 0);
-  EXPECT_FALSE(RunJobPhysically(bad_n).ok());
+  EXPECT_FALSE(RunJob(bad_n).ok());
 }
 
 TEST(JobRunnerTest, CustomPartitioner) {
@@ -113,7 +121,7 @@ TEST(JobRunnerTest, CustomPartitioner) {
   spec.partition = [](int64_t key, int n) {
     return static_cast<int>(key % n);
   };
-  const auto result = RunJobPhysically(spec);
+  const auto result = RunJob(spec);
   ASSERT_TRUE(result.ok());
   // Keys 0,2,4,6,8 -> task 0; 1,3,5,7,9 -> task 1: both get 5*100*16 bytes.
   EXPECT_EQ(result->metrics.reduce_input_bytes_logical[0],
@@ -131,7 +139,8 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
   // a job with no rows at all.
   const std::vector<std::vector<int>> jobs = {{2, 0, 3, 0, 0, 1, 0},
                                               {0, 0, 0}};
-  ThreadPool pool(4);
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const std::vector<int>& task_rows : jobs) {
     std::vector<int64_t> expected[3];
     auto collect = [&](bool record) {
@@ -152,9 +161,8 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
     std::vector<ReduceCollector> pooled_tasks = collect(false);
     PhysicalJobResult inline_result;
     PhysicalJobResult pooled;
-    ASSERT_TRUE(
-        FinishJobOutput(spec, inline_tasks, inline_result, nullptr).ok());
-    ASSERT_TRUE(FinishJobOutput(spec, pooled_tasks, pooled, &pool).ok());
+    ASSERT_TRUE(FinishJobOutput(spec, inline_tasks, inline_result, one).ok());
+    ASSERT_TRUE(FinishJobOutput(spec, pooled_tasks, pooled, four).ok());
     EXPECT_EQ(pooled.metrics.output_rows_physical,
               static_cast<int64_t>(expected[0].size()));
     EXPECT_EQ(inline_result.metrics.output_rows_physical,
@@ -225,20 +233,30 @@ TEST(MapEmitterTest, PagedEmitRoundTripsInOrderAcrossPages) {
     emitter.Emit(i, static_cast<int32_t>(i % 3), i * 2, i * 3);
     emitter.EndRow();
   }
-  ASSERT_TRUE(emitter.status().ok()) << emitter.status().ToString();
+  ASSERT_TRUE(emitter.Finish().ok()) << emitter.status().ToString();
   EXPECT_EQ(emitter.size(), n);
   EXPECT_EQ(emitter.spilled_bytes(), 0);
-  int64_t i = 0;
-  const Status walk = emitter.ForEach([&](const MapOutputRecord& rec) {
-    ASSERT_EQ(rec.key, i);
-    ASSERT_EQ(rec.tag, static_cast<int32_t>(i % 3));
-    ASSERT_EQ(rec.target, HashPartition(i, 8));
-    ASSERT_EQ(rec.row, i * 2);
-    ASSERT_EQ(rec.rec_id, i * 3);
-    ++i;
-  });
-  ASSERT_TRUE(walk.ok()) << walk.ToString();
-  EXPECT_EQ(i, n);
+  // Each task reads back its own records, in emit order (ascending keys).
+  int64_t total = 0;
+  for (int t = 0; t < 8; ++t) {
+    std::vector<MapOutputRecord> records(
+        static_cast<size_t>(emitter.task_records()[t]));
+    emitter.CopyResidentTask(t, records.data());
+    int64_t previous = -1;
+    for (const MapOutputRecord& rec : records) {
+      const int64_t i = rec.key;
+      ASSERT_GT(i, previous) << "task " << t;
+      ASSERT_LT(i, n);
+      ASSERT_EQ(rec.tag, static_cast<int32_t>(i % 3));
+      ASSERT_EQ(rec.target, t);
+      ASSERT_EQ(HashPartition(i, 8), t);
+      ASSERT_EQ(rec.row, i * 2);
+      ASSERT_EQ(rec.rec_id, i * 3);
+      previous = i;
+    }
+    total += static_cast<int64_t>(records.size());
+  }
+  EXPECT_EQ(total, n);
 }
 
 TEST(MapEmitterTest, ReserveFailureLatchesResourceExhausted) {
@@ -386,11 +404,11 @@ TEST(CombinerTest, CombinedJobKeepsExactResults) {
   // CountJob never emits duplicate records, so the dedup combiner must be
   // a perfect no-op: same rows, same metrics.
   MapReduceJobSpec plain = CountJob(MakeInts(1000), 4);
-  const auto reference = RunJobPhysically(plain);
+  const auto reference = RunJob(plain);
   ASSERT_TRUE(reference.ok());
   MapReduceJobSpec combined = CountJob(MakeInts(1000), 4);
   combined.combine = MakeDedupCombiner();
-  const auto result = RunJobPhysically(combined);
+  const auto result = RunJob(combined);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->metrics.map_output_records_physical,
             reference->metrics.map_output_records_physical);
@@ -411,7 +429,7 @@ TEST(CombinerTest, CombinedJobKeepsExactResults) {
     out.Emit(r.GetInt(row, 0), tag, row, row);
   };
   doubled.combine = MakeDedupCombiner();
-  const auto deduped = RunJobPhysically(doubled);
+  const auto deduped = RunJob(doubled);
   ASSERT_TRUE(deduped.ok());
   EXPECT_EQ(deduped->metrics.map_output_records_physical,
             reference->metrics.map_output_records_physical);
@@ -598,11 +616,15 @@ TEST(SimClusterTest, ComparisonCpuChargedOnlyWhenEnabled) {
 TEST(SimClusterTest, RunJobEndToEnd) {
   SimCluster cluster(ClusterConfig{});
   auto rel = MakeInts(1000, 4000000);  // represents ~100 MB
-  const auto result = cluster.RunJob(CountJob(rel, 8));
+  const MapReduceJobSpec spec = CountJob(rel, 8);
+  const auto result = RunJob(spec);
   ASSERT_TRUE(result.ok());
+  const auto report = RunSimulation(
+      cluster.config(), {cluster.BuildSimJob(spec, result->metrics)});
+  ASSERT_TRUE(report.ok());
   EXPECT_EQ(result->output->num_rows(), 10);
-  EXPECT_GT(result->duration, 0);
-  EXPECT_GE(result->timing.finish, result->timing.maps_done);
+  EXPECT_GT(report->makespan, 0);
+  EXPECT_GE(report->jobs[0].finish, report->jobs[0].maps_done);
 }
 
 // ---- Load model (Fig. 11) ----

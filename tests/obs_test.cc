@@ -300,9 +300,8 @@ RunSnapshot RunOnce(const Query& q, int threads, bool traced) {
 }
 
 // Tracing only observes: with a session open, rows, simulated metrics and
-// per-job measurements must be byte-identical to the untraced run — on
-// the sequential runner (1 thread) and the parallel one (4 threads), on
-// both workloads.
+// per-job measurements must be byte-identical to the untraced run — at 1
+// and 4 threads, on both workloads.
 TEST(TracingDifferentialTest, TracedRunIsByteIdenticalOnMobile) {
   const Query q = SmallMobileQuery();
   for (int threads : {1, 4}) {

@@ -1,13 +1,16 @@
 // Tests for the in-process multi-threaded runtime (src/runtime): the
 // thread pool, the DAG scheduler, and — most importantly — the determinism
-// contract of ParallelJobRunner: for every join operator and every thread
-// count, output rows (including order) and all JobMeasurement metrics must
-// be bit-identical to the single-threaded reference RunJobPhysically.
+// contract of RunJobParallel: for every join operator, pool width, split
+// shape and memory budget, output rows (including order) and all
+// JobMeasurement metrics must be bit-identical to a one-thread, one-split
+// reference run, whose rows are the naive oracle's (NaiveMultiwayJoin).
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -189,7 +192,7 @@ TEST(DagSchedulerTest, RejectsCyclesAndBadDeps) {
   EXPECT_TRUE(RunDag({}, 2, noop).ok());                   // empty dag
 }
 
-// ---- ParallelJobRunner differential suite ----
+// ---- RunJobParallel differential suite ----
 
 RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
                     uint64_t seed, int64_t logical_rows = 0) {
@@ -263,16 +266,34 @@ RelationPtr MakeRel(const char* name, int64_t rows, int64_t key_range,
   return ::testing::AssertionSuccess();
 }
 
-// Runs `spec` through the sequential reference and through the parallel
-// runner at several pool sizes; every run must match the reference exactly.
-// Small splits force multi-split merges even on the tests' tiny inputs.
-// Every spec then re-runs under a 1-byte memory budget (maximal spill
-// pressure, docs/MEMORY.md) at {1, 4} threads: spilling may only change
-// where records live, never rows or metrics.
-void ExpectParallelMatchesSequential(const MapReduceJobSpec& spec,
-                                     const std::string& label) {
-  const StatusOr<PhysicalJobResult> reference = RunJobPhysically(spec);
+// Runs `spec` on one thread, one map split per input, without a budget or
+// faults: the reference every other run of it must reproduce.
+StatusOr<PhysicalJobResult> RunReference(const MapReduceJobSpec& spec) {
+  ThreadPool pool(1);
+  ParallelRunnerOptions options;
+  options.min_split_rows = std::numeric_limits<int64_t>::max();
+  return RunJobParallel(spec, pool, options);
+}
+
+// Runs `spec` as the reference, whose rows must be the naive oracle's
+// `oracle` as a multiset, and then at several pool sizes; every run must
+// match the reference exactly. Small splits force multi-split gathers even
+// on the tests' tiny inputs. Every spec then re-runs under a 1-byte memory
+// budget (maximal spill pressure, docs/MEMORY.md) at {1, 4} threads:
+// spilling may only change where records live, never rows or metrics.
+void ExpectRunsMatchReference(const MapReduceJobSpec& spec,
+                              const Relation& oracle,
+                              const std::string& label) {
+  const StatusOr<PhysicalJobResult> reference = RunReference(spec);
   ASSERT_TRUE(reference.ok()) << label << ": " << reference.status().ToString();
+  const Relation sorted = SortedByRows(*reference->output);
+  ASSERT_EQ(sorted.num_rows(), oracle.num_rows()) << label;
+  ASSERT_EQ(sorted.schema().num_columns(), oracle.schema().num_columns())
+      << label;
+  for (int c = 0; c < oracle.schema().num_columns(); ++c) {
+    EXPECT_EQ(*sorted.TryColumn<int64_t>(c), *oracle.TryColumn<int64_t>(c))
+        << label << " column " << c;
+  }
   ParallelRunnerOptions options;
   options.min_split_rows = 16;
   options.splits_per_thread = 3;
@@ -330,8 +351,12 @@ TEST(ParallelRunnerDifferentialTest, HilbertMultiwayJoin) {
     spec.seed = 900 + seed;
     const auto job = BuildHilbertJoinJob(spec);
     ASSERT_TRUE(job.ok());
-    ExpectParallelMatchesSequential(*job,
-                                    "hilbert seed=" + std::to_string(seed));
+    std::vector<int> indices(num_rels);
+    std::iota(indices.begin(), indices.end(), 0);
+    const auto oracle = NaiveMultiwayJoin(bases, indices, spec.conditions);
+    ASSERT_TRUE(oracle.ok());
+    ExpectRunsMatchReference(*job, *oracle,
+                             "hilbert seed=" + std::to_string(seed));
   }
 }
 
@@ -351,7 +376,10 @@ TEST(ParallelRunnerDifferentialTest, EquiJoin) {
     spec.num_reduce_tasks = 1 + static_cast<int>(rng.Uniform(8));
     const auto job = BuildEquiJoinJob(spec);
     ASSERT_TRUE(job.ok());
-    ExpectParallelMatchesSequential(*job, "equi seed=" + std::to_string(seed));
+    const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
+    ASSERT_TRUE(oracle.ok());
+    ExpectRunsMatchReference(*job, *oracle,
+                             "equi seed=" + std::to_string(seed));
   }
 }
 
@@ -370,8 +398,10 @@ TEST(ParallelRunnerDifferentialTest, OneBucketTheta) {
     spec.seed = 40 + seed;
     const auto job = BuildOneBucketThetaJob(spec);
     ASSERT_TRUE(job.ok());
-    ExpectParallelMatchesSequential(*job,
-                                    "1bucket seed=" + std::to_string(seed));
+    const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, spec.conditions);
+    ASSERT_TRUE(oracle.ok());
+    ExpectRunsMatchReference(*job, *oracle,
+                             "1bucket seed=" + std::to_string(seed));
   }
 }
 
@@ -392,12 +422,14 @@ TEST(ParallelRunnerDifferentialTest, MergeJoin) {
                            ? BuildEquiJoinJob(spec)
                            : BuildOneBucketThetaJob(spec);
       EXPECT_TRUE(job.ok());
-      return RunJobPhysically(*job)->output;
+      return RunReference(*job)->output;
     };
+    const JoinCondition ab_cond{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0};
+    const JoinCondition bc_cond{{1, 1}, ThetaOp::kLe, {2, 1}, 0.0, 1};
     auto ab = run_pair(JoinSide::ForBase(a, 0), JoinSide::ForBase(b, 1),
-                       {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0});
+                       ab_cond);
     auto bc = run_pair(JoinSide::ForBase(b, 1), JoinSide::ForBase(c, 2),
-                       {{1, 1}, ThetaOp::kLe, {2, 1}, 0.0, 1});
+                       bc_cond);
     MergeJobSpec merge;
     merge.left = JoinSide::ForIntermediate(ab, {0, 1});
     merge.right = JoinSide::ForIntermediate(bc, {1, 2});
@@ -405,7 +437,11 @@ TEST(ParallelRunnerDifferentialTest, MergeJoin) {
     merge.num_reduce_tasks = 4;
     const auto job = BuildMergeJob(merge);
     ASSERT_TRUE(job.ok());
-    ExpectParallelMatchesSequential(*job, "merge seed=" + std::to_string(seed));
+    const auto oracle =
+        NaiveMultiwayJoin(bases, {0, 1, 2}, {ab_cond, bc_cond});
+    ASSERT_TRUE(oracle.ok());
+    ExpectRunsMatchReference(*job, *oracle,
+                             "merge seed=" + std::to_string(seed));
   }
 }
 
@@ -430,9 +466,9 @@ MapReduceJobSpec LargeEquiJoinSpec() {
 
 TEST(SpillDifferentialTest, TightBudgetSpillsAndStaysByteIdentical) {
   const MapReduceJobSpec spec = LargeEquiJoinSpec();
-  const auto reference = RunJobPhysically(spec);
+  const auto reference = RunReference(spec);
   ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(reference->spill_bytes, 0);  // the sequential runner never spills
+  EXPECT_EQ(reference->spill_bytes, 0);  // unbudgeted: nothing spills
   SpillDirectory spill_dir;
   for (int threads : {1, 4}) {
     for (int64_t budget : {int64_t{0}, int64_t{1}}) {
@@ -483,7 +519,7 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
                            static_cast<int64_t>(ctx.records(0).size())};
     out.Emit(row);
   };
-  const auto reference = RunJobPhysically(spec);
+  const auto reference = RunReference(spec);
   ASSERT_TRUE(reference.ok());
   // Combined: one record per row survives.
   EXPECT_EQ(reference->metrics.map_output_records_physical, 4000);
@@ -517,7 +553,7 @@ TEST(SpillDifferentialTest, ByteAccountingMatchesAtNonIntegerScales) {
   spec.num_reduce_tasks = 7;
   const auto job = BuildEquiJoinJob(spec);
   ASSERT_TRUE(job.ok());
-  const auto reference = RunJobPhysically(*job);
+  const auto reference = RunReference(*job);
   ASSERT_TRUE(reference.ok());
   // The per-record sums. Folding each task's count into one product reads
   // 10000000000000360 map output bytes instead.
@@ -585,8 +621,8 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
                                             PlanHiveStyle(q, *cluster_)};
   for (const auto& plan : plans) {
     ASSERT_TRUE(plan.ok());
-    Executor sequential(cluster_.get());
-    const auto ref = sequential.Execute(q, *plan);
+    Executor one_thread(cluster_.get());
+    const auto ref = one_thread.Execute(q, *plan);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (int threads : {2, 4, 8}) {
       ExecutorOptions options;
@@ -617,15 +653,12 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
 TEST_F(RuntimeExecutorTest, BudgetedExecutionMatchesUnbudgeted) {
   // ExecutorOptions::mem_budget_bytes = 1 puts every job of the plan under
   // maximal spill pressure; simulated accounting and rows must not move.
-  // At one thread this also exercises the routing rule: budgeted plans run
-  // through the parallel runner (the only spill-capable one) even when
-  // num_threads == 1.
   const Query q = ChainQuery();
   Planner planner(cluster_.get(), params_);
   const auto plan = planner.Plan(q);
   ASSERT_TRUE(plan.ok());
-  Executor sequential(cluster_.get());
-  const auto ref = sequential.Execute(q, *plan);
+  Executor one_thread(cluster_.get());
+  const auto ref = one_thread.Execute(q, *plan);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   // (No spill assertion on the reference: under a $MRTHETA_MEM_BUDGET CI
   // leg even the default-options executor is budgeted and may spill.)

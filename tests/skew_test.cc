@@ -5,6 +5,7 @@
 // at any thread count.
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -254,6 +255,14 @@ std::vector<std::vector<int64_t>> SortedRows(const Relation& rel) {
   return rows;
 }
 
+// Runs `spec` on one thread, one map split per input.
+StatusOr<PhysicalJobResult> RunJob(const MapReduceJobSpec& spec) {
+  ThreadPool pool(1);
+  ParallelRunnerOptions options;
+  options.min_split_rows = std::numeric_limits<int64_t>::max();
+  return RunJobParallel(spec, pool, options);
+}
+
 TEST(HilbertSkewTest, SkewRoutingPreservesResultsAndRebalances) {
   HilbertJoinPlanInfo info_off, info_on;
   const auto spec_off =
@@ -270,8 +279,8 @@ TEST(HilbertSkewTest, SkewRoutingPreservesResultsAndRebalances) {
   EXPECT_EQ(info_on.skew.residual_tasks + info_on.skew.heavy_tasks,
             spec_on->num_reduce_tasks);
 
-  const auto off = RunJobPhysically(*spec_off);
-  const auto on = RunJobPhysically(*spec_on);
+  const auto off = RunJob(*spec_off);
+  const auto on = RunJob(*spec_on);
   ASSERT_TRUE(off.ok());
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(SortedRows(*off->output), SortedRows(*on->output));
@@ -297,8 +306,8 @@ TEST(HilbertSkewTest, UniformDataIsUntouchedBySkewHandling) {
   ASSERT_TRUE(spec_off.ok());
   ASSERT_TRUE(spec_on.ok());
   EXPECT_EQ(spec_off->num_reduce_tasks, spec_on->num_reduce_tasks);
-  const auto off = RunJobPhysically(*spec_off);
-  const auto on = RunJobPhysically(*spec_on);
+  const auto off = RunJob(*spec_off);
+  const auto on = RunJob(*spec_on);
   ASSERT_TRUE(off.ok());
   ASSERT_TRUE(on.ok());
   ASSERT_EQ(off->output->num_rows(), on->output->num_rows());
@@ -310,14 +319,14 @@ TEST(HilbertSkewTest, UniformDataIsUntouchedBySkewHandling) {
 }
 
 TEST(HilbertSkewTest, ParallelRunnerMatchesSequentialWithSkewOn) {
-  // The PR 2 determinism contract extends to heavy-grid jobs: identical
-  // rows, row order and metrics at every thread count.
+  // The determinism contract extends to heavy-grid jobs: identical rows,
+  // row order and metrics at every thread count and split shape.
   const auto spec =
       BuildHilbertJoinJob(StationPairSpec(3000, 1.2, 24, SkewHandling::kForce));
   ASSERT_TRUE(spec.ok());
-  const auto ref = RunJobPhysically(*spec);
+  const auto ref = RunJob(*spec);
   ASSERT_TRUE(ref.ok());
-  for (int threads : {2, 4}) {
+  for (int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
     const auto got = RunJobParallel(*spec, pool);
     ASSERT_TRUE(got.ok());
