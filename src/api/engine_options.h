@@ -22,10 +22,12 @@ namespace mrtheta {
 struct EngineOptions {
   /// The simulated shared-nothing cluster (kP workers, Table 1 parameters).
   ClusterConfig cluster;
-  /// Optimizer knobs (λ, pruning, kR policy, statistics collection).
+  /// Optimizer knobs (Lemma 1/2 and column pruning, the reduce-task cap,
+  /// the skew-flag threshold, statistics collection).
   PlannerOptions planner;
-  /// Physical runtime knobs (threads, kernels, skew handling). The engine
-  /// sizes its shared thread pool to `executor.num_threads`.
+  /// Physical runtime knobs (threads, skew handling, fault injection and
+  /// retries, memory budget). The engine sizes its shared thread pool to
+  /// `executor.num_threads`.
   ExecutorOptions executor;
   /// Cost-model calibration campaign (Sec. 6.2 probes).
   CalibrationOptions calibration;

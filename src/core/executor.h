@@ -22,10 +22,10 @@ struct JobExecution {
   /// when the job read base relations only) — the plan DAG, kept here so
   /// profiles can render it without the QueryPlan in hand.
   std::vector<int> input_jobs;
-  /// Reduce-side join kernel the job was eligible to run ("sort-theta"
-  /// when a condition qualified for the sort-based path, else "generic").
-  /// Reduce groups below the sort-kernel min-pairs gate still use the
-  /// generic loop.
+  /// Reduce-side join kernel the job was built for: "sort-theta" when a
+  /// pairwise job has a sort driver or a Hilbert depth has an index, else
+  /// "generic" (always for merge jobs). Pairwise reduce groups below
+  /// kSortKernelMinPairs candidate pairs still run the generic loop.
   std::string kernel = "generic";
   JobMeasurement metrics;
   SimJobResult timing;
@@ -148,9 +148,10 @@ struct QueryProfile;
 /// the whole job DAG through the discrete-event engine to obtain the
 /// simulated makespan under the cluster's kP processing units.
 ///
-/// Kernel selection (see docs/EXECUTOR.md): every job builder runs the
-/// specialized columnar kernel whenever a join condition qualifies
-/// (ChooseSortDriver), falling back to the generic per-pair path otherwise.
+/// Kernel selection (see docs/EXECUTOR.md) is each job builder's own:
+/// pairwise jobs sort on one driving condition (ChooseSortDriver), Hilbert
+/// jobs index each depth on its conditions (DepthIndexPlan), and merge jobs
+/// run the nested loop over their rid-hash groups.
 class Executor {
  public:
   /// `cluster` must outlive the executor.

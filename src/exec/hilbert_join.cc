@@ -115,6 +115,17 @@ DimensionGrouping ComputeDimensionGrouping(
 
 namespace {
 
+// Heavy-key detection of a skew-handling job (docs/SKEW.md): rows
+// reservoir-sampled per input (the whole input when it is smaller) and
+// the sampling seed.
+constexpr int64_t kSkewSampleRows = 4096;
+constexpr uint64_t kSkewSampleSeed = 0x5eed;
+// A key is a heavy candidate when at least this fraction of an input's
+// filtered sample carries it. A key below 2% cannot dominate a reducer at
+// realistic task budgets, and splitting quasi-uniform keys (e.g. a day
+// column's 1/61 shares) costs broadcast volume for no balance win.
+constexpr double kHeavyKeyMinFrequency = 0.02;
+
 // One join condition bound to the job's inputs: type dispatch, covering
 // input positions and rid resolution fixed once at build time.
 struct HilbertBoundCondition {
@@ -628,8 +639,8 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       if (side.filter != nullptr && side.data->num_rows() > 0) {
         int64_t passing = 0;
         const std::vector<int64_t> sample = ReservoirSampleRows(
-            side.data->num_rows(), spec.skew_detect.sample_size,
-            spec.skew_detect.seed + 0x8a1eu + static_cast<uint64_t>(i));
+            side.data->num_rows(), kSkewSampleRows,
+            kSkewSampleSeed + 0x8a1eu + static_cast<uint64_t>(i));
         for (int64_t r : sample) passing += side.filter->Passes(r) ? 1 : 0;
         pass_frac = static_cast<double>(passing) /
                     static_cast<double>(sample.size());
@@ -650,38 +661,31 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
         }
       }
       if (dim_inputs.size() < 2) continue;
-      // Sampled key-hash frequencies per covering input (ordered map:
-      // candidate order must be deterministic).
+      // Exact key-hash frequencies of each covering input's sample
+      // (ordered map: candidate order must be deterministic).
       std::map<uint64_t, std::vector<double>> freq;
       for (size_t k = 0; k < dim_inputs.size(); ++k) {
         const int i = dim_inputs[k];
         const JoinSide& side = spec.inputs[i];
         const ColumnRef key = grouping.key_of_input[i];
         const Relation& base = *spec.base_relations[key.relation];
-        FrequencySketch sketch(spec.skew_detect.sketch_capacity);
+        std::vector<uint64_t> keys;
         for (int64_t r : ReservoirSampleRows(
-                 side.data->num_rows(), spec.skew_detect.sample_size,
-                 spec.skew_detect.seed + static_cast<uint64_t>(i))) {
+                 side.data->num_rows(), kSkewSampleRows,
+                 kSkewSampleSeed + static_cast<uint64_t>(i))) {
           // Sample the post-selection distribution: a key whose tuples
           // the map-side filter drops must not earn a heavy-value grid
           // (the grid would starve the residual tasks for nothing).
           if (!side.PassesFilter(r)) continue;
-          sketch.Add(HashValue(
+          keys.push_back(HashValue(
               base.Get(side.BaseRow(r, key.relation), key.column)));
         }
-        if (sketch.total() == 0) continue;
-        const double total = static_cast<double>(sketch.total());
-        for (const FrequencySketch::Entry& e : sketch.Entries()) {
-          const double f = static_cast<double>(e.count) / total;
-          if (f < spec.skew_detect.min_frequency) break;  // sorted desc
-          // Space-Saving only vouches for count - error occurrences; a
-          // key-like column's long distinct tail must not seed candidates.
-          if (static_cast<double>(e.count - e.error) / total <
-              spec.skew_detect.min_frequency) {
-            continue;
-          }
+        const double total = static_cast<double>(keys.size());
+        for (const KeyCount& kc : CountKeys(std::move(keys))) {
+          const double f = static_cast<double>(kc.count) / total;
+          if (f < kHeavyKeyMinFrequency) continue;
           auto [it, inserted] = freq.try_emplace(
-              e.key, std::vector<double>(dim_inputs.size(), 0.0));
+              kc.key, std::vector<double>(dim_inputs.size(), 0.0));
           it->second[k] = f;
         }
       }

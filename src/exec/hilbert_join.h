@@ -11,7 +11,6 @@
 #include "src/hilbert/hilbert.h"
 #include "src/mapreduce/job.h"
 #include "src/sched/skew_assigner.h"
-#include "src/stats/heavy_hitters.h"
 
 namespace mrtheta {
 
@@ -45,12 +44,6 @@ struct MultiwayJoinJobSpec {
   /// result is identical either way; only the reducer decomposition (and
   /// hence per-task input sizes) changes.
   SkewHandling skew_handling = SkewHandling::kOff;
-  /// Sampling/sketch knobs for the heavy-hitter detector. The candidate
-  /// floor is higher than the detector's general default: a key below 2%
-  /// frequency cannot dominate a reducer at realistic task budgets, and
-  /// splitting quasi-uniform keys (e.g. a day column's 1/61 shares) costs
-  /// broadcast volume for no balance win.
-  HeavyHitterOptions skew_detect = {.min_frequency = 0.02};
   /// Task-budget split knobs for the heavy/residual decomposition.
   SkewAssignerOptions skew_assign;
   /// Required-column analysis for this job (PlanJob::output_columns): per

@@ -5,8 +5,6 @@
 #include <memory>
 #include <set>
 
-#include "src/exec/theta_kernels.h"
-
 namespace mrtheta {
 
 std::vector<int> SharedBases(const JoinSide& a, const JoinSide& b) {
@@ -30,7 +28,6 @@ struct MergeState {
   std::vector<const int64_t*> right_rids;
   std::vector<int> output_bases;
   std::vector<RidSource> output_sources;  // per output base; input 0 = left
-  KernelPolicy kernel_policy = KernelPolicy::kAuto;
 
   int64_t LeftRid(size_t k, int64_t row) const {
     return left_rids[k] != nullptr ? left_rids[k][row] : row;
@@ -55,14 +52,6 @@ struct MergeState {
     return true;
   }
 
-  // Remaining shared rids after the sort-merge key (index 0).
-  bool TailRidsMatch(int64_t lrow, int64_t rrow) const {
-    for (size_t k = 1; k < shared.size(); ++k) {
-      if (LeftRid(k, lrow) != RightRid(k, rrow)) return false;
-    }
-    return true;
-  }
-
   // `row` is the group's scratch rid row (one cell per output base).
   void EmitPair(int64_t lrow, int64_t rrow, std::vector<int64_t>& row,
                 ReduceCollector& out) const {
@@ -73,34 +62,12 @@ struct MergeState {
     out.Emit(row);
   }
 
+  // A reduce group is one hash of the shared rids, so unless two rid
+  // tuples collide every pair in it matches: the nested loop is the join.
   void JoinGroup(const std::vector<const MapOutputRecord*>& lrecs,
                  const std::vector<const MapOutputRecord*>& rrecs,
                  ReduceCollector& out) const {
-    const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
-                          static_cast<int64_t>(rrecs.size());
     std::vector<int64_t> row(output_sources.size());
-    if (kernel_policy == KernelPolicy::kAuto && pairs >= kSortKernelMinPairs) {
-      // Hash-key collisions made this group large: sort-merge on the first
-      // shared rid, verify the rest per candidate.
-      std::vector<std::pair<int64_t, int32_t>> l, r;
-      l.reserve(lrecs.size());
-      r.reserve(rrecs.size());
-      for (size_t i = 0; i < lrecs.size(); ++i) {
-        l.emplace_back(LeftRid(0, lrecs[i]->row), static_cast<int32_t>(i));
-      }
-      for (size_t i = 0; i < rrecs.size(); ++i) {
-        r.emplace_back(RightRid(0, rrecs[i]->row), static_cast<int32_t>(i));
-      }
-      SortedThetaScan(l, ThetaOp::kEq, r,
-                      [&](int32_t lpos, int32_t rpos) {
-                        const int64_t lrow = lrecs[lpos]->row;
-                        const int64_t rrow = rrecs[rpos]->row;
-                        if (TailRidsMatch(lrow, rrow)) {
-                          EmitPair(lrow, rrow, row, out);
-                        }
-                      });
-      return;
-    }
     for (const MapOutputRecord* lrec : lrecs) {
       for (const MapOutputRecord* rrec : rrecs) {
         if (!RidsMatch(lrec->row, rrec->row)) continue;
@@ -119,7 +86,6 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   auto state = std::make_shared<MergeState>();
   state->left = spec.left;
   state->right = spec.right;
-  state->kernel_policy = spec.kernel_policy;
   state->shared = SharedBases(spec.left, spec.right);
   if (state->shared.empty()) {
     return Status::FailedPrecondition(
@@ -151,9 +117,6 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
   // both sides, so use the max (the dominating side's scale).
   job.output_row_scale = std::max(spec.left.scale, spec.right.scale);
 
-  job.kernel = JoinKernelName(spec.kernel_policy == KernelPolicy::kAuto
-                                  ? JoinKernel::kSortTheta
-                                  : JoinKernel::kGeneric);
   job.map_emits_per_row = {1.0, 1.0};  // merge maps emit exactly once
 
   job.map = [state](int tag, const Relation& rel, int64_t row,

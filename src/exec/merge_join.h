@@ -6,7 +6,6 @@
 
 #include "src/common/status.h"
 #include "src/exec/join_side.h"
-#include "src/exec/theta_kernels.h"
 #include "src/mapreduce/job.h"
 
 namespace mrtheta {
@@ -21,8 +20,6 @@ struct MergeJobSpec {
   JoinSide right;  ///< an intermediate result
   std::vector<RelationPtr> base_relations;
   int num_reduce_tasks = 1;
-  /// kAuto: sort-merge on the first shared rid for oversized hash groups.
-  KernelPolicy kernel_policy = KernelPolicy::kAuto;
   /// Required-column analysis for this job (PlanJob::output_columns): when
   /// non-empty, the output intermediate takes pruned per-base widths (the
   /// merge shuffle itself already ships only record IDs).

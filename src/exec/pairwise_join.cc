@@ -126,8 +126,6 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
   state->left = spec.left;
   state->right = spec.right;
   state->base_relations = spec.base_relations;
-  std::vector<JoinCondition> oriented;
-  oriented.reserve(spec.conditions.size());
   for (const JoinCondition& cond : spec.conditions) {
     const JoinCondition oc =
         spec.left.Covers(cond.lhs.relation) ? cond
@@ -141,10 +139,11 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
     bc.lhs_rid = RidColumnFor(spec.left, oc.lhs.relation);
     bc.rhs_rid = RidColumnFor(spec.right, oc.rhs.relation);
     state->bound.push_back(bc);
-    oriented.push_back(oc);
   }
   if (spec.kernel_policy == KernelPolicy::kAuto) {
-    state->sort_driver = ChooseSortDriver(oriented, spec.base_relations);
+    // Orienting a condition keeps its kind (`<>`, `=` or a range), so the
+    // index is the same in `bound`.
+    state->sort_driver = ChooseSortDriver(spec.conditions);
   }
   std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
   bases.insert(spec.right.bases.begin(), spec.right.bases.end());

@@ -29,33 +29,18 @@ enum class KernelPolicy {
   kGenericOnly,
 };
 
-/// The typed domain a condition's operand columns share — decides whether
-/// the sort kernel applies and which key type it sorts.
-enum class SortKeyDomain {
-  kNone,    ///< no typed domain (should not occur for valid conditions)
-  kInt64,   ///< int64 vs int64 with an integral offset
-  kDouble,  ///< any other numeric pairing
-  kString,  ///< string vs string, offset-free
-};
-
-SortKeyDomain ClassifySortKey(const JoinCondition& cond,
-                              const Relation& lhs_rel,
-                              const Relation& rhs_rel);
-
 /// Index into `conditions` of the condition that should drive the
-/// sort-based kernel, or -1 when none qualifies. A condition qualifies when
-/// its operands share a typed sort domain and its operator is not `<>`
-/// (whose candidate set is nearly the full cross product, so sorting buys
-/// nothing). Inequalities are preferred over equalities: range pruning is
-/// where the sort path beats hashing.
-int ChooseSortDriver(const std::vector<JoinCondition>& conditions,
-                     const std::vector<RelationPtr>& base_relations);
+/// sort-based kernel, or -1 when none qualifies. Every condition but `<>`
+/// qualifies (its candidate set is nearly the full cross product, so
+/// sorting buys nothing). Inequalities are preferred over equalities: range
+/// pruning is where the sort path beats hashing.
+int ChooseSortDriver(const std::vector<JoinCondition>& conditions);
 
-/// Sort-kernel gate of the pairwise and merge reducers: below this many
-/// candidate pairs a reduce group runs the generic nested loop even when a
-/// sort driver exists (sorting tiny groups costs more than it saves). A
-/// constant because sweeping it from 1 to 2^62 moved neither the simulated
-/// makespan nor the wall time of the TPC-H Q17 cascade beyond noise.
+/// Sort-kernel gate of the pairwise reducers: below this many candidate
+/// pairs a reduce group runs the generic nested loop even when a sort
+/// driver exists (sorting tiny groups costs more than it saves). A constant
+/// because sweeping it from 1 to 2^62 moved neither the simulated makespan
+/// nor the wall time of the TPC-H Q17 cascade beyond noise.
 inline constexpr int64_t kSortKernelMinPairs = 256;
 
 /// \brief Emits every (left pos, right pos) pair whose keys satisfy `op`,
@@ -164,15 +149,12 @@ void SortedThetaScan(std::vector<std::pair<K, int32_t>>& left, ThetaOp op,
 ///
 /// `lrows` / `rrows` are row indices into the relations holding the
 /// condition's lhs / rhs columns; `emit(lpos, rpos)` receives positions
-/// into those spans for every satisfying pair. Returns false (emitting
-/// nothing) when the condition has no typed sort domain — the caller falls
-/// back to the generic nested loop.
+/// into those spans for every satisfying pair. Keys are sorted in the
+/// compiled predicate's domain (int64 / double / string).
 template <typename Emit>
-bool SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
+void SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
                      std::span<const int64_t> lrows, const Relation& rhs_rel,
                      std::span<const int64_t> rrows, Emit&& emit) {
-  const SortKeyDomain domain = ClassifySortKey(cond, lhs_rel, rhs_rel);
-  if (domain == SortKeyDomain::kNone) return false;
   const CompiledPredicate pred =
       CompiledPredicate::Compile(cond, lhs_rel, rhs_rel);
 
@@ -190,23 +172,20 @@ bool SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
     SortedThetaScan(left, cond.op, right, emit);
   };
 
-  switch (domain) {
-    case SortKeyDomain::kInt64:
+  switch (pred.domain()) {
+    case CompiledPredicate::Domain::kInt64:
       run([&](int64_t r) { return pred.LhsKeyInt(r); },
           [&](int64_t r) { return pred.RhsKeyInt(r); });
       break;
-    case SortKeyDomain::kDouble:
+    case CompiledPredicate::Domain::kDouble:
       run([&](int64_t r) { return pred.LhsKeyDouble(r); },
           [&](int64_t r) { return pred.RhsKeyDouble(r); });
       break;
-    case SortKeyDomain::kString:
+    case CompiledPredicate::Domain::kString:
       run([&](int64_t r) { return std::string_view(pred.LhsKeyString(r)); },
           [&](int64_t r) { return std::string_view(pred.RhsKeyString(r)); });
       break;
-    case SortKeyDomain::kNone:
-      return false;
   }
-  return true;
 }
 
 }  // namespace mrtheta

@@ -332,10 +332,10 @@ struct MapReduceJobSpec {
   /// True for Hive/Pig-style jobs: pay text-SerDe parse/serialize costs and
   /// text-width-inflated intermediates (ClusterConfig::text_serde_*).
   bool text_serde = false;
-  /// Reduce-side join kernel this job is *eligible* to run (see
-  /// JoinKernelName in src/exec/theta_kernels.h) — observability only.
-  /// Qualifying reduce groups use it; groups below the job's
-  /// sort-kernel min-pairs gate always take the generic nested loop.
+  /// Reduce-side join kernel the job was built for (see JoinKernelName in
+  /// src/exec/theta_kernels.h) — observability only. In pairwise jobs,
+  /// reduce groups below kSortKernelMinPairs candidate pairs take the
+  /// generic nested loop whatever this says.
   std::string kernel = "generic";
   /// Expected Emit calls per input row, one entry per input (empty = 1.0
   /// for every input). Builders fill this from their replication factors so

@@ -46,27 +46,6 @@ class Histogram {
   std::vector<int64_t> counts_;
 };
 
-/// \brief KMV (k-minimum-values) sketch for distinct-count estimation.
-///
-/// Insert 64-bit hashes of values; Estimate() returns the classic
-/// (k-1)/max_kth_normalized estimator. Small (k=256) and mergeable.
-class KmvSketch {
- public:
-  explicit KmvSketch(int k = 256) : k_(k) {}
-
-  void InsertHash(uint64_t h);
-  void InsertInt(int64_t v);
-  void InsertDouble(double v);
-  void InsertString(const std::string& v);
-
-  /// Estimated number of distinct inserted values.
-  double Estimate() const;
-
- private:
-  int k_;
-  std::vector<uint64_t> heap_;  // max-heap of the k smallest hashes
-};
-
 }  // namespace mrtheta
 
 #endif  // MRTHETA_STATS_HISTOGRAM_H_

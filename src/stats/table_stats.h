@@ -2,6 +2,7 @@
 #define MRTHETA_STATS_TABLE_STATS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/status.h"
@@ -14,9 +15,12 @@ namespace mrtheta {
 struct ColumnStats {
   double min = 0.0;
   double max = 0.0;
-  double distinct = 0.0;  ///< KMV estimate of distinct values.
-  /// Estimated frequency of the single most common value (Space-Saving
-  /// sketch over the sample). Drives the planner's skew-handling decision
+  /// Distinct values: the sample's KMV estimate (KmvDistinct), scaled to
+  /// the logical cardinality when the sample is nearly all distinct. At
+  /// least 1, also for an empty relation.
+  double distinct = 0.0;
+  /// Frequency of the most common value in the sample, counted exactly (0
+  /// for an empty relation). Drives the planner's skew-handling decision
   /// (docs/SKEW.md): a uniform column has top_frequency ≈ 1/distinct, a
   /// Zipfian one is orders of magnitude above it.
   double top_frequency = 0.0;
@@ -54,6 +58,21 @@ TableStats BuildTableStats(const Relation& rel,
 /// Reservoir-samples `k` row indices (uniform, deterministic for a seed).
 std::vector<int64_t> ReservoirSampleRows(int64_t num_rows, int64_t k,
                                          uint64_t seed);
+
+/// One distinct key of a sample and how often the sample holds it.
+struct KeyCount {
+  uint64_t key = 0;
+  int64_t count = 0;
+};
+
+/// Sorts `keys`, one per sampled cell, and returns each distinct key once
+/// with its count, ascending by key: the sample's exact frequencies.
+std::vector<KeyCount> CountKeys(std::vector<uint64_t> keys);
+
+/// KMV distinct-value estimate with k = 256 over the keys of `counts`:
+/// their number when fewer than k; otherwise (k - 1) / u, where u is the
+/// k-th smallest Mix64 image of a key divided by UINT64_MAX.
+double KmvDistinct(std::span<const KeyCount> counts);
 
 }  // namespace mrtheta
 

@@ -203,7 +203,8 @@ std::string DescribeJob(const PlanJob& job) {
     thetas += std::to_string(t);
   }
   return std::string(PlanJobKindName(job.kind)) + " in=[" + inputs +
-         "] θ=[" + thetas + "] RN=" + std::to_string(job.num_reduce_tasks);
+         "] θ=[" + thetas + "] RN=" + std::to_string(job.num_reduce_tasks) +
+         (job.skew_handling ? " skew" : "");
 }
 
 struct PinnedCandidate {
@@ -218,18 +219,19 @@ struct PinnedPlan {
   double est_makespan_sec;
   std::vector<std::string> jobs;
   std::vector<PinnedCandidate> candidates;
+  int64_t lineitem_rows = 2000;
+  double lineitem_key_skew = 0.0;
 };
 
 // The optimizer's choices on the paper's TPC-H queries (Sec. 6.3.2) at
-// 2,000 lineitem rows and SF 100: the strategy, every job's shape and
-// reduce-task count, and every priced G'_JP candidate with its kR. A change
-// to how the cost oracle is evaluated must reproduce them exactly; the
-// doubles are pinned to a relative 1e-12.
+// 2,000 lineitem rows and SF 100, and on bench_skew's Q17 (4,000 rows,
+// Zipf(1.2) part popularity), whose Hilbert job the planner flags for skew
+// handling: the strategy, every job's shape, reduce-task count and skew
+// flag, and every priced G'_JP candidate with its kR. A change to how the
+// cost oracle is evaluated, or to the column statistics behind the skew
+// flag, must reproduce them exactly; the doubles are pinned to a relative
+// 1e-12.
 TEST_F(CoreTest, TpchPlansArePinned) {
-  TpchOptions options;
-  options.scale_factor = 100;
-  options.physical_lineitem_rows = 2000;
-  const TpchData db = GenerateTpch(options);
   Planner planner(cluster_.get(), params_);
   const PinnedPlan kPinned[] = {
       {7,
@@ -311,10 +313,34 @@ TEST_F(CoreTest, TpchPlansArePinned) {
         {0x41, 96, 124759.39750873181},
         {0x48, 96, 440680.8048997061},
         {0x50, 96, 164187358.47038028},
-        {0xff, 48, 604.37676428250813}}}
+        {0xff, 48, 604.37676428250813}}},
+      {17,
+       "mrtheta-single-mrj",
+       646.436642678211,
+       {"hilbert-join in=[R0,R1,R2] θ=[0,1,2,3] RN=96 skew"},
+       {{0x2, 48, 255.11226540090996},
+        {0x1, 48, 256.00532602623969},
+        {0xc, 96, 38955.061826953686},
+        {0xd, 96, 73406.383170910878},
+        {0xe, 96, 80962.418152383922},
+        {0x4, 96, 96453.411447339662},
+        {0x8, 96, 117661.70226857542},
+        {0x6, 96, 176989.93480034548},
+        {0x5, 96, 178201.15217361215},
+        {0xa, 96, 212708.43536198771},
+        {0x9, 96, 214164.6848304038},
+        {0xf, 96, 646.436642678211}},
+       4000,
+       1.2}
   };
   for (const PinnedPlan& pin : kPinned) {
-    SCOPED_TRACE("Q" + std::to_string(pin.which));
+    SCOPED_TRACE("Q" + std::to_string(pin.which) + " at " +
+                 std::to_string(pin.lineitem_rows) + " rows");
+    TpchOptions options;
+    options.scale_factor = 100;
+    options.physical_lineitem_rows = pin.lineitem_rows;
+    options.lineitem_key_skew = pin.lineitem_key_skew;
+    const TpchData db = GenerateTpch(options);
     const auto query = TpchQueryBuilder(pin.which, db).Build();
     ASSERT_TRUE(query.ok());
     const auto plan = planner.Plan(*query);

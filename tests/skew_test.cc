@@ -1,5 +1,5 @@
-// Skew-aware partitioning (docs/SKEW.md): the heavy-hitter detector
-// (src/stats/heavy_hitters), the heavy/residual reducer assignment
+// Skew-aware partitioning (docs/SKEW.md): exact sample counts of heavy keys
+// (CountKeys, src/stats/table_stats), the heavy/residual reducer assignment
 // (src/sched/skew_assigner), the Hilbert-join skew routing, and the
 // differential guarantee that skew handling never changes a join's result
 // at any thread count.
@@ -21,51 +21,13 @@
 #include "src/runtime/parallel_job_runner.h"
 #include "src/runtime/thread_pool.h"
 #include "src/sched/skew_assigner.h"
-#include "src/stats/heavy_hitters.h"
+#include "src/stats/table_stats.h"
 #include "src/workload/mobile.h"
 
 namespace mrtheta {
 namespace {
 
-// ---- FrequencySketch ----
-
-TEST(FrequencySketchTest, ExactBelowCapacity) {
-  FrequencySketch sketch(16);
-  for (int i = 0; i < 10; ++i) {
-    for (int rep = 0; rep <= i; ++rep) sketch.Add(static_cast<uint64_t>(i));
-  }
-  const auto entries = sketch.Entries();
-  ASSERT_EQ(entries.size(), 10u);
-  EXPECT_EQ(entries[0].key, 9u);
-  EXPECT_EQ(entries[0].count, 10);
-  EXPECT_EQ(entries[0].error, 0);
-  EXPECT_EQ(sketch.total(), 55);
-}
-
-TEST(FrequencySketchTest, KeepsHeavyKeysUnderEviction) {
-  // A heavy key mixed into a long tail of distinct keys must survive
-  // eviction pressure with a usable count.
-  FrequencySketch sketch(32);
-  Rng rng(7);
-  int64_t heavy_count = 0;
-  for (int i = 0; i < 20000; ++i) {
-    if (rng.Bernoulli(0.2)) {
-      sketch.Add(42);
-      ++heavy_count;
-    } else {
-      sketch.Add(1000 + rng.Uniform(100000));
-    }
-  }
-  const auto entries = sketch.Entries();
-  ASSERT_FALSE(entries.empty());
-  EXPECT_EQ(entries[0].key, 42u);
-  // Space-Saving overestimates by at most the inherited error.
-  EXPECT_GE(entries[0].count, heavy_count);
-  EXPECT_LE(entries[0].count - entries[0].error, heavy_count);
-  EXPECT_LE(entries[0].count, heavy_count + sketch.total() / 32);
-}
-
-// ---- DetectHeavyHitters ----
+// ---- Heavy keys from exact sample counts ----
 
 RelationPtr ZipfColumn(int64_t rows, int64_t domain, double exponent,
                        uint64_t seed) {
@@ -86,39 +48,55 @@ std::map<int64_t, double> ExactFrequencies(const Relation& rel, int column) {
   return freq;
 }
 
+// Value frequencies of int64 column 0 in a reservoir sample of `sample_size`
+// rows, most frequent first (ties by value), through CountKeys: an int64
+// key is the value's bits.
+std::vector<std::pair<int64_t, double>> SampleFrequencies(
+    const Relation& rel, int64_t sample_size) {
+  const std::vector<int64_t> rows =
+      ReservoirSampleRows(rel.num_rows(), sample_size, 0x5eed);
+  std::vector<uint64_t> keys;
+  for (int64_t r : rows) {
+    keys.push_back(static_cast<uint64_t>(rel.GetInt(r, 0)));
+  }
+  std::vector<std::pair<int64_t, double>> freq;
+  for (const KeyCount& kc : CountKeys(std::move(keys))) {
+    freq.emplace_back(static_cast<int64_t>(kc.key),
+                      static_cast<double>(kc.count) /
+                          static_cast<double>(rows.size()));
+  }
+  std::sort(freq.begin(), freq.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second || (a.second == b.second && a.first < b.first);
+  });
+  return freq;
+}
+
 TEST(HeavyHitterTest, ExactOnFullScan) {
   // Sample covers the whole relation -> frequencies are exact.
   const RelationPtr rel = ZipfColumn(3000, 500, 1.2, 11);
   const auto exact = ExactFrequencies(*rel, 0);
-  HeavyHitterOptions options;
-  options.sample_size = rel->num_rows();
-  const auto hitters = DetectHeavyHitters(*rel, 0, options);
-  ASSERT_FALSE(hitters.empty());
-  for (const HeavyHitter& hh : hitters) {
-    EXPECT_NEAR(hh.frequency, exact.at(hh.value.AsInt()), 1e-12);
+  const auto freq = SampleFrequencies(*rel, rel->num_rows());
+  ASSERT_EQ(freq.size(), exact.size());
+  for (const auto& [value, f] : freq) {
+    EXPECT_NEAR(f, exact.at(value), 1e-12) << "value " << value;
   }
-  // Descending, and the top value really is the most frequent one.
-  for (size_t i = 1; i < hitters.size(); ++i) {
-    EXPECT_GE(hitters[i - 1].frequency, hitters[i].frequency);
-  }
+  // The top value really is the most frequent one.
   const auto top = std::max_element(
       exact.begin(), exact.end(),
       [](const auto& a, const auto& b) { return a.second < b.second; });
-  EXPECT_EQ(hitters[0].value.AsInt(), top->first);
+  EXPECT_EQ(freq[0].first, top->first);
 }
 
 TEST(HeavyHitterTest, SampledTracksExactOnZipfColumn) {
   const RelationPtr rel = ZipfColumn(40000, 2000, 1.2, 12);
   const auto exact = ExactFrequencies(*rel, 0);
-  HeavyHitterOptions options;
-  options.sample_size = 2000;  // 5% sample
-  const auto hitters = DetectHeavyHitters(*rel, 0, options);
-  ASSERT_GE(hitters.size(), 3u);
+  const auto freq = SampleFrequencies(*rel, 2000);  // 5% sample
+  ASSERT_GE(freq.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    const auto it = exact.find(hitters[i].value.AsInt());
+    const auto it = exact.find(freq[i].first);
     ASSERT_NE(it, exact.end());
-    EXPECT_NEAR(hitters[i].frequency, it->second, 0.03)
-        << "hitter " << i << " value " << hitters[i].value.AsInt();
+    EXPECT_NEAR(freq[i].second, it->second, 0.03)
+        << "value " << i << ": " << freq[i].first;
   }
 }
 
@@ -126,9 +104,9 @@ TEST(HeavyHitterTest, UniformColumnHasNoHeavyHitters) {
   auto rel = std::make_shared<Relation>(
       "t", Schema({{"k", ValueType::kInt64}}));
   for (int64_t i = 0; i < 20000; ++i) rel->AppendIntRow({i});
-  HeavyHitterOptions options;
-  options.min_frequency = 0.005;
-  EXPECT_TRUE(DetectHeavyHitters(*rel, 0, options).empty());
+  const auto freq = SampleFrequencies(*rel, 4096);
+  ASSERT_FALSE(freq.empty());
+  EXPECT_LT(freq[0].second, 0.005);
 }
 
 // ---- PlanSkewAssignment ----
