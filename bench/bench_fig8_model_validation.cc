@@ -15,7 +15,10 @@ using namespace mrtheta;  // NOLINT
 
 int main() {
   bench::Harness harness(96);
-  const ClusterConfig& cfg = harness.cluster.config();
+  const SimCluster& cluster = harness.engine.cluster();
+  const ClusterConfig& cfg = cluster.config();
+  const StatusOr<CalibrationReport> calibration = harness.engine.Calibration();
+  if (!calibration.ok()) return 1;
 
   std::printf("Fig. 8: estimated vs simulated self-join execution time\n\n");
   TablePrinter table({"map output", "simulated (s)", "estimated (s)",
@@ -43,7 +46,7 @@ int main() {
     const auto run = RunJobParallel(*job, pool);
     if (!run.ok()) return 1;
     const auto report =
-        RunSimulation(cfg, {harness.cluster.BuildSimJob(*job, run->metrics)});
+        RunSimulation(cfg, {cluster.BuildSimJob(*job, run->metrics)});
     if (!report.ok()) return 1;
     const double simulated = ToSeconds(report->makespan);
 
@@ -70,7 +73,8 @@ int main() {
     profile.sigma_reduce_bytes = std::sqrt(var);
 
     const double estimated =
-        PredictJobTime(harness.params, cfg, profile, cfg.num_workers).total;
+        PredictJobTime(calibration->params, cfg, profile, cfg.num_workers)
+            .total;
     table.AddRow({FormatBytes(run->metrics.map_output_bytes_logical),
                   TablePrinter::Num(simulated, 1),
                   TablePrinter::Num(estimated, 1),

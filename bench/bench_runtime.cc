@@ -1,13 +1,13 @@
-// Measured (not simulated) end-to-end scaling of the in-process runtime:
-// executes full query plans on the TPC-H, flights and mobile workloads at
-// 1/2/4/8 threads and reports wall-clock speedup over the single-threaded
-// reference runner, plus the session-reuse figure (cold single-shot vs warm
+// Measured end-to-end runs of whole query plans on the in-process
+// runtime: the TPC-H, flights and mobile workloads at 1 thread and at the
+// pool width, plus the session-reuse figure (cold single-shot vs warm
 // engine caches).
 //
 // The simulated makespan and the physical result rows are recorded as
-// correctness anchors: both must be identical at every thread count (the
+// correctness anchors: both must be identical at both thread counts (the
 // runtime's determinism contract, see docs/RUNTIME.md). The process aborts
-// if they are not.
+// if they are not. Each workload writes one record, from the pool-width
+// run.
 //
 // The whole bench drives ONE ThetaEngine session (docs/API.md): plans come
 // from the engine's cached calibration/statistics, executions run on the
@@ -30,7 +30,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -46,7 +45,7 @@
 namespace mrtheta::bench {
 namespace {
 
-constexpr int kThreadSteps[] = {1, 2, 4, 8};
+// Pool width of the bench's one session.
 constexpr int kMaxThreads = 8;
 
 struct PlannedQuery {
@@ -56,12 +55,13 @@ struct PlannedQuery {
   QueryPlan plan;
 };
 
-void RunScalingCurve(const PlannedQuery& pq, ThetaEngine& engine,
+// Runs the plan on 1 thread and at the pool width; exits unless both give
+// the same rows and makespan, and records the pool-width run.
+void RunAtBothWidths(const PlannedQuery& pq, ThetaEngine& engine,
                      std::vector<RuntimeBenchRecord>& records) {
-  double base_wall = 0.0;
   SimTime base_makespan = 0;
   int64_t base_rows = -1;
-  for (int threads : kThreadSteps) {
+  for (int threads : {1, kMaxThreads}) {
     ExecutorOptions options = engine.options().executor;
     options.num_threads = threads;
     // peak_mem_bytes is a process-wide high-water mark; reset per run so
@@ -78,12 +78,17 @@ void RunScalingCurve(const PlannedQuery& pq, ThetaEngine& engine,
     // Physical execution only — excludes the thread-count-invariant
     // simulation replay and final projection.
     const double wall = result->measured_seconds();
+    std::printf("  %-8s %-10s threads=%d  wall=%7.3fs  rows=%lld\n",
+                pq.workload.c_str(), pq.name.c_str(), threads, wall,
+                static_cast<long long>(result->num_rows()));
+    std::fflush(stdout);
     if (threads == 1) {
-      base_wall = wall;
       base_makespan = result->makespan();
       base_rows = result->num_rows();
-    } else if (result->makespan() != base_makespan ||
-               result->num_rows() != base_rows) {
+      continue;
+    }
+    if (result->makespan() != base_makespan ||
+        result->num_rows() != base_rows) {
       std::fprintf(stderr,
                    "%s/%s: determinism violation at %d threads "
                    "(makespan %lld vs %lld, rows %lld vs %lld)\n",
@@ -98,23 +103,14 @@ void RunScalingCurve(const PlannedQuery& pq, ThetaEngine& engine,
     rec.workload = pq.workload;
     rec.query = pq.name;
     rec.threads = threads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
     rec.jobs = static_cast<int>(pq.plan.jobs.size());
     rec.wall_seconds = wall;
-    rec.speedup_vs_1t = wall > 0.0 ? base_wall / wall : 1.0;
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
-    std::printf("  %-8s %-10s threads=%d  wall=%7.3fs  speedup=%5.2fx  "
-                "rows=%lld\n",
-                pq.workload.c_str(), pq.name.c_str(), threads, wall,
-                rec.speedup_vs_1t,
-                static_cast<long long>(rec.result_rows_physical));
-    std::fflush(stdout);
   }
 }
 
@@ -132,7 +128,6 @@ void RunEngineReuse(ThetaEngine& engine,
   const auto query = MobileQueryBuilder(1, options).Build();
   if (!query.ok()) std::exit(1);
 
-  double cold_wall = 0.0;
   for (const char* phase : {"cold", "warm"}) {
     MemoryBudget::Global().ResetPeak();
     const auto start = std::chrono::steady_clock::now();
@@ -147,22 +142,16 @@ void RunEngineReuse(ThetaEngine& engine,
     rec.workload = "engine_reuse";
     rec.query = phase;
     rec.threads = engine.options().executor.num_threads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
     rec.jobs = static_cast<int>(result->jobs().size());
     rec.wall_seconds = wall;  // whole call: plan + execute (+ calibration)
-    if (cold_wall == 0.0) cold_wall = wall;
-    rec.speedup_vs_1t = wall > 0.0 ? cold_wall / wall : 1.0;
     rec.sim_makespan_seconds = result->simulated_seconds();
     rec.sim_shuffle_bytes = result->sim_shuffle_bytes();
     rec.result_rows_physical = result->num_rows();
     rec.peak_mem_bytes = result->execution().peak_mem_bytes;
     rec.spill_bytes = result->execution().spill_bytes;
     records.push_back(rec);
-    std::printf("  %-8s %-10s threads=%d  wall=%7.3fs  speedup=%5.2fx  "
-                "rows=%lld\n",
+    std::printf("  %-8s %-10s threads=%d  wall=%7.3fs  rows=%lld\n",
                 rec.workload.c_str(), phase, rec.threads, wall,
-                rec.speedup_vs_1t,
                 static_cast<long long>(rec.result_rows_physical));
     std::fflush(stdout);
   }
@@ -219,8 +208,6 @@ void RunPruneComparison(const Query& query, const QueryPlan& plan,
     rec.workload = "prune";
     rec.query = names[v];
     rec.threads = engine.options().executor.num_threads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
     rec.jobs = static_cast<int>(plan.jobs.size());
     rec.wall_seconds = SecondsSince(start);
     rec.sim_makespan_seconds = result->simulated_seconds();
@@ -293,8 +280,6 @@ void RunFaultOverhead(const Query& query, const QueryPlan& plan,
     rec.workload = "fault_overhead";
     rec.query = names[v];
     rec.threads = kMaxThreads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
     rec.jobs = static_cast<int>(plan.jobs.size());
     rec.wall_seconds = walls[v];
     rec.sim_makespan_seconds = result->simulated_seconds();
@@ -411,8 +396,6 @@ void RunTraceOverhead(const Query& query, const QueryPlan& plan,
     rec.workload = "trace_overhead";
     rec.query = names[v];
     rec.threads = kMaxThreads;
-    rec.hardware_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
     rec.jobs = static_cast<int>(plan.jobs.size());
     rec.wall_seconds = walls[v];
     rec.sim_makespan_seconds = sims[v];
@@ -606,12 +589,9 @@ int Main(int argc, char** argv) {
   ObsExporter obs(flags->trace_out, flags->metrics_out);
   const std::string out_path =
       flags->output_path.empty() ? "BENCH_runtime.json" : flags->output_path;
-  // Scaling curves are flat when the host cannot actually run kMaxThreads
-  // in parallel; hardware_threads is recorded in every record.
-  WarnIfSingleHardwareThread(kMaxThreads);
 
-  // The one session of this bench. The pool is sized for the widest step;
-  // per-call overrides select the effective thread count.
+  // The one session of this bench. Per-call overrides select 1 thread or
+  // the pool width.
   EngineOptions engine_options;
   engine_options.executor.num_threads = kMaxThreads;
   engine_options.planner.enable_column_pruning = !flags->no_prune;
@@ -638,7 +618,7 @@ int Main(int argc, char** argv) {
   }
   const auto q17_plan = engine.PlanQuery(*q17);
   if (!q17_plan.ok()) return 1;
-  RunScalingCurve({"tpch", "q17_20k", *q17, *q17_plan}, engine, records);
+  RunAtBothWidths({"tpch", "q17_20k", *q17, *q17_plan}, engine, records);
 
   // ---- Column-pruning ablation on the Q17 plan ----
   if (!flags->no_prune) {
@@ -655,7 +635,7 @@ int Main(int argc, char** argv) {
   if (!flights.ok()) return 1;
   const auto flights_plan = engine.PlanQuery(*flights);
   if (!flights_plan.ok()) return 1;
-  RunScalingCurve({"flights", "chain3_2k", *flights, *flights_plan}, engine,
+  RunAtBothWidths({"flights", "chain3_2k", *flights, *flights_plan}, engine,
                   records);
 
   // ---- Mobile Q1 (concurrent calls at the same station) ----
@@ -666,7 +646,7 @@ int Main(int argc, char** argv) {
   if (!mobile.ok()) return 1;
   const auto mobile_plan = engine.PlanQuery(*mobile);
   if (!mobile_plan.ok()) return 1;
-  RunScalingCurve({"mobile", "q1_4k", *mobile, *mobile_plan}, engine,
+  RunAtBothWidths({"mobile", "q1_4k", *mobile, *mobile_plan}, engine,
                   records);
 
   // ---- Fault-tolerance machinery overhead on the Q17 plan ----

@@ -14,23 +14,19 @@ EngineOptions OptionsFor(int kp, int num_threads) {
   EngineOptions options;
   options.cluster.num_workers = kp;
   options.executor.num_threads = num_threads;
-  // Calibration probes need one free map wave; the engine runs them on a
-  // 96-wide calibration cluster (the model parameters are kP-independent).
-  options.calibration_workers = 96;
   return options;
 }
 
 }  // namespace
 
 Harness::Harness(int kp, int num_threads)
-    : engine(OptionsFor(kp, num_threads)), cluster(engine.cluster()) {
+    : engine(OptionsFor(kp, num_threads)) {
   StatusOr<CalibrationReport> report = engine.Calibration();
   if (!report.ok()) {
     std::fprintf(stderr, "calibration failed: %s\n",
                  report.status().ToString().c_str());
     std::exit(1);
   }
-  params = report->params;
 }
 
 StatusOr<SystemResult> RunSystem(const std::string& system,
@@ -40,11 +36,11 @@ StatusOr<SystemResult> RunSystem(const std::string& system,
   if (system == "ours") {
     plan = harness.engine.PlanQuery(query);
   } else if (system == "ysmart") {
-    plan = PlanYSmartStyle(query, harness.cluster);
+    plan = PlanYSmartStyle(query, harness.engine.cluster());
   } else if (system == "hive") {
-    plan = PlanHiveStyle(query, harness.cluster);
+    plan = PlanHiveStyle(query, harness.engine.cluster());
   } else if (system == "pig") {
-    plan = PlanPigStyle(query, harness.cluster);
+    plan = PlanPigStyle(query, harness.engine.cluster());
   }
   if (!plan.ok()) return plan.status();
   StatusOr<QueryResult> result = harness.engine.ExecutePlan(
@@ -118,16 +114,15 @@ Status WriteRuntimeBenchJson(const std::string& path,
   for (const RuntimeBenchRecord& r : records) {
     lines.push_back(FormatLine(
         "{\"workload\": \"%s\", \"query\": \"%s\", "
-        "\"threads\": %d, \"hardware_threads\": %d, "
+        "\"threads\": %d, "
         "\"jobs\": %d, \"wall_seconds\": %.6f, "
-        "\"speedup_vs_1t\": %.3f, "
         "\"sim_makespan_seconds\": %.3f, "
         "\"sim_shuffle_bytes\": %lld, "
         "\"result_rows_physical\": %lld, "
         "\"trace_overhead\": %.4f, "
         "\"peak_mem_bytes\": %lld, \"spill_bytes\": %lld}",
-        r.workload.c_str(), r.query.c_str(), r.threads, r.hardware_threads,
-        r.jobs, r.wall_seconds, r.speedup_vs_1t, r.sim_makespan_seconds,
+        r.workload.c_str(), r.query.c_str(), r.threads,
+        r.jobs, r.wall_seconds, r.sim_makespan_seconds,
         static_cast<long long>(r.sim_shuffle_bytes),
         static_cast<long long>(r.result_rows_physical), r.trace_overhead,
         static_cast<long long>(r.peak_mem_bytes),

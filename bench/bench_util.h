@@ -16,12 +16,8 @@ namespace mrtheta::bench {
 
 /// One ThetaEngine session on a kP-unit cluster, calibrated eagerly.
 /// Exits the process on failure (benches are top-level harnesses).
-/// `cluster` and `params` are legacy views into the engine for the figure
-/// benches that probe planner/cost-model internals directly.
 struct Harness {
   ThetaEngine engine;
-  const SimCluster& cluster;
-  CostModelParams params;
 
   explicit Harness(int kp, int num_threads = 1);
 };
@@ -43,7 +39,8 @@ struct SystemResult {
   double result_selectivity = 0.0;
 };
 
-/// Plans and executes `query` with all four systems on `harness.cluster`.
+/// Plans and executes `query` with all four systems on the harness's
+/// cluster.
 std::vector<SystemResult> RunAllSystems(const Query& query, Harness& harness,
                                         uint64_t seed = 42);
 
@@ -69,17 +66,15 @@ Status WriteBenchJson(const std::string& path,
                       const std::vector<KernelBenchRecord>& records);
 
 /// One measured end-to-end run of a whole query plan on the in-process
-/// runtime (bench_runtime / BENCH_runtime.json): wall-clock scaling across
-/// thread counts, with the thread-count-invariant simulated makespan and
-/// result cardinality as correctness anchors.
+/// runtime (bench_runtime / BENCH_runtime.json), with the
+/// thread-count-invariant simulated makespan and result cardinality as
+/// correctness anchors.
 struct RuntimeBenchRecord {
   std::string workload;     ///< "tpch", "flights", "mobile", "prune", ...
   std::string query;        ///< e.g. "q17_20k"
   int threads = 1;          ///< ExecutorOptions::num_threads
-  int hardware_threads = 0; ///< std::thread::hardware_concurrency()
   int jobs = 0;             ///< plan jobs executed
   double wall_seconds = 0.0;
-  double speedup_vs_1t = 1.0;
   double sim_makespan_seconds = 0.0;  ///< identical at every thread count
   /// Simulated shuffle volume: Σ over plan jobs of the logical map-output
   /// bytes. Deterministic; gated direction-aware by check_bench.py. This

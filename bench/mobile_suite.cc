@@ -13,7 +13,7 @@ namespace mrtheta::bench {
 int RunMobileSuite(int kp) {
   Harness harness(kp);
   std::printf("Mobile benchmark queries (Sec. 6.3.1), kP <= %d\n", kp);
-  std::printf("cluster: %s\n\n", harness.cluster.config().ToString().c_str());
+  std::printf("cluster: %s\n\n", harness.engine.cluster().config().ToString().c_str());
   for (int qid = 1; qid <= 4; ++qid) {
     TablePrinter table({"volume", "ours (s)", "ysmart (s)", "hive (s)",
                         "pig (s)", "hive/ours"});
@@ -48,7 +48,7 @@ int RunTpchSuite(int kp) {
   Harness harness(kp);
   std::printf("TPC-H benchmark queries (Sec. 6.3.2, amended), kP <= %d\n",
               kp);
-  std::printf("cluster: %s\n\n", harness.cluster.config().ToString().c_str());
+  std::printf("cluster: %s\n\n", harness.engine.cluster().config().ToString().c_str());
   for (int qid : {7, 17, 18, 21}) {
     TablePrinter table({"volume", "ours (s)", "ysmart (s)", "hive (s)",
                         "pig (s)", "hive/ours"});

@@ -52,8 +52,7 @@ SPECS = {
             # selection pushdown stop shrinking the shuffle.
             "sim_shuffle_bytes": +1,
         },
-        # wall_seconds / speedup_vs_1t / hardware_threads are measured.
-        # Per-workload tolerance tightening (keyed by the record's
+        # wall_seconds is measured. Per-workload tolerance tightening (keyed by the record's
         # "workload" field). The fault_overhead pair executes one plan with
         # the chaos machinery off vs armed at zero rates, and the
         # trace_overhead pair the same plan untraced vs traced; their
@@ -79,8 +78,12 @@ SPECS = {
         # exact; makespan/shuffle are the usual deterministic simulated
         # quantities; peak_mem_bytes and spill_bytes are direction-aware
         # (growth = the spill machinery holding more memory or writing
-        # more disk for the same workload). The unbudgeted records carry
-        # spill_bytes = 0, which the base_val == 0 rule skips.
+        # more disk for the same workload). The 1-thread records are
+        # deterministic. The 4-thread budgeted record's spill_bytes,
+        # spill_files and peak move by up to ~8% with the order in which
+        # map tasks finish under the shared budget, inside the tolerance.
+        # The unbudgeted records carry spill_bytes = 0, which the
+        # base_val == 0 rule skips.
         "exact": ["jobs", "result_rows_physical", "mem_budget_bytes"],
         "simulated": {
             "sim_makespan_seconds": +1,
@@ -241,6 +244,12 @@ def self_test():
                      "sim_shuffle_bytes": 1000,
                      "trace_overhead": 0.01, "peak_mem_bytes": 1}]
 
+    mem_base = [{"workload": "mem_budget", "query": "q", "mode": "budgeted",
+                 "threads": 1, "jobs": 1, "result_rows_physical": 42,
+                 "mem_budget_bytes": 1000, "sim_makespan_seconds": 10.0,
+                 "sim_shuffle_bytes": 1000, "peak_mem_bytes": 1000,
+                 "spill_bytes": 1000, "spill_files": 5}]
+
     def deep(records, **overrides):
         out = [dict(r) for r in records]
         out[0].update(overrides)
@@ -285,6 +294,19 @@ def self_test():
              {k: v for k, v in runtime_base[0].items()
               if k != "trace_overhead"}]},
          r"required field 'trace_overhead'"),
+        ("spill growth beyond tolerance fails",
+         {"BENCH_mem.json": mem_base},
+         {"BENCH_mem.json": deep(mem_base, spill_bytes=1300)},
+         r"spill_bytes regressed"),
+        ("peak memory drop passes",
+         {"BENCH_mem.json": mem_base},
+         {"BENCH_mem.json": deep(mem_base, peak_mem_bytes=600)}, None),
+        ("mem record without spill_files fails",
+         {"BENCH_mem.json": mem_base},
+         {"BENCH_mem.json": [
+             {k: v for k, v in mem_base[0].items()
+              if k != "spill_files"}]},
+         r"required field 'spill_files'"),
         ("baseline without current fails",
          {"BENCH_kernels.json": kernels_base}, {},
          r"produced no"),

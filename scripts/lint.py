@@ -51,8 +51,7 @@ TODO_RULE_DIRS = ("src", "tests", "examples", "bench", "scripts")
 
 # Files exempt from specific rules (relative, forward-slash paths).
 RANDOMNESS_EXEMPT = ("src/common/rng.h", "src/common/rng.cc")
-MUTEX_EXEMPT = ("src/common/thread_annotations.h",
-                "src/common/thread_annotations.cc")
+MUTEX_EXEMPT = ("src/common/thread_annotations.h",)
 # The linter's own rule messages and self-test fixtures spell out the
 # banned patterns literally.
 TODO_EXEMPT = ("scripts/lint.py",)

@@ -12,6 +12,12 @@ namespace mrtheta {
 
 namespace {
 
+/// Workers of the throwaway calibration cluster: the probe campaign needs
+/// one free map wave, and the fitted parameters are kP-independent, so
+/// calibration always runs at this width whatever the session's
+/// cluster.num_workers.
+constexpr int kCalibrationWorkers = 96;
+
 /// Full plan-cache key: the query's canonical structure plus the
 /// generation of every input in query-index order. Generations come from a
 /// never-reused process-wide counter re-drawn on every mutation
@@ -63,16 +69,10 @@ Status ThetaEngine::EnsureReadyLocked() {
   initialized_ = true;
   init_status_ = options_.Validate();
   if (!init_status_.ok()) return init_status_;
-  // Calibration probes need one free map wave, so the campaign runs on a
-  // throwaway cluster at calibration_workers width; the fitted parameters
-  // are kP-independent (see bench/bench_util.cc's original Harness).
   ClusterConfig calibration_config = options_.cluster;
-  if (options_.calibration_workers > 0) {
-    calibration_config.num_workers = options_.calibration_workers;
-  }
+  calibration_config.num_workers = kCalibrationWorkers;
   const SimCluster calibration_cluster(calibration_config);
-  StatusOr<CalibrationReport> report =
-      CalibrateCostModel(calibration_cluster, options_.calibration);
+  StatusOr<CalibrationReport> report = CalibrateCostModel(calibration_cluster);
   if (!report.ok()) {
     init_status_ = report.status();
     return init_status_;
@@ -137,21 +137,17 @@ StatusOr<ThetaEngine::PlannedQuery> ThetaEngine::PlanForExecution(
   MutexLock lock(&mu_);
   MRTHETA_RETURN_IF_ERROR(EnsureReadyLocked());
   PlannedQuery out;
-  const bool cache_on = options_.plan_cache_capacity > 0;
-  std::string key;
-  if (cache_on) {
-    key = PlanCacheKey(query);
-    auto it = plan_cache_.find(key);
-    if (it != plan_cache_.end()) {
-      plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_it);
-      registry_.GetCounter("engine_plan_cache_hits")->Increment();
-      out.plan = it->second.plan;
-      out.stats = it->second.stats;
-      out.cache_hit = true;
-      return out;
-    }
-    registry_.GetCounter("engine_plan_cache_misses")->Increment();
+  const std::string key = PlanCacheKey(query);
+  auto it = plan_cache_.find(key);
+  if (it != plan_cache_.end()) {
+    plan_lru_.splice(plan_lru_.begin(), plan_lru_, it->second.lru_it);
+    registry_.GetCounter("engine_plan_cache_hits")->Increment();
+    out.plan = it->second.plan;
+    out.stats = it->second.stats;
+    out.cache_hit = true;
+    return out;
   }
+  registry_.GetCounter("engine_plan_cache_misses")->Increment();
   out.stats = StatsForLocked(query);
   StatusOr<QueryPlan> plan = planner_->Plan(query, out.stats);
   if (!plan.ok()) return plan.status();
@@ -161,7 +157,7 @@ StatusOr<ThetaEngine::PlannedQuery> ThetaEngine::PlanForExecution(
   // hold, so N concurrent submissions of one brand-new shape cost exactly
   // one planner run and N-1 hits; hit/miss counters stay deterministic
   // under any Submit interleaving.
-  if (cache_on) InsertPlanLocked(key, out.plan, out.stats);
+  InsertPlanLocked(key, out.plan, out.stats);
   return out;
 }
 
@@ -189,8 +185,7 @@ void ThetaEngine::InsertPlanLocked(const std::string& key,
   plan_cache_.insert_or_assign(
       key, PlanCacheEntry{std::move(plan), std::move(stats),
                           plan_lru_.begin()});
-  while (static_cast<int>(plan_cache_.size()) >
-         options_.plan_cache_capacity) {
+  while (static_cast<int>(plan_cache_.size()) > kPlanCacheCapacity) {
     plan_cache_.erase(plan_lru_.back());
     plan_lru_.pop_back();
     registry_.GetCounter("engine_plan_cache_evictions")->Increment();

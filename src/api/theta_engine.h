@@ -52,9 +52,8 @@ struct EngineMetrics {
   int64_t plans = 0;             ///< planner invocations (plan-cache misses)
   int64_t executions = 0;        ///< plans executed successfully
   int64_t failed_executions = 0;  ///< plans that returned a non-OK Status
-  // Serving-layer accounting (docs/API.md "Serving"); the plan-cache
-  // counters stay zero with plan_cache_capacity == 0, the admission ones
-  // with max_inflight_queries == 0.
+  // Serving-layer accounting (docs/API.md "Serving"); the admission
+  // counters stay zero with max_inflight_queries == 0.
   int64_t plan_cache_hits = 0;    ///< executions that skipped planning+stats
   int64_t plan_cache_misses = 0;  ///< lookups that fell through to the planner
   int64_t plan_cache_evictions = 0;  ///< LRU shapes dropped at capacity
@@ -145,6 +144,10 @@ class PreparedQuery {
 /// (docs/API.md).
 class ThetaEngine {
  public:
+  /// Entries of the session plan cache; least recently used shapes are
+  /// evicted beyond it.
+  static constexpr int kPlanCacheCapacity = 64;
+
   explicit ThetaEngine(EngineOptions options = {});
   /// Blocks until every in-flight Submit has finished, then joins the
   /// coordination threads.
@@ -259,7 +262,7 @@ class ThetaEngine {
       const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
       const std::string& pinned_key);
   /// Inserts a freshly planned shape, evicting LRU entries beyond
-  /// plan_cache_capacity; caller holds mu_.
+  /// kPlanCacheCapacity; caller holds mu_.
   void InsertPlanLocked(const std::string& key,
                         std::shared_ptr<const QueryPlan> plan,
                         std::vector<TableStats> stats) MRTHETA_REQUIRES(mu_);

@@ -7,6 +7,7 @@
 
 #include "src/core/column_pruning.h"
 #include "src/stats/selectivity.h"
+#include "src/stats/table_stats.h"
 
 namespace mrtheta {
 
@@ -181,14 +182,13 @@ StatusOr<QueryPlan> PlanPigStyle(const Query& query,
 }
 
 StatusOr<QueryPlan> PlanYSmartStyle(const Query& query,
-                                    const SimCluster& cluster,
-                                    const StatsOptions& stats_options) {
+                                    const SimCluster& cluster) {
   const int kp = cluster.config().num_workers;
   // Statistics for selectivity-aware ordering.
   std::vector<TableStats> stats;
   stats.reserve(query.num_relations());
   for (const RelationPtr& rel : query.relations()) {
-    stats.push_back(BuildTableStats(*rel, stats_options));
+    stats.push_back(BuildTableStats(*rel));
   }
   PickFn pick = [&query, &stats](const std::set<int>&,
                                  const std::vector<int>& candidates) {

@@ -5,7 +5,6 @@
 #include "src/core/plan.h"
 #include "src/core/query.h"
 #include "src/mapreduce/sim_cluster.h"
-#include "src/stats/table_stats.h"
 
 namespace mrtheta {
 
@@ -32,8 +31,7 @@ StatusOr<QueryPlan> PlanPigStyle(const Query& query,
                                  const SimCluster& cluster);
 
 StatusOr<QueryPlan> PlanYSmartStyle(const Query& query,
-                                    const SimCluster& cluster,
-                                    const StatsOptions& stats_options = {});
+                                    const SimCluster& cluster);
 
 }  // namespace mrtheta
 

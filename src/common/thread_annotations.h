@@ -20,9 +20,7 @@
 /// Raw `std::mutex` members are banned in src/ (scripts/lint.py): the
 /// analysis cannot see through them. Use `Mutex` + `MutexLock` + `CondVar`
 /// below — a zero-overhead wrapper over std::mutex /
-/// std::condition_variable that additionally maintains a per-thread
-/// held-lock registry (HeldByCurrentThread) for runtime checks on paths
-/// the static analysis cannot follow.
+/// std::condition_variable.
 
 #if defined(__clang__) && !defined(SWIG)
 #define MRTHETA_THREAD_ANNOTATION_ATTRIBUTE_(x) __attribute__((x))
@@ -85,44 +83,20 @@
 
 namespace mrtheta {
 
-/// \brief The project's annotated mutex: std::mutex plus (a) the
+/// \brief The project's annotated mutex: std::mutex plus the
 /// MRTHETA_CAPABILITY attribute that makes Clang's thread-safety analysis
-/// track it, and (b) a per-thread held-lock registry behind
-/// HeldByCurrentThread.
-///
-/// The registry costs one thread_local vector push/pop per Lock/Unlock —
-/// nanoseconds, and every Mutex in this codebase is on a per-task or
-/// per-phase path, never per-row.
+/// track it.
 class MRTHETA_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() MRTHETA_ACQUIRE() {
-    mu_.lock();
-    PushHeld(this);
-  }
-  void Unlock() MRTHETA_RELEASE() {
-    PopHeld(this);
-    mu_.unlock();
-  }
-  bool TryLock() MRTHETA_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    PushHeld(this);
-    return true;
-  }
-
-  /// True when the calling thread holds this mutex. For MRTHETA_CHECKs on
-  /// paths the static analysis cannot follow (callbacks, type-erased
-  /// functions).
-  bool HeldByCurrentThread() const;
+  void Lock() MRTHETA_ACQUIRE() { mu_.lock(); }
+  void Unlock() MRTHETA_RELEASE() { mu_.unlock(); }
 
  private:
   friend class CondVar;
-
-  static void PushHeld(const Mutex* mu);
-  static void PopHeld(const Mutex* mu);
 
   std::mutex mu_;
 };
@@ -160,9 +134,7 @@ class CondVar {
   /// callers loop on their predicate).
   void Wait(Mutex* mu) MRTHETA_REQUIRES(mu) {
     // Adopt the already-held std::mutex for the wait, then release the
-    // unique_lock's ownership claim so the Mutex wrapper keeps it. The
-    // held-lock registry deliberately keeps the entry during the wait: the
-    // thread still logically owns the critical section.
+    // unique_lock's ownership claim so the Mutex wrapper keeps it.
     std::unique_lock<std::mutex> lock(mu->mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();

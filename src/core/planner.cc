@@ -18,6 +18,11 @@ namespace mrtheta {
 
 namespace {
 
+// Assumed relative imbalance of Hilbert-partitioned reduce inputs: the σ of
+// the 3σ rule (Hilbert balances well by Theorem 2; hash-partitioned
+// candidates get three times this).
+constexpr double kHilbertSigmaFrac = 0.08;
+
 // Planned map-shuffle width of base relation `r` read at the bottom of a
 // plan (every condition on it still pending): the pruned base row when
 // pruning is on, else the full row. Mirrors the executors'
@@ -50,19 +55,10 @@ Planner::Planner(const SimCluster* cluster, CostModelParams params,
                  PlannerOptions options)
     : cluster_(cluster), params_(std::move(params)), options_(options) {}
 
-int Planner::MaxReduceTasks() const {
-  const int kp = cluster_->config().num_workers;
-  return options_.max_reduce_tasks > 0
-             ? std::min(options_.max_reduce_tasks, kp)
-             : kp;
-}
-
 TableStats Planner::CollectStatsForRelation(const Relation& rel) const {
   TraceSpan span("collect-stats", "planner");
   if (span.enabled()) span.Arg("relation", rel.name());
-  StatsOptions so = options_.stats;
-  so.seed = options_.seed;
-  TableStats ts = BuildTableStats(rel, so);
+  TableStats ts = BuildTableStats(rel);
   // The planner's output estimates live in the β frame:
   // selectivities describe the *physical sample*, so key-like columns
   // must not be extrapolated past the sample's domain here.
@@ -184,8 +180,8 @@ CandidateShape ShapeCandidate(const Query& query,
   // skew; pure Hilbert dimensions balance by construction (Theorem 2).
   const bool hash_partitioned =
       IsEquiPair(query, relations, thetas) || grouping.num_dims < d;
-  shape.sigma_frac = hash_partitioned ? 3.0 * options.hilbert_sigma_frac
-                                      : options.hilbert_sigma_frac;
+  shape.sigma_frac =
+      hash_partitioned ? 3.0 * kHilbertSigmaFrac : kHilbertSigmaFrac;
 
   // Trail-order backtracking work estimate: each surviving prefix scans the
   // next relation's local (per-component) portion.
@@ -255,7 +251,6 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
     const std::vector<JobCandidate>& candidates,
     const std::vector<int>& selection) const {
   const int kp = cluster_->config().num_workers;
-  const int kr_max = MaxReduceTasks();
 
   std::vector<const TableStats*> stat_ptrs;
   for (const TableStats& ts : stats) stat_ptrs.push_back(&ts);
@@ -311,7 +306,7 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
     if (job.kind == PlanJobKind::kHilbertJoin) {
       auto skewed = [&](const ColumnRef& ref) {
         const ColumnStats& cs = stats[ref.relation].column(ref.column);
-        return cs.top_frequency > options_.skew_top_frequency &&
+        return cs.top_frequency > kHeavyKeyFrequency &&
                cs.top_frequency * std::max(1.0, cs.distinct) > 3.0;
       };
       for (int t : cand.thetas) {
@@ -339,7 +334,7 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
                             FinishCandidate(shape, k), kp)
           .total;
     };
-    mj.max_slots = kr_max;
+    mj.max_slots = kp;
     sched_jobs.push_back(std::move(mj));
   }
 
@@ -410,7 +405,7 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
                                         union_rows * out_row_bytes, k);
       return PredictJobTime(params_, cluster_->config(), p, kp).total;
     };
-    mj.max_slots = kr_max;
+    mj.max_slots = kp;
     mj.deps = {current_job_index, next};
     sched_jobs.push_back(std::move(mj));
     // NodeInfo for the merge node (so later merges can reference it).
@@ -443,7 +438,6 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
 StatusOr<QueryPlan> Planner::BuildCascadePlan(
     const Query& query, const std::vector<TableStats>& stats) const {
   const int kp = cluster_->config().num_workers;
-  const int kr_max = MaxReduceTasks();
 
   QueryPlan plan;
   plan.strategy = "mrtheta-cascade";
@@ -550,12 +544,12 @@ StatusOr<QueryPlan> Planner::BuildCascadePlan(
           (has_eq ? 1.0 : ApproxDuplicationFactor(2, k)) * alpha_scale;
       p.output_bytes = out_bytes;
       p.sigma_reduce_bytes =
-          3.0 * options_.hilbert_sigma_frac * p.alpha * p.input_bytes / k;
+          3.0 * kHilbertSigmaFrac * p.alpha * p.input_bytes / k;
       p.num_reduce_tasks = k;
       return p;
     };
     const KrChoice kr =
-        ChooseKrByCost(params_, cluster_->config(), profile_for, kr_max, kp);
+        ChooseKrByCost(params_, cluster_->config(), profile_for, kp, kp);
     job.num_reduce_tasks = kr.kr;
     job.est_seconds =
         PredictJobTime(params_, cluster_->config(), profile_for(kr.kr), kp)
@@ -600,8 +594,8 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
     filtered_stats = raw_stats;
     for (int r = 0; r < query.num_relations(); ++r) {
       const double sel = EstimateFilterSelectivity(
-          *query.relations()[r], r, query.filters(),
-          options_.stats.sample_size, options_.seed);
+          *query.relations()[r], r, query.filters(), kStatsSampleRows,
+          kStatsSampleSeed);
       if (sel >= 1.0) continue;
       TableStats& ts = filtered_stats[r];
       ts.logical_rows = std::max<int64_t>(
@@ -616,7 +610,6 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
   if (!graph.ok()) return graph.status();
 
   const int kp = cluster_->config().num_workers;
-  const int kr_max = MaxReduceTasks();
 
   // Cost oracle for Algorithm 2: w(e') is the predicted time at the kR
   // minimizing it, s(e') that kR.
@@ -627,7 +620,7 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
     const int kr = ChooseKrByCost(
                        params_, cluster_->config(),
                        [&](int k) { return FinishCandidate(shape, k); },
-                       kr_max, kp)
+                       kp, kp)
                        .kr;
     CandidateCost out;
     out.weight = PredictJobTime(params_, cluster_->config(),
@@ -637,11 +630,9 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
     return out;
   };
 
-  JoinPathGraphOptions gjp_options;
-  gjp_options.enable_pruning = options_.enable_pruning;
   JoinPathGraphStats gjp_stats;
   StatusOr<std::vector<JobCandidate>> candidates =
-      BuildJoinPathGraph(*graph, cost_fn, gjp_options, &gjp_stats);
+      BuildJoinPathGraph(*graph, cost_fn, {}, &gjp_stats);
   if (!candidates.ok()) return candidates.status();
 
   // T selection: greedy weighted set cover over the condition universe.

@@ -14,18 +14,6 @@ namespace mrtheta {
 
 /// Planner knobs.
 struct PlannerOptions {
-  uint64_t seed = 0x5eed;
-  /// Lemma 1/2 pruning in the G'_JP construction.
-  bool enable_pruning = true;
-  /// Cap on reduce tasks per job; 0 means the cluster's worker count.
-  int max_reduce_tasks = 0;
-  /// Assumed relative imbalance of Hilbert-partitioned reduce inputs
-  /// (drives the σ of the 3σ rule; Hilbert balances well by Theorem 2).
-  double hilbert_sigma_frac = 0.08;
-  /// A Hilbert job is flagged for skew handling when an offset-free
-  /// equality column's sampled top-value frequency exceeds this (a uniform
-  /// column sits at ~1/distinct; Zipfian ones are orders above).
-  double skew_top_frequency = 0.02;
   /// Required-column analysis + early projection (docs/EXECUTOR.md "Column
   /// pruning"): when true (default), plans are annotated with the minimal
   /// per-base column sets (PlanJob::output_columns) and the cost model
@@ -35,8 +23,6 @@ struct PlannerOptions {
   /// ablation baseline (`bench_runtime --no-prune`). Join results are
   /// byte-identical either way.
   bool enable_column_pruning = true;
-  /// Statistics collection options.
-  StatsOptions stats;
 };
 
 /// \brief The paper's optimizer: builds G'_JP (Algorithm 2), selects T by
@@ -74,7 +60,6 @@ class Planner {
   const PlannerOptions& options() const { return options_; }
 
  private:
-  int MaxReduceTasks() const;
   StatusOr<QueryPlan> BuildPlanFromSelection(
       const Query& query, const std::vector<TableStats>& stats,
       const std::vector<JobCandidate>& candidates,

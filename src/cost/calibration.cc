@@ -10,6 +10,16 @@ namespace mrtheta {
 
 namespace {
 
+// Logical input size of probe jobs. Kept within one map wave (num_workers ×
+// block_size) so phase times can be read off directly.
+constexpr int64_t kProbeInputBytes = 2 * kGiB;
+// Per-map-task output volumes at which p is probed.
+constexpr double kPProbeTaskOutputBytes[] = {
+    4.0 * kMiB,   16.0 * kMiB,   64.0 * kMiB,  256.0 * kMiB,
+    512.0 * kMiB, 1024.0 * kMiB, 2048.0 * kMiB};
+// Reduce-task counts at which q is probed; 1 anchors the commit-cost fit.
+constexpr int kQProbeReducerCounts[] = {1, 2, 4, 8, 16, 32, 48, 64};
+
 // Builds the JobMeasurement a synthetic job would have produced.
 JobMeasurement SynthesizeMeasurement(const SyntheticJobSpec& s) {
   JobMeasurement m;
@@ -45,15 +55,14 @@ StatusOr<SimJobResult> RunSyntheticJob(const SimCluster& cluster,
   return report->jobs[0];
 }
 
-StatusOr<CalibrationReport> CalibrateCostModel(
-    const SimCluster& cluster, const CalibrationOptions& options) {
+StatusOr<CalibrationReport> CalibrateCostModel(const SimCluster& cluster) {
   MRTHETA_TRACE_SCOPE("calibrate", "planner");
   const ClusterConfig& cfg = cluster.config();
-  const double si = static_cast<double>(options.probe_input_bytes);
-  const int m = cluster.NumMapTasks(options.probe_input_bytes);
+  const double si = static_cast<double>(kProbeInputBytes);
+  const int m = cluster.NumMapTasks(kProbeInputBytes);
   if (m > cfg.num_workers) {
     return Status::InvalidArgument(
-        "probe_input_bytes must fit one map wave for phase isolation");
+        "calibration probe input must fit one map wave");
   }
   const double in_per_task = si / m;
   CalibrationReport report;
@@ -101,11 +110,7 @@ StatusOr<CalibrationReport> CalibrateCostModel(
   {
     double commit_sum = 0.0;
     int commit_count = 0;
-    std::vector<int> counts = options.q_probe_reducer_counts;
-    if (std::find(counts.begin(), counts.end(), 1) == counts.end()) {
-      counts.insert(counts.begin(), 1);
-    }
-    for (int n : counts) {
+    for (int n : kQProbeReducerCounts) {
       if (n > cfg.num_workers) continue;
       SyntheticJobSpec s;
       s.alpha = 0.0;
@@ -166,7 +171,7 @@ StatusOr<CalibrationReport> CalibrateCostModel(
 
   // ---- Step 5: p(volume) sweep ----
   {
-    for (double s_out : options.p_probe_task_output_bytes) {
+    for (double s_out : kPProbeTaskOutputBytes) {
       SyntheticJobSpec s;
       s.input_bytes = si;
       s.num_reduce_tasks = 1;

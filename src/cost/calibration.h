@@ -9,19 +9,6 @@
 
 namespace mrtheta {
 
-/// Options for the calibration probe campaign.
-struct CalibrationOptions {
-  /// Logical input size of probe jobs. Kept within one map wave
-  /// (num_workers × block_size) so phase times can be read off directly.
-  int64_t probe_input_bytes = 2 * kGiB;
-  /// Per-map-task output volumes at which p is probed.
-  std::vector<double> p_probe_task_output_bytes = {
-      4.0 * kMiB,   16.0 * kMiB,  64.0 * kMiB,  256.0 * kMiB,
-      512.0 * kMiB, 1024.0 * kMiB, 2048.0 * kMiB};
-  /// Reduce-task counts at which q is probed.
-  std::vector<int> q_probe_reducer_counts = {1, 2, 4, 8, 16, 32, 48, 64};
-};
-
 /// Result of calibration: fitted parameters plus the raw probe series
 /// (the data behind Fig. 7(b)).
 struct CalibrationReport {
@@ -46,8 +33,7 @@ struct CalibrationReport {
 ///
 /// The fit never reads the simulator's internal constants — only job
 /// timings, exactly like measuring real Hadoop runs.
-StatusOr<CalibrationReport> CalibrateCostModel(
-    const SimCluster& cluster, const CalibrationOptions& options = {});
+StatusOr<CalibrationReport> CalibrateCostModel(const SimCluster& cluster);
 
 /// Runs one synthetic job described directly by logical volumes (no
 /// physical tuples) and returns its standalone timing. Shared by the

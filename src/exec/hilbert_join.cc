@@ -115,16 +115,10 @@ DimensionGrouping ComputeDimensionGrouping(
 
 namespace {
 
-// Heavy-key detection of a skew-handling job (docs/SKEW.md): rows
-// reservoir-sampled per input (the whole input when it is smaller) and
-// the sampling seed.
-constexpr int64_t kSkewSampleRows = 4096;
-constexpr uint64_t kSkewSampleSeed = 0x5eed;
-// A key is a heavy candidate when at least this fraction of an input's
-// filtered sample carries it. A key below 2% cannot dominate a reducer at
-// realistic task budgets, and splitting quasi-uniform keys (e.g. a day
-// column's 1/61 shares) costs broadcast volume for no balance win.
-constexpr double kHeavyKeyMinFrequency = 0.02;
+// Grid resolution: target curve cells per reduce segment, and the cap on
+// total grid bits (the coverage walk is O(2^bits)).
+constexpr int kCellsPerSegment = 64;
+constexpr int kMaxGridBits = 18;
 
 // One join condition bound to the job's inputs: type dispatch, covering
 // input positions and rid resolution fixed once at build time.
@@ -639,8 +633,8 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       if (side.filter != nullptr && side.data->num_rows() > 0) {
         int64_t passing = 0;
         const std::vector<int64_t> sample = ReservoirSampleRows(
-            side.data->num_rows(), kSkewSampleRows,
-            kSkewSampleSeed + 0x8a1eu + static_cast<uint64_t>(i));
+            side.data->num_rows(), kStatsSampleRows,
+            kStatsSampleSeed + 0x8a1eu + static_cast<uint64_t>(i));
         for (int64_t r : sample) passing += side.filter->Passes(r) ? 1 : 0;
         pass_frac = static_cast<double>(passing) /
                     static_cast<double>(sample.size());
@@ -671,8 +665,8 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
         const Relation& base = *spec.base_relations[key.relation];
         std::vector<uint64_t> keys;
         for (int64_t r : ReservoirSampleRows(
-                 side.data->num_rows(), kSkewSampleRows,
-                 kSkewSampleSeed + static_cast<uint64_t>(i))) {
+                 side.data->num_rows(), kStatsSampleRows,
+                 kStatsSampleSeed + static_cast<uint64_t>(i))) {
           // Sample the post-selection distribution: a key whose tuples
           // the map-side filter drops must not earn a heavy-value grid
           // (the grid would starve the residual tasks for nothing).
@@ -683,7 +677,11 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
         const double total = static_cast<double>(keys.size());
         for (const KeyCount& kc : CountKeys(std::move(keys))) {
           const double f = static_cast<double>(kc.count) / total;
-          if (f < kHeavyKeyMinFrequency) continue;
+          // A key below kHeavyKeyFrequency cannot dominate a reducer at
+          // realistic task budgets, and splitting quasi-uniform keys (e.g.
+          // a day column's 1/61 shares) costs broadcast volume for no
+          // balance win.
+          if (f < kHeavyKeyFrequency) continue;
           auto [it, inserted] = freq.try_emplace(
               kc.key, std::vector<double>(dim_inputs.size(), 0.0));
           it->second[k] = f;
@@ -718,7 +716,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
       double total_volume = 0.0;
       for (double v : input_volume) total_volume += v;
       skew = PlanSkewAssignment(std::move(best_candidates), total_volume,
-                                spec.num_reduce_tasks, spec.skew_assign);
+                                spec.num_reduce_tasks);
       if (skew.enabled()) {
         heavy_freq = std::move(best_freq);
       } else {
@@ -729,8 +727,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
 
   const int dims = grouping.num_dims;
   const int order = ChooseGridOrder(dims, skew.residual_tasks,
-                                    spec.cells_per_segment,
-                                    spec.max_grid_bits);
+                                    kCellsPerSegment, kMaxGridBits);
   StatusOr<HilbertCurve> curve = HilbertCurve::Create(dims, order);
   if (!curve.ok()) return curve.status();
 

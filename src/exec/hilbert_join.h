@@ -28,10 +28,6 @@ struct MultiwayJoinJobSpec {
   std::vector<JoinCondition> conditions;
   int num_reduce_tasks = 1;
   uint64_t seed = 42;
-  /// Grid resolution: target curve cells per reduce segment, and the cap on
-  /// total grid bits (the coverage walk is O(2^bits)).
-  int cells_per_segment = 64;
-  int max_grid_bits = 18;
   /// Reduce-side kernel selection: kAuto indexes each depth's candidates
   /// on all of its conditions against earlier inputs (docs/EXECUTOR.md);
   /// kGenericOnly forces the plain backtracking loop (differential
@@ -44,8 +40,6 @@ struct MultiwayJoinJobSpec {
   /// result is identical either way; only the reducer decomposition (and
   /// hence per-task input sizes) changes.
   SkewHandling skew_handling = SkewHandling::kOff;
-  /// Task-budget split knobs for the heavy/residual decomposition.
-  SkewAssignerOptions skew_assign;
   /// Required-column analysis for this job (PlanJob::output_columns): per
   /// covered base, the columns the output must carry. When non-empty, the
   /// output intermediate takes pruned per-base widths and base inputs ship

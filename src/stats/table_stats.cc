@@ -11,6 +11,8 @@ namespace mrtheta {
 namespace {
 
 constexpr int kKmvMinValues = 256;
+// Equi-width histogram buckets per numeric column.
+constexpr int kHistogramBins = 64;
 
 // Murmur3's 64-bit finalizer. It is a bijection, so distinct keys keep
 // distinct images.
@@ -103,14 +105,14 @@ double KmvDistinct(std::span<const KeyCount> counts) {
   return (kKmvMinValues - 1) / u;
 }
 
-TableStats BuildTableStats(const Relation& rel, const StatsOptions& options) {
+TableStats BuildTableStats(const Relation& rel) {
   TableStats stats;
   stats.logical_rows = rel.logical_rows();
   stats.logical_bytes = rel.logical_bytes();
   stats.avg_row_bytes = rel.schema().avg_row_bytes();
 
   const std::vector<int64_t> rows =
-      ReservoirSampleRows(rel.num_rows(), options.sample_size, options.seed);
+      ReservoirSampleRows(rel.num_rows(), kStatsSampleRows, kStatsSampleSeed);
   const double n = static_cast<double>(rows.size());
 
   for (int c = 0; c < rel.schema().num_columns(); ++c) {
@@ -120,7 +122,7 @@ TableStats BuildTableStats(const Relation& rel, const StatsOptions& options) {
       std::vector<double> values;
       values.reserve(rows.size());
       for (int64_t r : rows) values.push_back(rel.GetDouble(r, c));
-      cs.histogram = Histogram::Build(values, options.histogram_bins);
+      cs.histogram = Histogram::Build(values, kHistogramBins);
       cs.min = cs.histogram.total_count() ? cs.histogram.min() : 0.0;
       cs.max = cs.histogram.total_count() ? cs.histogram.max() : 0.0;
     }

@@ -42,18 +42,23 @@ struct TableStats {
   const ColumnStats& column(int i) const { return columns[i]; }
 };
 
-/// Options for statistics collection.
-struct StatsOptions {
-  int64_t sample_size = 4096;  ///< Reservoir size.
-  int histogram_bins = 64;
-  uint64_t seed = 0x5eed;
-};
+/// Rows every statistics sample reservoir-samples (the whole relation when
+/// it is smaller), and the sampling seed: BuildTableStats, the planner's
+/// filter selectivity and the Hilbert builder's skew detection all draw
+/// their samples with these.
+inline constexpr int64_t kStatsSampleRows = 4096;
+inline constexpr uint64_t kStatsSampleSeed = 0x5eed;
 
-/// Builds TableStats from a relation by reservoir-sampling `sample_size`
+/// Sample share at which a key counts as heavy (docs/SKEW.md): the planner
+/// flags a Hilbert job for skew handling when a column's top_frequency
+/// exceeds it, and the Hilbert builder makes every key whose share of an
+/// input's sample reaches it a heavy candidate.
+inline constexpr double kHeavyKeyFrequency = 0.02;
+
+/// Builds TableStats from a relation by reservoir-sampling kStatsSampleRows
 /// rows. Cardinalities are taken from the relation's *logical* sizes, so the
 /// stats describe the represented on-cluster data.
-TableStats BuildTableStats(const Relation& rel,
-                           const StatsOptions& options = {});
+TableStats BuildTableStats(const Relation& rel);
 
 /// Reservoir-samples `k` row indices (uniform, deterministic for a seed).
 std::vector<int64_t> ReservoirSampleRows(int64_t num_rows, int64_t k,

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -149,28 +150,6 @@ TEST(ThetaEngineTest, CalibrationAndStatsComputedOnceAcrossExecutes) {
   EXPECT_EQ(metrics.plan_cache_misses, 1);
   EXPECT_EQ(metrics.plan_cache_hits, 2);
   EXPECT_EQ(metrics.executions, 3);
-}
-
-TEST(ThetaEngineTest, DisabledPlanCachePreservesLegacyCounting) {
-  MobileDataOptions options;
-  options.physical_rows = 100;
-  options.logical_bytes = 2 * kGiB;
-  const auto query = MobileQueryBuilder(1, options).Build();
-  ASSERT_TRUE(query.ok());
-
-  EngineOptions engine_options;
-  engine_options.plan_cache_capacity = 0;  // serving layer opt-out
-  ThetaEngine engine(engine_options);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.Execute(*query).ok());
-
-  // Every Execute replans from (cached) stats, exactly as before the plan
-  // cache existed.
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.plans, 3);
-  EXPECT_EQ(metrics.plan_cache_hits, 0);
-  EXPECT_EQ(metrics.plan_cache_misses, 0);
-  EXPECT_EQ(metrics.stats_builds, 3);
-  EXPECT_EQ(metrics.stats_cache_hits, 6);
 }
 
 TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
@@ -438,26 +417,41 @@ TEST(PlanCacheTest, InvalidatedByInPlaceMutationAndGrowth) {
 }
 
 TEST(PlanCacheTest, LruEvictsAtCapacity) {
-  MobileDataOptions options;
-  options.physical_rows = 80;
-  const auto q1 = MobileQueryBuilder(1, options).Build();
-  options.physical_rows = 90;  // distinct inputs -> distinct cache key
-  const auto q1_other = MobileQueryBuilder(1, options).Build();
-  ASSERT_TRUE(q1.ok());
-  ASSERT_TRUE(q1_other.ok());
+  // kPlanCacheCapacity + 1 shapes over distinct inputs: each relation pair
+  // has its own generations, hence its own cache key.
+  std::vector<Query> queries;
+  for (int i = 0; i <= ThetaEngine::kPlanCacheCapacity; ++i) {
+    auto r = std::make_shared<Relation>(
+        "r", Schema({{"a", ValueType::kInt64}}));
+    auto s = std::make_shared<Relation>(
+        "s", Schema({{"a", ValueType::kInt64}}));
+    for (int64_t v = 0; v < 8; ++v) {
+      r->AppendIntRow({v});
+      s->AppendIntRow({v + i});
+    }
+    QueryBuilder builder;
+    builder.From("r", r).From("s", s).Where(Col("r.a") <= Col("s.a"));
+    StatusOr<Query> query = builder.Build();
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    queries.push_back(*std::move(query));
+  }
 
-  EngineOptions engine_options;
-  engine_options.plan_cache_capacity = 1;
-  ThetaEngine engine(engine_options);
-  ASSERT_TRUE(engine.Execute(*q1).ok());        // miss, cached
-  ASSERT_TRUE(engine.Execute(*q1_other).ok());  // miss, evicts q1
-  ASSERT_TRUE(engine.Execute(*q1).ok());        // miss again, evicts other
-  ASSERT_TRUE(engine.Execute(*q1).ok());        // hit
+  ThetaEngine engine;
+  for (const Query& query : queries) ASSERT_TRUE(engine.Explain(query).ok());
+  EXPECT_EQ(engine.metrics().plan_cache_misses,
+            ThetaEngine::kPlanCacheCapacity + 1);
+  EXPECT_EQ(engine.metrics().plan_cache_evictions, 1);  // shape 0
+
+  ASSERT_TRUE(engine.Explain(queries[1]).ok());  // hit: now most recent
+  ASSERT_TRUE(engine.Explain(queries[0]).ok());  // miss, evicts shape 2
+  ASSERT_TRUE(engine.Explain(queries[1]).ok());  // hit: FIFO would evict it
+  ASSERT_TRUE(engine.Explain(queries[2]).ok());  // miss, evicts shape 3
 
   const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.plan_cache_misses, 3);
-  EXPECT_EQ(metrics.plan_cache_evictions, 2);
-  EXPECT_EQ(metrics.plan_cache_hits, 1);
+  EXPECT_EQ(metrics.plan_cache_hits, 2);
+  EXPECT_EQ(metrics.plan_cache_misses, ThetaEngine::kPlanCacheCapacity + 3);
+  EXPECT_EQ(metrics.plan_cache_evictions, 3);
+  EXPECT_EQ(metrics.plans, ThetaEngine::kPlanCacheCapacity + 3);
 }
 
 TEST(PlanCacheTest, ConcurrentSubmitStormPlansOneShapeOnce) {

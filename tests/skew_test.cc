@@ -272,6 +272,69 @@ TEST(HilbertSkewTest, SkewRoutingPreservesResultsAndRebalances) {
   // the per-value grids pull the max back toward the mean.
   EXPECT_GT(balance_off.ratio, 2.0);
   EXPECT_LT(balance_on.ratio, balance_off.ratio / 2);
+
+  // The builder's layout constants (cells per segment, the grid-bit cap,
+  // the sample, the heavy-key cut and the task-budget split) decide these
+  // literals. bench_skew's station-pair job: one fused dimension, 13
+  // residual segments and five heavy grids.
+  HilbertJoinPlanInfo bench_info;
+  ASSERT_TRUE(BuildHilbertJoinJob(
+                  StationPairSpec(8000, 1.2, 32, SkewHandling::kForce),
+                  &bench_info)
+                  .ok());
+  EXPECT_EQ(bench_info.grid_order, 10);
+  EXPECT_EQ(bench_info.effective_reduce_tasks, 32);
+  EXPECT_EQ(bench_info.skew.residual_tasks, 13);
+  EXPECT_EQ(bench_info.skew.heavy_tasks, 19);
+  std::vector<std::vector<int>> shares;
+  for (const HeavyGroup& g : bench_info.skew.groups) {
+    shares.push_back(g.shares);
+  }
+  EXPECT_EQ(shares, (std::vector<std::vector<int>>{
+                        {3, 4}, {2, 2}, {1, 1}, {1, 1}, {1, 1}}));
+
+  // The heavy-key cut: in 1,000-row inputs (sampled whole), a key on
+  // exactly kHeavyKeyFrequency of each input is a candidate (>=), and at 64
+  // tasks its 2% of the volume passes the 1/64 mean, so it gets a grid;
+  // the other keys hold 1% each.
+  MultiwayJoinJobSpec cut;
+  for (int i = 0; i < 2; ++i) {
+    auto rel = std::make_shared<Relation>(
+        "t", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
+    for (int64_t r = 0; r < 1000; ++r) {
+      rel->AppendIntRow({r < 20 ? 0 : 1 + (r - 20) / 10, r});
+    }
+    cut.base_relations.push_back(rel);
+    cut.inputs.push_back(JoinSide::ForBase(rel, i));
+  }
+  cut.conditions = {JoinCondition{{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
+                    JoinCondition{{0, 1}, ThetaOp::kLe, {1, 1}, 0.0, 1}};
+  cut.num_reduce_tasks = 64;
+  cut.skew_handling = SkewHandling::kForce;
+  HilbertJoinPlanInfo cut_info;
+  ASSERT_TRUE(BuildHilbertJoinJob(cut, &cut_info).ok());
+  ASSERT_EQ(cut_info.skew.groups.size(), 1u);
+  EXPECT_EQ(cut_info.skew.groups[0].key_hash, HashValue(Value(int64_t{0})));
+
+  // A plain 3-input band chain (three dimensions): 64 tasks want 4,096
+  // cells, order 4; at 8,192 tasks the 18-bit grid cap holds order 6.
+  MobileDataOptions chain_options;
+  chain_options.physical_rows = 500;
+  MultiwayJoinJobSpec chain;
+  for (int i = 0; i < 3; ++i) {
+    chain.base_relations.push_back(
+        GenerateMobileCallsInstance(chain_options, i));
+    chain.inputs.push_back(JoinSide::ForBase(chain.base_relations[i], i));
+  }
+  chain.conditions = {JoinCondition{{0, 2}, ThetaOp::kLe, {1, 2}, 0.0, 0},
+                      JoinCondition{{1, 2}, ThetaOp::kLe, {2, 2}, 0.0, 1}};
+  for (const auto& [tasks, order] : {std::pair{64, 4}, std::pair{8192, 6}}) {
+    chain.num_reduce_tasks = tasks;
+    HilbertJoinPlanInfo chain_info;
+    ASSERT_TRUE(BuildHilbertJoinJob(chain, &chain_info).ok());
+    EXPECT_EQ(chain_info.grouping.num_dims, 3);
+    EXPECT_EQ(chain_info.grid_order, order) << "tasks=" << tasks;
+  }
 }
 
 TEST(HilbertSkewTest, UniformDataIsUntouchedBySkewHandling) {

@@ -269,9 +269,8 @@ TEST(TableStatsTest, LowCardinalityColumnStaysPut) {
 // BuildTableStats' distinct estimate recomputed with ReferenceKmv over the
 // same reservoir sample, after the same key-like scaling.
 double ReferenceDistinct(const Relation& rel, int column) {
-  const StatsOptions defaults;
   const std::vector<int64_t> rows =
-      ReservoirSampleRows(rel.num_rows(), defaults.sample_size, defaults.seed);
+      ReservoirSampleRows(rel.num_rows(), kStatsSampleRows, kStatsSampleSeed);
   ReferenceKmv kmv(256);
   for (int64_t r : rows) {
     switch (rel.schema().column(column).type) {
@@ -297,9 +296,8 @@ double ReferenceDistinct(const Relation& rel, int column) {
 // The most common value's share of the same sample, counted pairwise:
 // doubles by their bits, so -0.0, +0.0 and each NaN pattern count apart.
 double BruteForceTopFrequency(const Relation& rel, int column) {
-  const StatsOptions defaults;
   const std::vector<int64_t> rows =
-      ReservoirSampleRows(rel.num_rows(), defaults.sample_size, defaults.seed);
+      ReservoirSampleRows(rel.num_rows(), kStatsSampleRows, kStatsSampleSeed);
   const ValueType type = rel.schema().column(column).type;
   auto same = [&](int64_t a, int64_t b) {
     switch (type) {
