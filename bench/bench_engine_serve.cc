@@ -204,7 +204,7 @@ ServeBenchRecord RunRound(ThetaEngine& engine, std::vector<Shape>& shapes,
 
 int Main(int argc, char** argv) {
   const StatusOr<CommonFlags> flags =
-      ParseCommonFlags(argc, argv, /*allow_threads=*/false);
+      ParseCommonFlags(argc, argv, /*allow_runtime_flags=*/false);
   if (!flags.ok()) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--trace-out=FILE] [--metrics-out=FILE] "

@@ -1,18 +1,19 @@
-// Micro-benchmark of the reduce-side join kernels: generic nested loop
-// (compiled predicates, no sort) vs the sort-based range-scan kernel, on a
-// single-inequality join. Writes BENCH_kernels.json (pass a path to
-// override) so the kernel perf trajectory is tracked across PRs.
+// Micro-benchmark of the reduce-side join kernel that jobs run: the
+// 1-Bucket-Theta reducer under KernelPolicy::kGenericOnly (nested loop over
+// compiled predicates) and under kAuto (the shared per-depth index), each
+// called on one reduce group that holds every row of a single-inequality
+// join. Writes BENCH_kernels.json (pass a path to override), which CI
+// gates against bench/baselines/.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
-#include "src/exec/theta_kernels.h"
-#include "src/relation/column_view.h"
+#include "src/exec/pairwise_join.h"
 
 namespace mrtheta::bench {
 namespace {
@@ -35,45 +36,51 @@ int64_t NowNs() {
 }
 
 struct Measured {
+  std::string kernel;  // JoinKernelName of the job's reducer
   int64_t wall_ns = 0;
   int64_t pairs = 0;
 };
 
-// The generic kernel's inner loop: every pair through the compiled
-// predicate (this is what the reducers run when no sort driver applies).
-Measured RunGeneric(const JoinCondition& cond, const Relation& lrel,
-                    const Relation& rrel) {
-  const CompiledPredicate pred =
-      CompiledPredicate::Compile(cond, lrel, rrel);
-  Measured m;
-  const int64_t t0 = NowNs();
-  for (int64_t l = 0; l < lrel.num_rows(); ++l) {
-    for (int64_t r = 0; r < rrel.num_rows(); ++r) {
-      if (pred.Eval(l, r)) ++m.pairs;
+// Times the 1-Bucket-Theta reducer on one group holding every row of both
+// relations (tag 0 = left, tag 1 = right, in row order).
+StatusOr<Measured> RunReducer(const JoinCondition& cond,
+                              const RelationPtr& left,
+                              const RelationPtr& right, KernelPolicy policy) {
+  PairwiseJoinJobSpec spec;
+  spec.left = JoinSide::ForBase(left, 0);
+  spec.right = JoinSide::ForBase(right, 1);
+  spec.base_relations = {left, right};
+  spec.conditions = {cond};
+  spec.kernel_policy = policy;
+  StatusOr<MapReduceJobSpec> job = BuildOneBucketThetaJob(spec);
+  if (!job.ok()) return job.status();
+  std::vector<std::vector<MapOutputRecord>> records(2);
+  std::vector<std::vector<const MapOutputRecord*>> by_tag(2);
+  for (int tag = 0; tag < 2; ++tag) {
+    const int64_t rows = job->inputs[tag].relation->num_rows();
+    records[tag].resize(static_cast<size_t>(rows));
+    for (int64_t r = 0; r < rows; ++r) {
+      records[tag][r] = {.tag = tag, .row = r, .rec_id = r};
+      by_tag[tag].push_back(&records[tag][r]);
     }
   }
-  m.wall_ns = NowNs() - t0;
-  return m;
-}
-
-Measured RunSorted(const JoinCondition& cond, const Relation& lrel,
-                   const Relation& rrel) {
-  std::vector<int64_t> lrows(lrel.num_rows()), rrows(rrel.num_rows());
-  std::iota(lrows.begin(), lrows.end(), 0);
-  std::iota(rrows.begin(), rrows.end(), 0);
+  const ReduceContext ctx{.by_tag = &by_tag, .inputs = &job->inputs};
+  ReduceCollector out(job->output_schema.num_columns());
   Measured m;
+  m.kernel = job->kernel;
   const int64_t t0 = NowNs();
-  SortJoinRowSets(cond, lrel, lrows, rrel, rrows,
-                  [&](int32_t, int32_t) { ++m.pairs; });
+  job->reduce(ctx, out);
   m.wall_ns = NowNs() - t0;
+  if (!out.status().ok()) return out.status();
+  m.pairs = out.rows_emitted();
   return m;
 }
 
-KernelBenchRecord Record(const std::string& label, JoinKernel kernel,
-                         int64_t lrows, int64_t rrows, const Measured& m) {
+KernelBenchRecord Record(const std::string& label, int64_t lrows,
+                         int64_t rrows, const Measured& m) {
   KernelBenchRecord rec;
   rec.label = label;
-  rec.kernel = JoinKernelName(kernel);
+  rec.kernel = m.kernel;
   rec.left_rows = lrows;
   rec.right_rows = rrows;
   rec.wall_ns = m.wall_ns;
@@ -106,8 +113,18 @@ int main(int argc, char** argv) {
     RelationPtr right = MakeKeyRel("R", n, -1000000, 10000, 12);
     const JoinCondition cond{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0};
 
-    const Measured gen = RunGeneric(cond, *left, *right);
-    const Measured srt = RunSorted(cond, *left, *right);
+    const StatusOr<Measured> gen_or =
+        RunReducer(cond, left, right, KernelPolicy::kGenericOnly);
+    const StatusOr<Measured> srt_or =
+        RunReducer(cond, left, right, KernelPolicy::kAuto);
+    for (const StatusOr<Measured>* m : {&gen_or, &srt_or}) {
+      if (!m->ok()) {
+        std::fprintf(stderr, "FATAL: %s\n", m->status().ToString().c_str());
+        return 1;
+      }
+    }
+    const Measured& gen = *gen_or;
+    const Measured& srt = *srt_or;
     if (gen.pairs != srt.pairs) {
       std::fprintf(stderr, "FATAL: kernels disagree (%lld vs %lld pairs)\n",
                    static_cast<long long>(gen.pairs),
@@ -119,8 +136,8 @@ int main(int argc, char** argv) {
                                            : 0.0;
     const std::string label =
         "lt_" + std::to_string(n) + "x" + std::to_string(n);
-    records.push_back(Record(label, JoinKernel::kGeneric, n, n, gen));
-    records.push_back(Record(label, JoinKernel::kSortTheta, n, n, srt));
+    records.push_back(Record(label, n, n, gen));
+    records.push_back(Record(label, n, n, srt));
     std::printf("%-18s %10lld %10lld %14lld %14lld %9.1fx\n", label.c_str(),
                 static_cast<long long>(n), static_cast<long long>(gen.pairs),
                 static_cast<long long>(gen.wall_ns),
@@ -136,7 +153,7 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", path);
   if (!ok) {
-    std::fprintf(stderr, "FAIL: sort kernel below 5x at 20k x 20k\n");
+    std::fprintf(stderr, "FAIL: indexed kernel below 5x at 20k x 20k\n");
     return 1;
   }
   return 0;

@@ -18,11 +18,9 @@
 // TPC-H Q17 plan with and without its required-column annotation on the
 // same engine and asserts the column-pruning contract: byte-identical
 // projected rows, with pruned shuffle volume at most 75% of full-width
-// (docs/EXECUTOR.md "Column pruning"). --no-prune plans everything
-// full-width instead (the ablation; the assertion is skipped).
+// (docs/EXECUTOR.md "Column pruning").
 //
-// Usage: bench_runtime [--no-prune] [--trace-out=F] [--metrics-out=F]
-//                      [output.json]
+// Usage: bench_runtime [--trace-out=F] [--metrics-out=F] [output.json]
 
 #include <chrono>
 #include <cstdio>
@@ -181,8 +179,7 @@ void RunEngineReuse(ThetaEngine& engine,
 // partitioning and row order are untouched by the annotation, so the
 // projected outputs must be byte-identical while the simulated shuffle
 // volume shrinks — asserted at >= 25% for this workload (lineitem carries
-// 8 columns, the query touches 3). With --no-prune the engine planned
-// full-width everywhere and this comparison is skipped.
+// 8 columns, the query touches 3).
 void RunPruneComparison(const Query& query, const QueryPlan& plan,
                         ThetaEngine& engine,
                         std::vector<RuntimeBenchRecord>& records) {
@@ -577,11 +574,11 @@ void RunMemBudget(ThetaEngine& engine, const std::string& out_path) {
 }
 
 int Main(int argc, char** argv) {
-  const StatusOr<CommonFlags> flags = ParseCommonFlags(
-      argc, argv, /*allow_threads=*/false, /*allow_no_prune=*/true);
+  const StatusOr<CommonFlags> flags =
+      ParseCommonFlags(argc, argv, /*allow_runtime_flags=*/false);
   if (!flags.ok()) {
     std::fprintf(stderr,
-                 "%s\nusage: %s [--no-prune] [--trace-out=FILE] "
+                 "%s\nusage: %s [--trace-out=FILE] "
                  "[--metrics-out=FILE] [output.json]\n",
                  flags.status().ToString().c_str(), argv[0]);
     return 2;
@@ -594,11 +591,6 @@ int Main(int argc, char** argv) {
   // the pool width.
   EngineOptions engine_options;
   engine_options.executor.num_threads = kMaxThreads;
-  engine_options.planner.enable_column_pruning = !flags->no_prune;
-  if (flags->no_prune) {
-    std::printf("column pruning DISABLED (--no-prune): full-width "
-                "intermediates everywhere\n");
-  }
   ThetaEngine engine(engine_options);
   std::vector<RuntimeBenchRecord> records;
 
@@ -621,9 +613,7 @@ int Main(int argc, char** argv) {
   RunAtBothWidths({"tpch", "q17_20k", *q17, *q17_plan}, engine, records);
 
   // ---- Column-pruning ablation on the Q17 plan ----
-  if (!flags->no_prune) {
-    RunPruneComparison(*q17, *q17_plan, engine, records);
-  }
+  RunPruneComparison(*q17, *q17_plan, engine, records);
 
   // ---- Flights itinerary chain (3 legs) ----
   FlightLegOptions leg_options;

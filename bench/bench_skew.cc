@@ -195,7 +195,7 @@ void RunPlanLevel(const Query& query, const std::string& name,
 
 int Main(int argc, char** argv) {
   const StatusOr<CommonFlags> flags =
-      ParseCommonFlags(argc, argv, /*allow_threads=*/false);
+      ParseCommonFlags(argc, argv, /*allow_runtime_flags=*/false);
   if (!flags.ok()) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--trace-out=FILE] [--metrics-out=FILE] "

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   // to disk and merges back, with byte-identical results (docs/MEMORY.md).
   EngineOptions options;
   options.executor.num_threads = flags->num_threads;
-  options.mem_budget_bytes = flags->mem_budget_bytes;
+  options.executor.mem_budget_bytes = flags->mem_budget_bytes;
   ThetaEngine engine(options);
   std::printf("cluster: %s\n", engine.cluster().config().ToString().c_str());
 

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   EngineOptions engine_options;
   engine_options.executor.num_threads = flags->num_threads;
-  engine_options.mem_budget_bytes = flags->mem_budget_bytes;
+  engine_options.executor.mem_budget_bytes = flags->mem_budget_bytes;
   ThetaEngine engine(engine_options);
 
   TpchOptions options;

@@ -21,9 +21,6 @@ Status EngineOptions::Validate() const {
   if (per_query_threads < 0) {
     return Status::InvalidArgument("per_query_threads must be >= 0");
   }
-  if (mem_budget_bytes < 0) {
-    return Status::InvalidArgument("mem_budget_bytes must be >= 0");
-  }
   if (executor.mem_budget_bytes < 0) {
     return Status::InvalidArgument("executor.mem_budget_bytes must be >= 0");
   }
@@ -43,9 +40,6 @@ std::string EngineOptions::ToString() const {
   }
   if (per_query_threads > 0) {
     out += ", per_query_threads=" + std::to_string(per_query_threads);
-  }
-  if (mem_budget_bytes > 0) {
-    out += ", mem_budget=" + std::to_string(mem_budget_bytes);
   }
   if (executor.fault_plan.enabled()) {
     out += ", " + executor.fault_plan.ToString();

@@ -6,26 +6,23 @@
 
 #include "src/common/status.h"
 #include "src/core/executor.h"
-#include "src/core/planner.h"
 #include "src/mapreduce/cluster_config.h"
 
 namespace mrtheta {
 
 /// \brief The single validated options surface of a ThetaEngine session:
-/// the simulated cluster, the planner knobs and the physical executor
-/// knobs, merged so callers configure one struct instead of wiring three
-/// objects by hand.
+/// the simulated cluster and the physical executor knobs, merged so
+/// callers configure one struct instead of wiring the objects by hand.
 ///
 /// Every field keeps its subsystem's default, so `ThetaEngine engine;` is
 /// the paper's Table 1 test bed on a one-thread runtime.
 struct EngineOptions {
   /// The simulated shared-nothing cluster (kP workers, Table 1 parameters).
   ClusterConfig cluster;
-  /// Optimizer knobs (column pruning).
-  PlannerOptions planner;
   /// Physical runtime knobs (threads, skew handling, fault injection and
   /// retries, memory budget). The engine sizes its shared thread pool to
-  /// `executor.num_threads`.
+  /// `executor.num_threads`; `executor.mem_budget_bytes` is the session
+  /// memory budget (docs/MEMORY.md).
   ExecutorOptions executor;
   /// Seed of Execute/Submit runs. Same seed + same options ⇒ byte-identical
   /// results across Execute and Submit (docs/API.md determinism contract).
@@ -47,13 +44,6 @@ struct EngineOptions {
   /// 0 = no cap (each query may use the full pool). ExecutePlan with
   /// caller-provided executor options is not capped.
   int per_query_threads = 0;
-  /// Session memory budget in bytes (docs/MEMORY.md): shuffle state beyond
-  /// it spills to disk and is merged back, with byte-identical results.
-  /// Applied to every Execute/Submit/ExecutePlan whose executor options
-  /// leave mem_budget_bytes at 0; 0 defers to executor.mem_budget_bytes
-  /// and then to $MRTHETA_MEM_BUDGET (the process-wide default). The
-  /// `--mem-budget` flag of the examples/benches sets this field.
-  int64_t mem_budget_bytes = 0;
 
   /// Cross-field validation; every ThetaEngine entry point fails with this
   /// status when the options are inconsistent.

@@ -79,8 +79,7 @@ Status ThetaEngine::EnsureReadyLocked() {
   }
   registry_.GetCounter("engine_calibrations")->Increment();
   calibration_ = std::make_unique<CalibrationReport>(*std::move(report));
-  planner_ = std::make_unique<Planner>(&cluster_, calibration_->params,
-                                       options_.planner);
+  planner_ = std::make_unique<Planner>(&cluster_, calibration_->params);
   return Status::OK();
 }
 
@@ -536,12 +535,6 @@ StatusOr<QueryResult> ThetaEngine::ExecutePlan(
   FaultReport fault_report;
   ExecutorOptions opts = executor_options;
   opts.fault_report = &fault_report;
-  // Session memory budget (docs/MEMORY.md): an explicit per-call value
-  // wins; otherwise the engine option applies (and 0 falls through to the
-  // $MRTHETA_MEM_BUDGET process default inside the executor).
-  if (opts.mem_budget_bytes == 0) {
-    opts.mem_budget_bytes = options_.mem_budget_bytes;
-  }
   const Executor executor(&cluster_, opts);
   StatusOr<ExecutionResult> result =
       executor.Execute(query, plan, seed, &pool_);

@@ -31,14 +31,11 @@ StatusOr<int> ParsePositiveInt(const char* text) {
 }  // namespace
 
 StatusOr<CommonFlags> ParseCommonFlags(int argc, char** argv,
-                                       bool allow_threads,
-                                       bool allow_no_prune) {
+                                       bool allow_runtime_flags) {
   CommonFlags flags;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (allow_no_prune && std::strcmp(arg, "--no-prune") == 0) {
-      flags.no_prune = true;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       if (arg[12] == '\0') {
         return Status::InvalidArgument("--trace-out= needs a file path");
       }
@@ -48,7 +45,7 @@ StatusOr<CommonFlags> ParseCommonFlags(int argc, char** argv,
         return Status::InvalidArgument("--metrics-out= needs a file path");
       }
       flags.metrics_out = arg + 14;
-    } else if (allow_threads && std::strcmp(arg, "--threads") == 0) {
+    } else if (allow_runtime_flags && std::strcmp(arg, "--threads") == 0) {
       if (i + 1 >= argc) {
         return Status::InvalidArgument("--threads needs a value");
       }
@@ -57,7 +54,7 @@ StatusOr<CommonFlags> ParseCommonFlags(int argc, char** argv,
         return Status::InvalidArgument("--threads: " + n.status().message());
       }
       flags.num_threads = *n;
-    } else if (std::strcmp(arg, "--mem-budget") == 0) {
+    } else if (allow_runtime_flags && std::strcmp(arg, "--mem-budget") == 0) {
       if (i + 1 >= argc) {
         return Status::InvalidArgument(
             "--mem-budget needs a value (bytes, or K/M/G suffixed)");

@@ -11,11 +11,6 @@ namespace mrtheta {
 struct CommonFlags {
   /// --threads N: threads of the in-process runtime (>= 1).
   int num_threads = 1;
-  /// --no-prune: disable required-column analysis / early projection
-  /// (PlannerOptions::enable_column_pruning), the full-width ablation of
-  /// docs/EXECUTOR.md "Column pruning". Only parsed when the binary opts
-  /// in (bench_runtime).
-  bool no_prune = false;
   /// --trace-out=FILE: write a Chrome trace-event JSON of the run's spans
   /// (load in chrome://tracing or Perfetto — docs/OBSERVABILITY.md). Empty
   /// = tracing stays disabled. Accepted by every binary.
@@ -33,16 +28,15 @@ struct CommonFlags {
 };
 
 /// Strict parser for the common CLI surface: `--threads N`, `--mem-budget
-/// SIZE` plus at most one positional argument. Rejects what the
-/// per-binary copies it replaced silently accepted: a missing value,
-/// trailing junk ("--threads 4x", "--mem-budget 64Q"), non-positive
-/// counts, unknown flags, and extra positionals. Binaries
-/// with a fixed thread schedule (the benches) pass `allow_threads = false`
-/// so `--threads` is rejected instead of silently ignored; likewise
-/// `--no-prune` is only accepted when `allow_no_prune` is set.
+/// SIZE`, `--trace-out=FILE`, `--metrics-out=FILE` plus at most one
+/// positional argument. Rejects what the per-binary copies it replaced
+/// silently accepted: a missing value, trailing junk ("--threads 4x",
+/// "--mem-budget 64Q"), non-positive counts, unknown flags, and extra
+/// positionals. Binaries that fix their own thread counts and budgets (the
+/// benches) pass `allow_runtime_flags = false`, so `--threads` and
+/// `--mem-budget` are rejected instead of silently ignored.
 StatusOr<CommonFlags> ParseCommonFlags(int argc, char** argv,
-                                       bool allow_threads = true,
-                                       bool allow_no_prune = false);
+                                       bool allow_runtime_flags = true);
 
 /// Prints a warning to stderr when `num_threads` > 1 and the host cannot
 /// run them in parallel: a host *reporting* one hardware thread gets the

@@ -22,10 +22,10 @@ struct JobExecution {
   /// when the job read base relations only) — the plan DAG, kept here so
   /// profiles can render it without the QueryPlan in hand.
   std::vector<int> input_jobs;
-  /// Reduce-side join kernel the job was built for: "sort-theta" when a
-  /// pairwise job has a sort driver or a Hilbert depth has an index, else
-  /// "generic" (always for merge jobs). Pairwise reduce groups below
-  /// kSortKernelMinPairs candidate pairs still run the generic loop.
+  /// Reduce-side join kernel the job was built for: "sort-theta" when
+  /// some depth of its JoinKernelPlan has an index, else "generic"
+  /// (always for merge jobs). Pairwise reduce groups below
+  /// kSortKernelMinPairs candidate pairs still run the nested loop.
   std::string kernel = "generic";
   JobMeasurement metrics;
   SimJobResult timing;
@@ -149,9 +149,9 @@ struct QueryProfile;
 /// simulated makespan under the cluster's kP processing units.
 ///
 /// Kernel selection (see docs/EXECUTOR.md) is each job builder's own:
-/// pairwise jobs sort on one driving condition (ChooseSortDriver), Hilbert
-/// jobs index each depth on its conditions (DepthIndexPlan), and merge jobs
-/// run the nested loop over their rid-hash groups.
+/// Hilbert and pairwise jobs index each depth on its conditions
+/// (JoinKernelPlan, shared), and merge jobs run the nested loop over
+/// their rid-hash groups.
 class Executor {
  public:
   /// `cluster` must outlive the executor.

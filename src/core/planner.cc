@@ -24,12 +24,10 @@ namespace {
 constexpr double kHilbertSigmaFrac = 0.08;
 
 // Planned map-shuffle width of base relation `r` read at the bottom of a
-// plan (every condition on it still pending): the pruned base row when
-// pruning is on, else the full row. Mirrors the executors'
-// SideShuffleBytes for base sides.
-int64_t PlannedInputWidth(const Query& query, int r, bool prune) {
+// plan (every condition on it still pending): the pruned base row.
+// Mirrors the executors' SideShuffleBytes for base sides.
+int64_t PlannedInputWidth(const Query& query, int r) {
   const Schema& schema = query.relations()[r]->schema();
-  if (!prune) return schema.avg_row_bytes();
   return PrunedRowBytes(
       schema, RequiredColumnsForBase(query, r,
                                      PendingThetas(query, /*applied_mask=*/0)));
@@ -39,9 +37,8 @@ int64_t PlannedInputWidth(const Query& query, int r, bool prune) {
 // `applied` conditions: columns of the still-pending conditions plus the
 // projection. Mirrors MakeIntermediateSchema under AnnotateRequiredColumns.
 int64_t PlannedOutputWidth(const Query& query, int r,
-                           const std::vector<int>& applied, bool prune) {
+                           const std::vector<int>& applied) {
   const Schema& schema = query.relations()[r]->schema();
-  if (!prune) return schema.avg_row_bytes();
   uint32_t applied_mask = 0;
   for (int t : applied) applied_mask |= 1u << t;
   return PrunedRowBytes(
@@ -51,9 +48,8 @@ int64_t PlannedOutputWidth(const Query& query, int r,
 
 }  // namespace
 
-Planner::Planner(const SimCluster* cluster, CostModelParams params,
-                 PlannerOptions options)
-    : cluster_(cluster), params_(std::move(params)), options_(options) {}
+Planner::Planner(const SimCluster* cluster, CostModelParams params)
+    : cluster_(cluster), params_(std::move(params)) {}
 
 TableStats Planner::CollectStatsForRelation(const Relation& rel) const {
   TraceSpan span("collect-stats", "planner");
@@ -113,8 +109,7 @@ struct CandidateShape {
 CandidateShape ShapeCandidate(const Query& query,
                               const std::vector<TableStats>& stats,
                               const std::vector<int>& relations,
-                              const std::vector<int>& thetas,
-                              const PlannerOptions& options) {
+                              const std::vector<int>& thetas) {
   CandidateShape shape;
   const int d = static_cast<int>(relations.size());
   // Duplication follows the *fused* dimensionality: relations connected by
@@ -128,16 +123,14 @@ CandidateShape ShapeCandidate(const Query& query,
       ComputeDimensionGrouping(input_bases, conds);
   shape.num_dims = grouping.num_dims;
 
-  const bool prune = options.enable_column_pruning;
   double si = 0.0;
   double out_row_bytes = 0.0;
   double pruned_in = 0.0;
   for (int r : relations) {
     si += static_cast<double>(stats[r].logical_bytes);
-    out_row_bytes += static_cast<double>(
-        PlannedOutputWidth(query, r, thetas, prune));
+    out_row_bytes += static_cast<double>(PlannedOutputWidth(query, r, thetas));
     pruned_in += static_cast<double>(stats[r].logical_rows) *
-                 static_cast<double>(PlannedInputWidth(query, r, prune));
+                 static_cast<double>(PlannedInputWidth(query, r));
   }
   // A candidate covering every condition produces the final result, which
   // is written in the query's projected width (see Executor).
@@ -329,7 +322,7 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
     MalleableJob mj;
     mj.time_for_slots = [this, kp,
                          shape = ShapeCandidate(query, stats, cand.relations,
-                                                cand.thetas, options_)](int k) {
+                                                cand.thetas)](int k) {
       return PredictJobTime(params_, cluster_->config(),
                             FinishCandidate(shape, k), kp)
           .total;
@@ -391,8 +384,8 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
 
     double out_row_bytes = 0.0;
     for (int b : union_bases) {
-      out_row_bytes += static_cast<double>(PlannedOutputWidth(
-          query, b, union_thetas, options_.enable_column_pruning));
+      out_row_bytes += static_cast<double>(
+          PlannedOutputWidth(query, b, union_thetas));
     }
     const double l_rows = acc_rows;
     const int l_bases = static_cast<int>(acc_bases.size());
@@ -431,7 +424,7 @@ StatusOr<QueryPlan> Planner::BuildPlanFromSelection(
     plan.jobs[i].est_seconds = sched->jobs[i].finish - sched->jobs[i].start;
   }
   plan.est_makespan_sec = sched->makespan;
-  if (options_.enable_column_pruning) AnnotateRequiredColumns(query, &plan);
+  AnnotateRequiredColumns(query, &plan);
   return plan;
 }
 
@@ -471,14 +464,13 @@ StatusOr<QueryPlan> Planner::BuildCascadePlan(
     if (chosen < 0) break;
     const JoinCondition& c = query.conditions()[chosen];
 
-    const bool prune = options_.enable_column_pruning;
     PlanJob job;
     double base_in = 0.0;
     double pruned_base_in = 0.0;  // shuffle payload of the base inputs
     auto add_base_in = [&](int r) {
       base_in += static_cast<double>(stats[r].logical_bytes);
       pruned_base_in += static_cast<double>(stats[r].logical_rows) *
-                        static_cast<double>(PlannedInputWidth(query, r, prune));
+                        static_cast<double>(PlannedInputWidth(query, r));
     };
     if (joined.empty()) {
       job.inputs = {PlanInput::Base(c.lhs.relation),
@@ -522,8 +514,8 @@ StatusOr<QueryPlan> Planner::BuildCascadePlan(
       const Relation& rel = *query.relations()[r];
       phys_cross *=
           static_cast<double>(std::max<int64_t>(1, rel.num_rows()));
-      row_bytes += static_cast<double>(
-          PlannedOutputWidth(query, r, acc_thetas, prune));
+      row_bytes +=
+          static_cast<double>(PlannedOutputWidth(query, r, acc_thetas));
       if (rel.num_rows() > 0) {
         max_scale = std::max(
             max_scale, static_cast<double>(rel.logical_rows()) /
@@ -565,7 +557,7 @@ StatusOr<QueryPlan> Planner::BuildCascadePlan(
     return Status::Internal("cascade could not join all relations");
   }
   plan.est_makespan_sec = makespan;
-  if (options_.enable_column_pruning) AnnotateRequiredColumns(query, &plan);
+  AnnotateRequiredColumns(query, &plan);
   return plan;
 }
 
@@ -616,7 +608,7 @@ StatusOr<QueryPlan> Planner::Plan(const Query& query,
   CandidateCostFn cost_fn = [&](const std::vector<int>& thetas,
                                 const std::vector<int>& relations) {
     const CandidateShape shape =
-        ShapeCandidate(query, stats, relations, thetas, options_);
+        ShapeCandidate(query, stats, relations, thetas);
     const int kr = ChooseKrByCost(
                        params_, cluster_->config(),
                        [&](int k) { return FinishCandidate(shape, k); },

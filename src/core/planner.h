@@ -12,29 +12,21 @@
 
 namespace mrtheta {
 
-/// Planner knobs.
-struct PlannerOptions {
-  /// Required-column analysis + early projection (docs/EXECUTOR.md "Column
-  /// pruning"): when true (default), plans are annotated with the minimal
-  /// per-base column sets (PlanJob::output_columns) and the cost model
-  /// prices shuffles and intermediates at the pruned widths, so kR
-  /// selection and makespan estimates react to thinner tuples. When false,
-  /// plans stay unannotated and execution accounts full-width rows — the
-  /// ablation baseline (`bench_runtime --no-prune`). Join results are
-  /// byte-identical either way.
-  bool enable_column_pruning = true;
-};
-
 /// \brief The paper's optimizer: builds G'_JP (Algorithm 2), selects T by
 /// greedy weighted set cover, schedules T's MRJs plus the merge steps on kP
 /// processing units with the malleable scheduler, and returns the plan with
 /// the smallest estimated makespan.
+///
+/// Every plan carries its required-column analysis (docs/EXECUTOR.md
+/// "Column pruning"): each job is annotated with the minimal per-base
+/// column sets (PlanJob::output_columns), and the cost model prices
+/// shuffles and intermediates at the pruned widths, so kR selection and
+/// makespan estimates react to thinner tuples.
 class Planner {
  public:
   /// `cluster` must outlive the planner. `params` come from
   /// CalibrateCostModel (or tests' hand-built values).
-  Planner(const SimCluster* cluster, CostModelParams params,
-          PlannerOptions options = {});
+  Planner(const SimCluster* cluster, CostModelParams params);
 
   /// Plans `query`. Also considers the single-MRJ evaluation of the whole
   /// query when a full-cover trail exists, per the paper's observation that
@@ -57,7 +49,6 @@ class Planner {
   TableStats CollectStatsForRelation(const Relation& rel) const;
 
   const CostModelParams& params() const { return params_; }
-  const PlannerOptions& options() const { return options_; }
 
  private:
   StatusOr<QueryPlan> BuildPlanFromSelection(
@@ -72,7 +63,6 @@ class Planner {
 
   const SimCluster* cluster_;
   CostModelParams params_;
-  PlannerOptions options_;
 };
 
 }  // namespace mrtheta

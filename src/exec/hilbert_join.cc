@@ -3,17 +3,14 @@
 #include "src/common/status.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <functional>
 #include <map>
-#include <ranges>
 #include <set>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 
 #include "src/exec/theta_kernels.h"
-#include "src/relation/column_view.h"
 #include "src/stats/table_stats.h"
 
 namespace mrtheta {
@@ -120,117 +117,6 @@ namespace {
 constexpr int kCellsPerSegment = 64;
 constexpr int kMaxGridBits = 18;
 
-// One join condition bound to the job's inputs: type dispatch, covering
-// input positions and rid resolution fixed once at build time.
-struct HilbertBoundCondition {
-  JoinCondition cond;
-  CompiledPredicate pred;
-  int lhs_input = 0;  // input position covering the lhs / rhs endpoint
-  int rhs_input = 0;
-  const int64_t* lhs_rid = nullptr;  // input row -> base row (null = identity)
-  const int64_t* rhs_rid = nullptr;
-
-  int64_t LhsBaseRow(int64_t row) const {
-    return lhs_rid != nullptr ? lhs_rid[row] : row;
-  }
-  int64_t RhsBaseRow(int64_t row) const {
-    return rhs_rid != nullptr ? rhs_rid[row] : row;
-  }
-  // `lrow` / `rrow` are rows of the covering inputs.
-  bool Eval(int64_t lrow, int64_t rrow) const {
-    return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
-  }
-};
-
-// One indexed condition of a depth, and whether the depth's input holds
-// its lhs endpoint (the other endpoint is bound at an earlier depth).
-struct IndexTerm {
-  const HilbertBoundCondition* bc = nullptr;  // in conditions_at_depth
-  bool cur_is_lhs = false;
-
-  int other_input() const {
-    return cur_is_lhs ? bc->rhs_input : bc->lhs_input;
-  }
-  // The endpoint column on the depth's own input.
-  ColumnRef cur_column() const {
-    return cur_is_lhs ? bc->cond.lhs : bc->cond.rhs;
-  }
-
-  // True when the condition holds for the smallest values of the depth's
-  // column and fails from some value on; false when it holds from some
-  // value on. Only meaningful for <, <=, >, >=.
-  bool HoldsOnPrefix() const {
-    const ThetaOp op = bc->cond.op;
-    const bool less = op == ThetaOp::kLt || op == ThetaOp::kLe;
-    return cur_is_lhs == less;
-  }
-};
-
-// How one depth's candidates are indexed, resolved once per job. Each
-// reduce group sorts the depth's candidates on a composite key: every
-// numeric equality against an earlier input, then the range column. A
-// lookup is one equal-range search on the equalities plus one partition
-// point per range condition on that column.
-struct DepthIndexPlan {
-  std::vector<IndexTerm> eq;
-  // Every range condition on range_col with a finite offset.
-  std::vector<IndexTerm> range;
-  ColumnRef range_col = {-1, -1};
-  ValueType range_type = ValueType::kInt64;
-  const int64_t* range_rid = nullptr;  // depth input row -> range_col row
-  // The earlier input every term reads, or -1 when they read several. Then
-  // a lookup depends only on that input's bound record, and each reduce
-  // group searches once per such record instead of once per prefix.
-  int key_input = -1;
-
-  bool active() const { return !eq.empty() || !range.empty(); }
-  int width() const {
-    return static_cast<int>(eq.size()) + (range.empty() ? 0 : 1);
-  }
-};
-
-// Key images for the composite sort. Both are bijective on their domain,
-// so sorting and comparing images is exact: no value is rounded.
-// Equality image: equal images <=> equal keys (the two zeros share one
-// image). Range image: unsigned order == numeric order.
-uint64_t EqualityImage(double key) {
-  return key == 0.0 ? 0 : std::bit_cast<uint64_t>(key);
-}
-uint64_t OrderedImage(int64_t v) {
-  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
-}
-uint64_t OrderedImage(double v) {
-  const uint64_t bits = std::bit_cast<uint64_t>(v);
-  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
-}
-
-// The key of one endpoint of an equality condition, in the predicate's own
-// domain (LhsKey folds the offset in, as SortJoinRowSets keys do), as an
-// equality image. NaN keys, which equal nothing, report false.
-bool EqualityKey(const HilbertBoundCondition& bc, bool lhs, int64_t row,
-                 uint64_t* image) {
-  const CompiledPredicate& p = bc.pred;
-  if (p.domain() == CompiledPredicate::Domain::kInt64) {
-    *image = static_cast<uint64_t>(lhs ? p.LhsKeyInt(bc.LhsBaseRow(row))
-                                       : p.RhsKeyInt(bc.RhsBaseRow(row)));
-    return true;
-  }
-  const double key = lhs ? p.LhsKeyDouble(bc.LhsBaseRow(row))
-                         : p.RhsKeyDouble(bc.RhsBaseRow(row));
-  *image = EqualityImage(key);
-  return key == key;
-}
-
-// Index of the first position in [lo, hi) where `pred` fails; `pred` must
-// hold on a prefix of the range.
-template <typename Pred>
-size_t PartitionPoint(size_t lo, size_t hi, Pred pred) {
-  const auto positions = std::views::iota(lo, hi);
-  return lo + static_cast<size_t>(
-                  std::ranges::partition_point(positions, pred) -
-                  positions.begin());
-}
-
 // Shared state captured by the map and reduce closures.
 struct HilbertJobState {
   HilbertCurve curve;
@@ -243,12 +129,7 @@ struct HilbertJobState {
   std::vector<int> output_bases = {};
   std::vector<RidSource> output_sources = {};  // per output base
   std::vector<int> dim_representative = {};  // dim -> lowest input index
-  // conditions_at_depth[j] = conditions decidable once inputs 0..j are
-  // assigned (and not before).
-  std::vector<std::vector<HilbertBoundCondition>> conditions_at_depth = {};
-  // Per depth; depth 0 and every depth under KernelPolicy::kGenericOnly
-  // stay inactive and scan all of their candidates.
-  std::vector<DepthIndexPlan> index_plans = {};
+  JoinKernelPlan kernel_plan = {};
   uint64_t seed = 0;
   // ---- Skew handling (docs/SKEW.md) ----
   // Reduce tasks [0, residual_tasks) are Hilbert curve segments; tasks
@@ -306,262 +187,50 @@ struct HilbertJobState {
       out.Emit(group.first_task + t, tag, row, slice);
     }
   }
-};
 
-// One depth's candidates sorted on its plan's composite key, built per
-// reduce group.
-struct DepthIndex {
-  static constexpr uint32_t kUnsearched = ~uint32_t{0};
-
-  std::vector<uint64_t> keys;  // DepthIndexPlan::width() images per entry
-  std::vector<const MapOutputRecord*> recs;
-  // With a key input: the [lo, hi) found for each of its records, by the
-  // record's position in that depth's visit order.
-  std::vector<std::pair<uint32_t, uint32_t>> found;
-};
-
-// Backtracking join over one component's records. A depth with an active
-// index plan visits only the candidates its index returns for the bound
-// prefix; every condition of the depth is still checked per candidate.
-class ComponentJoiner {
- public:
-  ComponentJoiner(const HilbertJobState& state, const ReduceContext& ctx,
-                  ReduceCollector& out)
-      : state_(state),
-        ctx_(ctx),
-        out_(out),
-        // Heavy-grid tasks own every combination they can assemble (the
-        // map-side split/broadcast already made combinations unique), so
-        // the curve ownership check is skipped there.
-        heavy_(ctx.key >= static_cast<int64_t>(state.residual_tasks)) {
-    const int dims = static_cast<int>(state_.inputs.size());
-    pos_.resize(dims);
-    rows_.resize(dims);
-    slices_.resize(dims);
-    calls_.assign(dims, 0.0);
-    row_.resize(state_.output_sources.size());
-  }
-
-  void Run() {
-    const int num_inputs = static_cast<int>(state_.inputs.size());
-    // Empty input => no results in this component.
-    for (int d = 0; d < num_inputs; ++d) {
-      if (ctx_.records(d).empty()) {
-        ChargeComparisons();
-        return;
-      }
-    }
-    index_.resize(num_inputs);
-    for (int d = 1; d < num_inputs; ++d) {
-      if (state_.index_plans[d].active()) BuildIndex(d);
-    }
-    Recurse(0);
-    ChargeComparisons();
-  }
-
- private:
-  void BuildIndex(int depth) {
-    const DepthIndexPlan& plan = state_.index_plans[depth];
-    const std::vector<const MapOutputRecord*>& recs = ctx_.records(depth);
-    const int w = plan.width();
-    // Unsorted images; a candidate whose key is NaN can satisfy no indexed
-    // condition and is left out.
-    std::vector<uint64_t> images(recs.size() * w);
-    std::vector<char> keep(recs.size(), 1);
-    for (size_t i = 0; i < recs.size(); ++i) {
-      for (size_t k = 0; k < plan.eq.size(); ++k) {
-        if (!EqualityKey(*plan.eq[k].bc, plan.eq[k].cur_is_lhs, recs[i]->row,
-                         &images[i * w + k])) {
-          keep[i] = 0;
-        }
-      }
-    }
-    if (!plan.range.empty()) {
-      // Typed columnar extraction: one type dispatch per depth.
-      auto fill = [&](const auto& view) {
-        for (size_t i = 0; i < recs.size(); ++i) {
-          const int64_t row = recs[i]->row;
-          const auto v =
-              view[plan.range_rid != nullptr ? plan.range_rid[row] : row];
-          images[i * w + w - 1] = OrderedImage(v);
-          if (v != v) keep[i] = 0;
-        }
-      };
-      const Relation& base = *state_.base_relations[plan.range_col.relation];
-      if (plan.range_type == ValueType::kInt64) {
-        fill(ColumnView<int64_t>::Of(base, plan.range_col.column));
-      } else {
-        fill(ColumnView<double>::Of(base, plan.range_col.column));
-      }
-    }
-    std::vector<uint32_t> order;
-    order.reserve(recs.size());
-    for (size_t i = 0; i < recs.size(); ++i) {
-      if (keep[i]) order.push_back(static_cast<uint32_t>(i));
-    }
-    // Ties keep arrival order, so the visit order is fully determined.
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const uint64_t* ka = images.data() + size_t{a} * w;
-      const uint64_t* kb = images.data() + size_t{b} * w;
-      for (int k = 0; k < w; ++k) {
-        if (ka[k] != kb[k]) return ka[k] < kb[k];
-      }
-      return a < b;
-    });
-    DepthIndex& index = index_[depth];
-    index.keys.resize(order.size() * w);
-    index.recs.resize(order.size());
-    for (size_t j = 0; j < order.size(); ++j) {
-      std::copy_n(images.data() + size_t{order[j]} * w, w,
-                  index.keys.data() + j * w);
-      index.recs[j] = recs[order[j]];
-    }
-    if (plan.key_input >= 0) {
-      index.found.assign(ctx_.records(plan.key_input).size(),
-                         {DepthIndex::kUnsearched, 0});
-    }
-  }
-
-  // Candidate positions [lo, hi) of index_[depth] for the bound prefix.
-  std::pair<size_t, size_t> Lookup(int depth) {
-    const int key_input = state_.index_plans[depth].key_input;
-    if (key_input < 0) return Search(depth);
-    std::pair<uint32_t, uint32_t>& found = index_[depth].found[pos_[key_input]];
-    if (found.first == DepthIndex::kUnsearched) {
-      const auto [lo, hi] = Search(depth);
-      found = {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
-    }
-    return found;
-  }
-
-  std::pair<size_t, size_t> Search(int depth) {
-    const DepthIndexPlan& plan = state_.index_plans[depth];
-    const DepthIndex& index = index_[depth];
-    size_t lo = 0;
-    size_t hi = index.recs.size();
-    if (!plan.eq.empty()) {
-      const size_t k = plan.eq.size();
-      target_.resize(k);
-      uint64_t* t = target_.data();
-      for (size_t c = 0; c < k; ++c) {
-        const IndexTerm& term = plan.eq[c];
-        if (!EqualityKey(*term.bc, !term.cur_is_lhs,
-                         rows_[term.other_input()], t + c)) {
-          return {0, 0};
-        }
-      }
-      const int w = plan.width();
-      auto prefix = [&](size_t j) { return index.keys.data() + j * w; };
-      lo = PartitionPoint(lo, hi, [&](size_t j) {
-        return std::lexicographical_compare(prefix(j), prefix(j) + k, t,
-                                            t + k);
-      });
-      hi = PartitionPoint(lo, hi, [&](size_t j) {
-        return !std::lexicographical_compare(t, t + k, prefix(j),
-                                             prefix(j) + k);
-      });
-    }
-    // Within one equality group the candidates ascend in the range column,
-    // and each range condition's own comparison is monotone in it (its
-    // offset is finite, so cur + offset is never NaN).
-    for (const IndexTerm& term : plan.range) {
-      if (lo >= hi) break;
-      const HilbertBoundCondition& bc = *term.bc;
-      const int64_t other = rows_[term.other_input()];
-      auto holds = [&](size_t j) {
-        const int64_t cur = index.recs[j]->row;
-        return term.cur_is_lhs ? bc.Eval(cur, other) : bc.Eval(other, cur);
-      };
-      if (term.HoldsOnPrefix()) {
-        hi = PartitionPoint(lo, hi, holds);
-      } else {
-        lo = PartitionPoint(lo, hi, [&](size_t j) { return !holds(j); });
-      }
-    }
-    return {lo, hi};
-  }
-
-  void Recurse(int depth) {
-    const int num_inputs = static_cast<int>(state_.inputs.size());
-    calls_[depth] += 1.0;
-    const bool indexed = depth > 0 && state_.index_plans[depth].active();
-    size_t lo = 0;
-    size_t hi = ctx_.records(depth).size();
-    if (indexed) std::tie(lo, hi) = Lookup(depth);
-    for (size_t i = lo; i < hi; ++i) {
-      const MapOutputRecord* rec = indexed ? index_[depth].recs[i]
-                                           : ctx_.records(depth)[i];
-      pos_[depth] = i;
-      rows_[depth] = rec->row;
-      slices_[depth] = static_cast<uint32_t>(rec->rec_id);
-      bool pass = true;
-      for (const HilbertBoundCondition& bc :
-           state_.conditions_at_depth[depth]) {
-        if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      if (depth + 1 < num_inputs) {
-        Recurse(depth + 1);
-        continue;
-      }
-      if (!heavy_ && !OwnsCell()) continue;
-      EmitRow();
-    }
-  }
-
-  // Exactly-once ownership: the combination's cell must lie in this
-  // component's curve range. Inputs sharing a fused dimension have equal
-  // slices in any valid combination (their equality conditions held).
-  bool OwnsCell() const {
-    const int dims = state_.grouping.num_dims;
+  // Exactly-once ownership: the combination's cell must lie in curve
+  // segment `task`. Inputs sharing a fused dimension have equal slices in
+  // any valid combination (their equality conditions held).
+  bool OwnsCell(std::span<const MapOutputRecord* const> recs,
+                int64_t task) const {
+    const int dims = grouping.num_dims;
     uint32_t coords[16];
     for (int d = 0; d < dims; ++d) {
-      coords[d] = slices_[state_.dim_representative[d]];
+      coords[d] = static_cast<uint32_t>(recs[dim_representative[d]]->rec_id);
     }
-    return state_.coverage->SegmentOfCell(
-               std::span<const uint32_t>(coords, dims)) ==
-           static_cast<int>(ctx_.key);
+    return coverage->SegmentOfCell(std::span<const uint32_t>(coords, dims)) ==
+           static_cast<int>(task);
   }
 
-  void EmitRow() {
-    for (size_t j = 0; j < row_.size(); ++j) {
-      const RidSource& src = state_.output_sources[j];
-      row_[j] = src.BaseRow(rows_[src.input]);
-    }
-    out_.Emit(row_);
-  }
-
-  // Kernel-independent charge: the candidates the generic loop visits,
-  // |R_0| + Σ_{d≥1} calls(d)·|R_d|. Every kernel makes the same calls,
-  // because the prefixes that reach a depth are the join's own partial
-  // results, so indexing changes this process's wall clock, not the
-  // modeled cluster's.
-  void ChargeComparisons() {
-    // β frame: comparison work scales linearly with the represented
-    // volume, like every other extrapolated quantity.
+  // Joins one reduce task's component and emits the combinations it owns.
+  void JoinComponent(const ReduceContext& ctx, ReduceCollector& out) const {
+    // Heavy-grid tasks own every combination they can assemble (the
+    // map-side split/broadcast already made combinations unique), so the
+    // curve ownership check is skipped there.
+    const bool heavy = ctx.key >= static_cast<int64_t>(residual_tasks);
+    std::vector<int64_t> row(output_sources.size());
+    ComponentJoiner joiner(kernel_plan, ctx);
+    joiner.Run([&](std::span<const MapOutputRecord* const> recs) {
+      if (!heavy && !OwnsCell(recs, ctx.key)) return;
+      for (size_t j = 0; j < row.size(); ++j) {
+        const RidSource& src = output_sources[j];
+        row[j] = src.BaseRow(recs[src.input]->row);
+      }
+      out.Emit(row);
+    });
+    // Kernel-independent charge: the candidates the generic loop visits,
+    // |R_0| + Σ_{d≥1} calls(d)·|R_d|. Indexing changes this process's wall
+    // clock, not the modeled cluster's. β frame: comparison work scales
+    // linearly with the represented volume, like every other extrapolated
+    // quantity.
     double max_scale = 1.0;
-    for (double s : state_.scales) max_scale = std::max(max_scale, s);
+    for (double s : scales) max_scale = std::max(max_scale, s);
     double total = 0.0;
-    for (int d = 0; d < static_cast<int>(calls_.size()); ++d) {
-      total += calls_[d] * static_cast<double>(ctx_.records(d).size());
+    for (int d = 0; d < static_cast<int>(inputs.size()); ++d) {
+      total += joiner.calls(d) * static_cast<double>(ctx.records(d).size());
     }
-    out_.AddComparisons(total * max_scale);
+    out.AddComparisons(total * max_scale);
   }
-
-  const HilbertJobState& state_;
-  const ReduceContext& ctx_;
-  ReduceCollector& out_;
-  const bool heavy_;
-  std::vector<size_t> pos_;  // visit-order position of each bound record
-  std::vector<int64_t> rows_;
-  std::vector<uint32_t> slices_;
-  std::vector<double> calls_;      // Recurse(d) invocations per depth
-  std::vector<int64_t> row_;       // output rid row scratch
-  std::vector<DepthIndex> index_;  // per depth; built by Run
-  std::vector<uint64_t> target_;   // Search's equality key scratch
 };
 
 }  // namespace
@@ -789,96 +458,10 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   state->output_bases.assign(base_set.begin(), base_set.end());
   state->output_sources = ResolveRidSources(state->output_bases, spec.inputs);
 
-  // Bucket conditions by the deepest input they touch, binding type
-  // dispatch and row resolution once per condition.
-  state->conditions_at_depth.resize(num_inputs);
-  for (const JoinCondition& cond : spec.conditions) {
-    HilbertBoundCondition bc;
-    bc.cond = cond;
-    bc.pred = CompiledPredicate::Compile(
-        cond, *spec.base_relations[cond.lhs.relation],
-        *spec.base_relations[cond.rhs.relation]);
-    int depth = 0;
-    for (int i = 0; i < num_inputs; ++i) {
-      if (spec.inputs[i].Covers(cond.lhs.relation)) bc.lhs_input = i;
-      if (spec.inputs[i].Covers(cond.rhs.relation)) bc.rhs_input = i;
-    }
-    depth = std::max(bc.lhs_input, bc.rhs_input);
-    bc.lhs_rid = RidColumnFor(spec.inputs[bc.lhs_input], cond.lhs.relation);
-    bc.rhs_rid = RidColumnFor(spec.inputs[bc.rhs_input], cond.rhs.relation);
-    state->conditions_at_depth[depth].push_back(bc);
-  }
-
-  // One index plan per depth (DepthIndexPlan). The job reports the
-  // sort-theta kernel when some depth has one.
-  state->index_plans.resize(num_inputs);
-  bool any_index = false;
-  for (int d = 1; d < num_inputs && spec.kernel_policy == KernelPolicy::kAuto;
-       ++d) {
-    DepthIndexPlan& plan = state->index_plans[d];
-    // Numeric, non-<> conditions against an earlier input; their columns
-    // on this depth's input, in condition order, for the range choice.
-    std::vector<IndexTerm> range_terms;
-    std::vector<ColumnRef> range_cols;
-    for (const HilbertBoundCondition& bc : state->conditions_at_depth[d]) {
-      if (bc.lhs_input == bc.rhs_input || bc.cond.op == ThetaOp::kNe ||
-          bc.pred.domain() == CompiledPredicate::Domain::kString) {
-        continue;
-      }
-      const IndexTerm term{&bc, bc.lhs_input == d};
-      if (bc.cond.op == ThetaOp::kEq) {
-        plan.eq.push_back(term);
-        continue;
-      }
-      // cur + ±inf is NaN at the opposite infinity, so the comparison is
-      // not monotone in the column; such a condition is only checked per
-      // candidate.
-      if (!std::isfinite(bc.cond.offset)) continue;
-      const ColumnRef cur = term.cur_column();
-      if (std::find(range_cols.begin(), range_cols.end(), cur) ==
-          range_cols.end()) {
-        range_cols.push_back(cur);
-      }
-      range_terms.push_back(term);
-    }
-    if (!range_cols.empty()) {
-      // The range column: the one whose base column has the most distinct
-      // values (first in condition order on ties).
-      plan.range_col = range_cols[0];
-      if (range_cols.size() > 1) {
-        double best = -1.0;
-        for (const ColumnRef& col : range_cols) {
-          const double distinct =
-              EstimateDistinct(*spec.base_relations[col.relation], col.column)
-                  .physical;
-          if (distinct > best) {
-            best = distinct;
-            plan.range_col = col;
-          }
-        }
-      }
-      for (const IndexTerm& term : range_terms) {
-        if (term.cur_column() == plan.range_col) plan.range.push_back(term);
-      }
-      plan.range_type = spec.base_relations[plan.range_col.relation]
-                            ->schema()
-                            .column(plan.range_col.column)
-                            .type;
-      plan.range_rid =
-          RidColumnFor(spec.inputs[d], plan.range_col.relation);
-    }
-    const int first = !plan.eq.empty()      ? plan.eq[0].other_input()
-                      : !plan.range.empty() ? plan.range[0].other_input()
-                                            : -1;
-    auto reads_first = [first](const IndexTerm& term) {
-      return term.other_input() == first;
-    };
-    if (std::all_of(plan.eq.begin(), plan.eq.end(), reads_first) &&
-        std::all_of(plan.range.begin(), plan.range.end(), reads_first)) {
-      plan.key_input = first;
-    }
-    any_index = any_index || plan.active();
-  }
+  // Reduce-side kernel: conditions bound to the inputs, bucketed by depth,
+  // and each depth's index plan.
+  state->kernel_plan = BuildJoinKernelPlan(
+      spec.conditions, spec.inputs, spec.base_relations, spec.kernel_policy);
 
   MapReduceJobSpec job;
   job.name = spec.name;
@@ -893,8 +476,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   job.output_schema = MakeIntermediateSchema(
       state->output_bases, spec.base_relations, spec.output_columns);
   job.output_name = spec.name + ".out";
-  job.kernel = JoinKernelName(any_index ? JoinKernel::kSortTheta
-                                        : JoinKernel::kGeneric);
+  job.kernel = JoinKernelName(state->kernel_plan.kernel());
   // β-extrapolation (the paper's Eq. 5 output model): results scale
   // linearly with the represented data volume.
   double row_scale = 1.0;
@@ -966,8 +548,7 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
   };
 
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
-    ComponentJoiner joiner(*state, ctx, out);
-    joiner.Run();
+    state->JoinComponent(ctx, out);
   };
 
   if (info != nullptr) {

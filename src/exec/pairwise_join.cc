@@ -1,11 +1,11 @@
 #include "src/exec/pairwise_join.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
 
 namespace mrtheta {
 
@@ -13,47 +13,21 @@ namespace {
 
 // State shared by both pairwise variants.
 struct PairwiseState {
-  // One condition, oriented so its lhs endpoint is covered by the left
-  // side, with type dispatch and row resolution bound once per job.
-  struct BoundCondition {
-    JoinCondition cond;
-    CompiledPredicate pred;
-    const int64_t* lhs_rid = nullptr;  // left row -> lhs base row
-    const int64_t* rhs_rid = nullptr;  // right row -> rhs base row
-
-    int64_t LhsBaseRow(int64_t lrow) const {
-      return lhs_rid != nullptr ? lhs_rid[lrow] : lrow;
-    }
-    int64_t RhsBaseRow(int64_t rrow) const {
-      return rhs_rid != nullptr ? rhs_rid[rrow] : rrow;
-    }
-    bool Eval(int64_t lrow, int64_t rrow) const {
-      return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
-    }
-  };
-
   JoinSide left;
   JoinSide right;
   std::vector<RelationPtr> base_relations;
-  std::vector<BoundCondition> bound;
-  /// Index into `bound` of the sort-kernel driver, -1 => generic loop.
-  int sort_driver = -1;
+  // Every condition decided at depth 1; the left side is input 0.
+  JoinKernelPlan kernel_plan;
   std::vector<int> output_bases;
   std::vector<RidSource> output_sources;  // per output base; input 0 = left
 
+  // Every condition has one endpoint on each side (MakeState).
   bool Matches(int64_t lrow, int64_t rrow) const {
-    for (const BoundCondition& bc : bound) {
-      if (!bc.Eval(lrow, rrow)) return false;
-    }
-    return true;
-  }
-
-  // All conditions except the sort driver (already enforced by the kernel's
-  // key ranges).
-  bool MatchesResidual(int64_t lrow, int64_t rrow) const {
-    for (int i = 0; i < static_cast<int>(bound.size()); ++i) {
-      if (i == sort_driver) continue;
-      if (!bound[i].Eval(lrow, rrow)) return false;
+    for (const BoundCondition& bc : kernel_plan.conditions_at_depth[1]) {
+      const bool lhs_left = bc.lhs_input == 0;
+      if (!bc.Eval(lhs_left ? lrow : rrow, lhs_left ? rrow : lrow)) {
+        return false;
+      }
     }
     return true;
   }
@@ -68,43 +42,27 @@ struct PairwiseState {
     out.Emit(row);
   }
 
-  // Joins one reduce group, dispatching between the sort-based kernel and
-  // the generic nested loop. AddComparisons charging is kernel-independent:
-  // the simulated cluster's CPU model prices the |L|x|R| work a real
-  // reducer would do, not this process's wall clock.
-  void JoinGroup(const std::vector<const MapOutputRecord*>& lrecs,
-                 const std::vector<const MapOutputRecord*>& rrecs,
-                 ReduceCollector& out) const {
+  // Joins one reduce group: the shared joiner when depth 1 has an index and
+  // the group is large enough to pay for sorting it, else the nested loop.
+  // AddComparisons charging is kernel-independent: the simulated cluster's
+  // CPU model prices the |L|x|R| work a real reducer would do, not this
+  // process's wall clock.
+  void JoinGroup(const ReduceContext& ctx, ReduceCollector& out) const {
+    const auto& lrecs = ctx.records(0);
+    const auto& rrecs = ctx.records(1);
+    std::vector<int64_t> row(output_sources.size());
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
-    std::vector<int64_t> row(output_sources.size());
-    if (sort_driver >= 0 && pairs >= kSortKernelMinPairs) {
-      const BoundCondition& drv = bound[sort_driver];
-      std::vector<int64_t> lrows, rrows;
-      lrows.reserve(lrecs.size());
-      rrows.reserve(rrecs.size());
-      for (const MapOutputRecord* l : lrecs) {
-        lrows.push_back(drv.LhsBaseRow(l->row));
-      }
-      for (const MapOutputRecord* r : rrecs) {
-        rrows.push_back(drv.RhsBaseRow(r->row));
-      }
-      SortJoinRowSets(drv.cond, *base_relations[drv.cond.lhs.relation],
-                      lrows, *base_relations[drv.cond.rhs.relation], rrows,
-                      [&](int32_t lpos, int32_t rpos) {
-                        const int64_t lrow = lrecs[lpos]->row;
-                        const int64_t rrow = rrecs[rpos]->row;
-                        if (MatchesResidual(lrow, rrow)) {
-                          EmitPair(lrow, rrow, row, out);
-                        }
-                      });
+    if (kernel_plan.index_plans[1].active() && pairs >= kSortKernelMinPairs) {
+      ComponentJoiner joiner(kernel_plan, ctx);
+      joiner.Run([&](std::span<const MapOutputRecord* const> recs) {
+        EmitPair(recs[0]->row, recs[1]->row, row, out);
+      });
       return;
     }
     for (const MapOutputRecord* l : lrecs) {
       for (const MapOutputRecord* r : rrecs) {
-        if (Matches(l->row, r->row)) {
-          EmitPair(l->row, r->row, row, out);
-        }
+        if (Matches(l->row, r->row)) EmitPair(l->row, r->row, row, out);
       }
     }
   }
@@ -113,11 +71,13 @@ struct PairwiseState {
 StatusOr<std::shared_ptr<PairwiseState>> MakeState(
     const PairwiseJoinJobSpec& spec) {
   for (const JoinCondition& cond : spec.conditions) {
+    // Each endpoint on exactly one side, the two on different sides.
     const bool l_on_left = spec.left.Covers(cond.lhs.relation);
     const bool l_on_right = spec.right.Covers(cond.lhs.relation);
     const bool r_on_left = spec.left.Covers(cond.rhs.relation);
     const bool r_on_right = spec.right.Covers(cond.rhs.relation);
-    if (!((l_on_left && r_on_right) || (l_on_right && r_on_left))) {
+    if (l_on_left == l_on_right || r_on_left == r_on_right ||
+        l_on_left == r_on_left) {
       return Status::InvalidArgument("condition " + cond.ToString() +
                                      " does not connect the two sides");
     }
@@ -126,25 +86,9 @@ StatusOr<std::shared_ptr<PairwiseState>> MakeState(
   state->left = spec.left;
   state->right = spec.right;
   state->base_relations = spec.base_relations;
-  for (const JoinCondition& cond : spec.conditions) {
-    const JoinCondition oc =
-        spec.left.Covers(cond.lhs.relation) ? cond
-                                            : cond.OrientedFor(
-                                                  cond.rhs.relation);
-    PairwiseState::BoundCondition bc;
-    bc.cond = oc;
-    bc.pred = CompiledPredicate::Compile(
-        oc, *spec.base_relations[oc.lhs.relation],
-        *spec.base_relations[oc.rhs.relation]);
-    bc.lhs_rid = RidColumnFor(spec.left, oc.lhs.relation);
-    bc.rhs_rid = RidColumnFor(spec.right, oc.rhs.relation);
-    state->bound.push_back(bc);
-  }
-  if (spec.kernel_policy == KernelPolicy::kAuto) {
-    // Orienting a condition keeps its kind (`<>`, `=` or a range), so the
-    // index is the same in `bound`.
-    state->sort_driver = ChooseSortDriver(spec.conditions);
-  }
+  state->kernel_plan =
+      BuildJoinKernelPlan(spec.conditions, {spec.left, spec.right},
+                          spec.base_relations, spec.kernel_policy);
   std::set<int> bases(spec.left.bases.begin(), spec.left.bases.end());
   bases.insert(spec.right.bases.begin(), spec.right.bases.end());
   state->output_bases.assign(bases.begin(), bases.end());
@@ -173,9 +117,7 @@ MapReduceJobSpec MakeJobShell(const PairwiseJoinJobSpec& spec,
   // *linearly* with the represented data volume; the physical sample fixes
   // the output/input ratio β.
   job.output_row_scale = std::max(spec.left.scale, spec.right.scale);
-  job.kernel = JoinKernelName(state.sort_driver >= 0
-                                  ? JoinKernel::kSortTheta
-                                  : JoinKernel::kGeneric);
+  job.kernel = JoinKernelName(state.kernel_plan.kernel());
   // Emitter capacity hint: one record per row unless the variant overrides
   // it with its replication factors (1-Bucket-Theta's bands).
   job.map_emits_per_row = {1.0, 1.0};
@@ -228,7 +170,7 @@ StatusOr<MapReduceJobSpec> BuildEquiJoinJob(const PairwiseJoinJobSpec& spec) {
                        static_cast<double>(rrecs.size()) *
                        std::max(state->left.scale, state->right.scale));
     // Conditions re-checked in full: hash groups may contain collisions.
-    state->JoinGroup(lrecs, rrecs, out);
+    state->JoinGroup(ctx, out);
   };
   return job;
 }
@@ -312,7 +254,7 @@ StatusOr<MapReduceJobSpec> BuildOneBucketThetaJob(
     out.AddComparisons(static_cast<double>(lrecs.size()) *
                        static_cast<double>(rrecs.size()) *
                        std::max(state->left.scale, state->right.scale));
-    state->JoinGroup(lrecs, rrecs, out);
+    state->JoinGroup(ctx, out);
   };
   return job;
 }

@@ -22,8 +22,9 @@ struct PairwiseJoinJobSpec {
   std::vector<JoinCondition> conditions;
   int num_reduce_tasks = 1;
   uint64_t seed = 42;
-  /// Reduce-side kernel selection (kAuto: sort-based when a condition
-  /// qualifies, see ChooseSortDriver).
+  /// Reduce-side kernel selection: kAuto indexes the right side's
+  /// candidates on every condition (JoinKernelPlan) in reduce groups of at
+  /// least kSortKernelMinPairs pairs; kGenericOnly forces the nested loop.
   KernelPolicy kernel_policy = KernelPolicy::kAuto;
   /// Required-column analysis for this job (PlanJob::output_columns): when
   /// non-empty, the output intermediate takes pruned per-base widths and

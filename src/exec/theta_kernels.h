@@ -1,13 +1,15 @@
 #ifndef MRTHETA_EXEC_THETA_KERNELS_H_
 #define MRTHETA_EXEC_THETA_KERNELS_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "src/exec/join_side.h"
+#include "src/mapreduce/job.h"
 #include "src/relation/column_view.h"
 #include "src/relation/predicate.h"
 #include "src/relation/relation.h"
@@ -16,177 +18,212 @@ namespace mrtheta {
 
 /// Which inner-loop implementation a join job's reduce side runs on.
 enum class JoinKernel {
-  kGeneric,    ///< per-pair nested loop over compiled predicates
-  kSortTheta,  ///< sort both sides on the driving column, range-scan
+  kGeneric,    ///< nested loop over compiled predicates
+  kSortTheta,  ///< candidates sorted on a per-depth composite key
 };
 
 const char* JoinKernelName(JoinKernel kernel);
 
 /// Per-job kernel selection directive, threaded from the executor into the
-/// job builders. kAuto picks kSortTheta whenever a condition qualifies.
+/// job builders. kAuto indexes every depth that has an indexable condition.
 enum class KernelPolicy {
   kAuto,
   kGenericOnly,
 };
 
-/// Index into `conditions` of the condition that should drive the
-/// sort-based kernel, or -1 when none qualifies. Every condition but `<>`
-/// qualifies (its candidate set is nearly the full cross product, so
-/// sorting buys nothing). Inequalities are preferred over equalities: range
-/// pruning is where the sort path beats hashing.
-int ChooseSortDriver(const std::vector<JoinCondition>& conditions);
-
-/// Sort-kernel gate of the pairwise reducers: below this many candidate
-/// pairs a reduce group runs the generic nested loop even when a sort
-/// driver exists (sorting tiny groups costs more than it saves). A constant
-/// because sweeping it from 1 to 2^62 moved neither the simulated makespan
-/// nor the wall time of the TPC-H Q17 cascade beyond noise.
+/// Index gate of the pairwise reducers: below this many candidate pairs a
+/// reduce group runs the nested loop even when its depth has an index
+/// (sorting tiny groups costs more than it saves). A constant because
+/// sweeping it from 1 to 2^62 moved neither the simulated makespan nor the
+/// wall time of the TPC-H Q17 cascade beyond noise.
 inline constexpr int64_t kSortKernelMinPairs = 256;
 
-/// \brief Emits every (left pos, right pos) pair whose keys satisfy `op`,
-/// by sorting both sides and scanning qualifying key ranges.
-///
-/// `left` / `right` are (key, caller position) pairs; both vectors are
-/// sorted in place. For single-condition joins this replaces the O(n·m)
-/// nested loop with O(n log n + m log m + output). Emission order is
-/// deterministic: ascending left key (ties by position), then ascending
-/// right key within the qualifying range.
-template <typename K, typename Emit>
-void SortedThetaScan(std::vector<std::pair<K, int32_t>>& left, ThetaOp op,
-                     std::vector<std::pair<K, int32_t>>& right, Emit&& emit) {
-  auto by_key = [](const std::pair<K, int32_t>& a,
-                   const std::pair<K, int32_t>& b) {
-    return a.first < b.first || (a.first == b.first && a.second < b.second);
-  };
-  std::sort(left.begin(), left.end(), by_key);
-  std::sort(right.begin(), right.end(), by_key);
-  const size_t n = left.size();
-  const size_t m = right.size();
+/// One join condition bound to a job's inputs: type dispatch, covering
+/// input positions and rid resolution fixed once at build time.
+struct BoundCondition {
+  JoinCondition cond;
+  CompiledPredicate pred;
+  int lhs_input = 0;  ///< input position covering the lhs / rhs endpoint
+  int rhs_input = 0;
+  /// Input row -> base row of the lhs / rhs endpoint (null = identity).
+  const int64_t* lhs_rid = nullptr;
+  const int64_t* rhs_rid = nullptr;
 
-  switch (op) {
-    case ThetaOp::kLt:
-    case ThetaOp::kLe: {
-      // Matching rights form a suffix whose start is monotone in the left
-      // key: two-pointer, no per-left binary search.
-      size_t start = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const K& lk = left[i].first;
-        while (start < m && (op == ThetaOp::kLt ? !(lk < right[start].first)
-                                                : right[start].first < lk)) {
-          ++start;
-        }
-        for (size_t j = start; j < m; ++j) {
-          emit(left[i].second, right[j].second);
-        }
-      }
-      break;
+  int64_t LhsBaseRow(int64_t row) const {
+    return lhs_rid != nullptr ? lhs_rid[row] : row;
+  }
+  int64_t RhsBaseRow(int64_t row) const {
+    return rhs_rid != nullptr ? rhs_rid[row] : row;
+  }
+  /// `lrow` / `rrow` are rows of the covering inputs.
+  bool Eval(int64_t lrow, int64_t rrow) const {
+    return pred.Eval(LhsBaseRow(lrow), RhsBaseRow(rrow));
+  }
+};
+
+/// One indexed condition of a depth, and whether the depth's input holds
+/// its lhs endpoint (the other endpoint is bound at an earlier depth).
+struct IndexTerm {
+  BoundCondition bc;
+  bool cur_is_lhs = false;
+
+  int other_input() const { return cur_is_lhs ? bc.rhs_input : bc.lhs_input; }
+  /// The endpoint column on the depth's own input.
+  ColumnRef cur_column() const {
+    return cur_is_lhs ? bc.cond.lhs : bc.cond.rhs;
+  }
+  /// True when the condition holds for the smallest values of the depth's
+  /// column and fails from some value on; false when it holds from some
+  /// value on. Only meaningful for <, <=, >, >=.
+  bool HoldsOnPrefix() const {
+    const ThetaOp op = bc.cond.op;
+    const bool less = op == ThetaOp::kLt || op == ThetaOp::kLe;
+    return cur_is_lhs == less;
+  }
+};
+
+/// How one depth's candidates are indexed, resolved once per job. Each
+/// reduce group sorts the depth's candidates on a composite key: every
+/// numeric equality against an earlier input, then the range column. A
+/// lookup is one equal-range search on the equalities plus one partition
+/// point per range condition on that column.
+struct DepthIndexPlan {
+  std::vector<IndexTerm> eq;
+  /// Every range condition on the range column with a finite offset.
+  std::vector<IndexTerm> range;
+  /// The range column's base cells (the one matching its type is valid when
+  /// `range` is non-empty), and the depth input's rid column for its base.
+  ColumnView<int64_t> range_i64;
+  ColumnView<double> range_f64;
+  const int64_t* range_rid = nullptr;
+  /// The earlier input every term reads, or -1 when they read several. Then
+  /// a lookup depends only on that input's bound record, and each reduce
+  /// group searches once per such record instead of once per prefix.
+  int key_input = -1;
+
+  bool active() const { return !eq.empty() || !range.empty(); }
+  int width() const {
+    return static_cast<int>(eq.size()) + (range.empty() ? 0 : 1);
+  }
+};
+
+/// A join job's reduce-side plan, built once per job and read by every
+/// reduce group. Input j of the job is depth j of the ComponentJoiner.
+struct JoinKernelPlan {
+  /// conditions_at_depth[j]: the conditions decidable once inputs 0..j are
+  /// bound (and not before).
+  std::vector<std::vector<BoundCondition>> conditions_at_depth;
+  /// Per depth; depth 0 and every depth under KernelPolicy::kGenericOnly
+  /// stay inactive and scan all of their candidates.
+  std::vector<DepthIndexPlan> index_plans;
+
+  /// kSortTheta when some depth has an index.
+  JoinKernel kernel() const;
+};
+
+/// Binds each of `conditions` to the inputs covering its endpoints, buckets
+/// it at the deeper of the two, and under KernelPolicy::kAuto plans each
+/// depth's index (docs/EXECUTOR.md, "The join kernel"). Every endpoint must
+/// be covered by one of `inputs`. The plan reads the columns of
+/// `base_relations` and `inputs` in place: both must outlive it.
+JoinKernelPlan BuildJoinKernelPlan(
+    const std::vector<JoinCondition>& conditions,
+    const std::vector<JoinSide>& inputs,
+    const std::vector<RelationPtr>& base_relations, KernelPolicy policy);
+
+/// \brief Backtracking join over one reduce group's records, input d at
+/// depth d. A depth with an active index plan visits only the candidates
+/// its index returns for the bound prefix; every condition of the depth is
+/// still checked per candidate.
+class ComponentJoiner {
+ public:
+  /// `plan` and `ctx` must outlive the joiner.
+  ComponentJoiner(const JoinKernelPlan& plan, const ReduceContext& ctx);
+
+  /// Calls `sink(recs)` for each combination that satisfies every
+  /// condition, where recs[d] is its record of input d. Combinations come
+  /// in depth-first order: input 0 in arrival order, each deeper input in
+  /// its index order (arrival order where it has no index).
+  template <typename Sink>
+  void Run(Sink&& sink) {
+    if (Prepare()) Recurse(0, sink);
+  }
+
+  /// Recurse(depth) invocations of the last Run: how many bound prefixes
+  /// reached the depth. Every kernel policy makes the same calls, because
+  /// the prefixes that reach a depth are the join's own partial results.
+  double calls(int depth) const { return calls_[depth]; }
+
+ private:
+  // One depth's candidates sorted on its plan's composite key, built per
+  // reduce group.
+  struct DepthIndex {
+    static constexpr uint32_t kUnsearched = ~uint32_t{0};
+
+    std::vector<uint64_t> keys;  // DepthIndexPlan::width() images per entry
+    std::vector<const MapOutputRecord*> recs;
+    // With a key input: the [lo, hi) found for each of its records, by the
+    // record's position in that depth's visit order.
+    std::vector<std::pair<uint32_t, uint32_t>> found;
+  };
+
+  int num_inputs() const { return static_cast<int>(calls_.size()); }
+  // Builds the indexes; false when some input is empty (no results).
+  bool Prepare();
+  void BuildIndex(int depth);
+  // Candidate positions [lo, hi) of index_[depth] for the bound prefix.
+  // Inline: Recurse calls it once per prefix reaching an indexed depth.
+  std::pair<size_t, size_t> Lookup(int depth) {
+    const int key_input = plan_.index_plans[depth].key_input;
+    if (key_input < 0) return Search(depth);
+    std::pair<uint32_t, uint32_t>& found =
+        index_[depth].found[pos_[key_input]];
+    if (found.first == DepthIndex::kUnsearched) {
+      const auto [lo, hi] = Search(depth);
+      found = {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
     }
-    case ThetaOp::kGt:
-    case ThetaOp::kGe: {
-      // Matching rights form a prefix whose end is monotone in the left key.
-      size_t end = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const K& lk = left[i].first;
-        while (end < m && (op == ThetaOp::kGt ? right[end].first < lk
-                                              : !(lk < right[end].first))) {
-          ++end;
-        }
-        for (size_t j = 0; j < end; ++j) {
-          emit(left[i].second, right[j].second);
-        }
-      }
-      break;
-    }
-    case ThetaOp::kEq: {
-      // Sort-merge over runs of equal keys.
-      size_t i = 0, j = 0;
-      while (i < n && j < m) {
-        if (left[i].first < right[j].first) {
-          ++i;
-        } else if (right[j].first < left[i].first) {
-          ++j;
-        } else {
-          size_t ie = i, je = j;
-          while (ie < n && !(left[i].first < left[ie].first)) ++ie;
-          while (je < m && !(right[j].first < right[je].first)) ++je;
-          for (size_t a = i; a < ie; ++a) {
-            for (size_t b = j; b < je; ++b) {
-              emit(left[a].second, right[b].second);
-            }
-          }
-          i = ie;
-          j = je;
+    return found;
+  }
+  std::pair<size_t, size_t> Search(int depth);
+
+  template <typename Sink>
+  void Recurse(int depth, Sink& sink) {
+    calls_[depth] += 1.0;
+    const bool indexed = depth > 0 && plan_.index_plans[depth].active();
+    size_t lo = 0;
+    size_t hi = ctx_.records(depth).size();
+    if (indexed) std::tie(lo, hi) = Lookup(depth);
+    for (size_t i = lo; i < hi; ++i) {
+      const MapOutputRecord* rec = indexed ? index_[depth].recs[i]
+                                           : ctx_.records(depth)[i];
+      pos_[depth] = i;
+      rows_[depth] = rec->row;
+      recs_[depth] = rec;
+      bool pass = true;
+      for (const BoundCondition& bc : plan_.conditions_at_depth[depth]) {
+        if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) {
+          pass = false;
+          break;
         }
       }
-      break;
-    }
-    case ThetaOp::kNe: {
-      // Complement of the equal run: [0, lo) and [hi, m) per left run.
-      size_t i = 0;
-      size_t lo = 0, hi = 0;
-      while (i < n) {
-        size_t ie = i;
-        while (ie < n && !(left[i].first < left[ie].first)) ++ie;
-        while (lo < m && right[lo].first < left[i].first) ++lo;
-        hi = std::max(hi, lo);
-        while (hi < m && !(left[i].first < right[hi].first)) ++hi;
-        for (size_t a = i; a < ie; ++a) {
-          for (size_t b = 0; b < lo; ++b) {
-            emit(left[a].second, right[b].second);
-          }
-          for (size_t b = hi; b < m; ++b) {
-            emit(left[a].second, right[b].second);
-          }
-        }
-        i = ie;
+      if (!pass) continue;
+      if (depth + 1 < num_inputs()) {
+        Recurse(depth + 1, sink);
+        continue;
       }
-      break;
+      sink(std::span<const MapOutputRecord* const>(recs_));
     }
   }
-}
 
-/// \brief Joins two row sets under one condition via the sort-based kernel.
-///
-/// `lrows` / `rrows` are row indices into the relations holding the
-/// condition's lhs / rhs columns; `emit(lpos, rpos)` receives positions
-/// into those spans for every satisfying pair. Keys are sorted in the
-/// compiled predicate's domain (int64 / double / string).
-template <typename Emit>
-void SortJoinRowSets(const JoinCondition& cond, const Relation& lhs_rel,
-                     std::span<const int64_t> lrows, const Relation& rhs_rel,
-                     std::span<const int64_t> rrows, Emit&& emit) {
-  const CompiledPredicate pred =
-      CompiledPredicate::Compile(cond, lhs_rel, rhs_rel);
-
-  auto run = [&](auto lhs_key, auto rhs_key) {
-    using K = decltype(lhs_key(int64_t{0}));
-    std::vector<std::pair<K, int32_t>> left, right;
-    left.reserve(lrows.size());
-    right.reserve(rrows.size());
-    for (size_t i = 0; i < lrows.size(); ++i) {
-      left.emplace_back(lhs_key(lrows[i]), static_cast<int32_t>(i));
-    }
-    for (size_t i = 0; i < rrows.size(); ++i) {
-      right.emplace_back(rhs_key(rrows[i]), static_cast<int32_t>(i));
-    }
-    SortedThetaScan(left, cond.op, right, emit);
-  };
-
-  switch (pred.domain()) {
-    case CompiledPredicate::Domain::kInt64:
-      run([&](int64_t r) { return pred.LhsKeyInt(r); },
-          [&](int64_t r) { return pred.RhsKeyInt(r); });
-      break;
-    case CompiledPredicate::Domain::kDouble:
-      run([&](int64_t r) { return pred.LhsKeyDouble(r); },
-          [&](int64_t r) { return pred.RhsKeyDouble(r); });
-      break;
-    case CompiledPredicate::Domain::kString:
-      run([&](int64_t r) { return std::string_view(pred.LhsKeyString(r)); },
-          [&](int64_t r) { return std::string_view(pred.RhsKeyString(r)); });
-      break;
-  }
-}
+  const JoinKernelPlan& plan_;
+  const ReduceContext& ctx_;
+  std::vector<size_t> pos_;  // visit-order position of each bound record
+  std::vector<int64_t> rows_;
+  std::vector<const MapOutputRecord*> recs_;
+  std::vector<double> calls_;      // Recurse(d) invocations per depth
+  std::vector<DepthIndex> index_;  // per depth; built by Prepare
+  std::vector<uint64_t> target_;   // Search's equality key scratch
+};
 
 }  // namespace mrtheta
 

@@ -333,9 +333,10 @@ struct MapReduceJobSpec {
   /// text-width-inflated intermediates (ClusterConfig::text_serde_*).
   bool text_serde = false;
   /// Reduce-side join kernel the job was built for (see JoinKernelName in
-  /// src/exec/theta_kernels.h) — observability only. In pairwise jobs,
+  /// src/exec/theta_kernels.h): "sort-theta" when some depth of the job's
+  /// JoinKernelPlan has an index — observability only. In pairwise jobs,
   /// reduce groups below kSortKernelMinPairs candidate pairs take the
-  /// generic nested loop whatever this says.
+  /// nested loop whatever this says.
   std::string kernel = "generic";
   /// Expected Emit calls per input row, one entry per input (empty = 1.0
   /// for every input). Builders fill this from their replication factors so

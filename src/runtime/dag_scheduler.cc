@@ -95,7 +95,6 @@ Status RunDag(const std::vector<std::vector<int>>& deps, int max_concurrency,
   if (n == 0) return Status::OK();
 
   DagState state;
-  const int threads = std::max(1, std::min(max_concurrency, n));
   {
     // No other thread exists yet, but the fields are guarded so the setup
     // takes the (uncontended) lock; it also publishes the initial state to
@@ -129,34 +128,17 @@ Status RunDag(const std::vector<std::vector<int>>& deps, int max_concurrency,
     if (initially_ready == 0) {
       return Status::FailedPrecondition("dag has no dependency-free node");
     }
-
-    if (threads == 1) {
-      // Sequential fast path: pop lowest-index ready nodes in order.
-      while (!state.ready.empty()) {
-        const int node = state.ready.top();
-        state.ready.pop();
-        {
-          TraceSpan span("dag-node", "scheduler");
-          if (span.enabled()) span.Arg("node", static_cast<int64_t>(node));
-          MRTHETA_RETURN_IF_ERROR(body(node));
-        }
-        --state.remaining;
-        for (int dep : state.dependents[node]) {
-          if (--state.pending_deps[dep] == 0) state.ready.push(dep);
-        }
-      }
-      if (state.remaining != 0) {
-        return Status::FailedPrecondition("dag contains a dependency cycle");
-      }
-      return Status::OK();
-    }
   }
 
+  // The calling thread is one of the workers, so a one-thread or one-node
+  // dag starts no thread.
+  const int threads = std::max(1, std::min(max_concurrency, n));
   std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
+  workers.reserve(threads - 1);
+  for (int t = 1; t < threads; ++t) {
     workers.emplace_back([&] { WorkerLoop(state, body); });
   }
+  WorkerLoop(state, body);
   for (std::thread& t : workers) t.join();
 
   MutexLock lock(&state.mu);

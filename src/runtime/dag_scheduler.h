@@ -12,9 +12,10 @@ namespace mrtheta {
 ///
 /// `deps[i]` lists the nodes that must fully finish before `body(i)` may
 /// start; nodes whose dependency sets are disjoint run concurrently on up
-/// to `max_concurrency` threads. Node bodies may block (they typically run
-/// a whole MapReduce job), so every concurrently-runnable node gets its own
-/// thread rather than a slot on a task pool.
+/// to `max_concurrency` threads, the calling thread included (a one-thread
+/// or one-node dag starts no thread). Node bodies may block (they typically
+/// run a whole MapReduce job), so every concurrently-runnable node gets its
+/// own thread rather than a slot on a task pool.
 ///
 /// Determinism contract: `body(i)` runs at most once per node, all of a
 /// node's dependency bodies happen-before it, and every body's side effects

@@ -962,7 +962,7 @@ TEST(ColumnPruningPlanTest, PrunedPlanMatchesFullWidthAcrossThreads) {
   ThetaEngine engine(engine_options);
   const auto plan = engine.PlanQuery(*query);
   ASSERT_TRUE(plan.ok());
-  // The default planner annotates every job with its required columns.
+  // The planner annotates every job with its required columns.
   for (const PlanJob& job : plan->jobs) {
     EXPECT_FALSE(job.output_columns.empty()) << job.name;
   }

@@ -1,11 +1,16 @@
-// Unit tests for src/common: Status/StatusOr, Rng, units, TablePrinter.
+// Unit tests for src/common: Status/StatusOr, Rng, units, TablePrinter,
+// the shared CLI flags.
 
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/table_printer.h"
@@ -210,6 +215,66 @@ TEST(TablePrinterTest, ShortRowsArePadded) {
   std::ostringstream os;
   t.Print(os);
   EXPECT_NE(os.str().find("| x |"), std::string::npos);
+}
+
+// Parses `args` as a binary's command line (argv[0] is the binary name).
+StatusOr<CommonFlags> ParseArgs(std::vector<std::string> args,
+                                bool allow_runtime_flags = true) {
+  args.insert(args.begin(), "binary");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return ParseCommonFlags(static_cast<int>(argv.size()), argv.data(),
+                          allow_runtime_flags);
+}
+
+TEST(FlagsTest, SuffixedSizesParse) {
+  const std::pair<const char*, int64_t> sizes[] = {
+      {"4096", 4096},
+      {"256K", int64_t{256} << 10},
+      {"64m", int64_t{64} << 20},
+      {"2G", int64_t{2} << 30},
+  };
+  for (const auto& [text, bytes] : sizes) {
+    const StatusOr<CommonFlags> flags = ParseArgs({"--mem-budget", text});
+    ASSERT_TRUE(flags.ok()) << text << ": " << flags.status().ToString();
+    EXPECT_EQ(flags->mem_budget_bytes, bytes) << text;
+  }
+  const StatusOr<CommonFlags> all = ParseArgs(
+      {"--threads", "4", "--trace-out=t.json", "--metrics-out=m.json",
+       "--mem-budget", "1M", "out.json"});
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all->num_threads, 4);
+  EXPECT_EQ(all->trace_out, "t.json");
+  EXPECT_EQ(all->metrics_out, "m.json");
+  EXPECT_EQ(all->mem_budget_bytes, int64_t{1} << 20);
+  EXPECT_EQ(all->output_path, "out.json");
+  EXPECT_FALSE(ParseArgs({"--mem-budget", "64Q"}).ok());
+  EXPECT_FALSE(ParseArgs({"--mem-budget"}).ok());
+}
+
+TEST(FlagsTest, BenchModeRejectsThreadsAndMemBudget) {
+  EXPECT_FALSE(ParseArgs({"--threads", "2"}, false).ok());
+  EXPECT_FALSE(ParseArgs({"--mem-budget", "64M"}, false).ok());
+  const StatusOr<CommonFlags> flags =
+      ParseArgs({"--trace-out=t.json", "BENCH.json"}, false);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->trace_out, "t.json");
+  EXPECT_EQ(flags->output_path, "BENCH.json");
+}
+
+TEST(FlagsTest, UnknownFlagFails) {
+  for (const bool runtime_flags : {true, false}) {
+    const StatusOr<CommonFlags> flags =
+        ParseArgs({"--no-prune"}, runtime_flags);
+    ASSERT_FALSE(flags.ok());
+    EXPECT_EQ(flags.status().message(), "unknown flag: --no-prune");
+  }
+}
+
+TEST(FlagsTest, SecondPositionalFails) {
+  const StatusOr<CommonFlags> flags = ParseArgs({"a.json", "b.json"});
+  ASSERT_FALSE(flags.ok());
+  EXPECT_EQ(flags.status().message(), "unexpected extra argument: b.json");
 }
 
 }  // namespace

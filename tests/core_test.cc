@@ -545,33 +545,6 @@ TEST(ColumnPruningTest, AnnotationUsesDescendantsNotSiblings) {
             (std::vector<int>{0}));  // R2.a projection
 }
 
-TEST_F(CoreTest, PlannerReactsToColumnPruning) {
-  std::vector<RelationPtr> rels = {
-      MakeRel(100, 20, 96, 40000000), MakeRel(100, 20, 97, 40000000),
-      MakeRel(100, 20, 98, 40000000)};
-  const Query q = ChainQuery(rels);
-
-  PlannerOptions pruned_options;
-  Planner pruned(cluster_.get(), params_, pruned_options);
-  PlannerOptions full_options;
-  full_options.enable_column_pruning = false;
-  Planner full(cluster_.get(), params_, full_options);
-
-  const auto pruned_plan = pruned.Plan(q);
-  const auto full_plan = full.Plan(q);
-  ASSERT_TRUE(pruned_plan.ok());
-  ASSERT_TRUE(full_plan.ok());
-  // Thinner tuples can only help the estimated makespan.
-  EXPECT_LE(pruned_plan->est_makespan_sec, full_plan->est_makespan_sec);
-  // Pruned plans are annotated; full-width plans are not.
-  for (const PlanJob& job : pruned_plan->jobs) {
-    EXPECT_FALSE(job.output_columns.empty());
-  }
-  for (const PlanJob& job : full_plan->jobs) {
-    EXPECT_TRUE(job.output_columns.empty());
-  }
-}
-
 TEST_F(CoreTest, ExecutorRejectsMalformedPlans) {
   std::vector<RelationPtr> rels = {MakeRel(10, 5, 70), MakeRel(10, 5, 71),
                                    MakeRel(10, 5, 72)};

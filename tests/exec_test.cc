@@ -561,6 +561,22 @@ TEST(PairwiseTest, RejectsConditionNotConnectingSides) {
   spec.base_relations = {a, b};
   spec.conditions = {{{0, 0}, ThetaOp::kLt, {0, 1}, 0.0, 0}};
   EXPECT_FALSE(BuildOneBucketThetaJob(spec).ok());
+
+  // Sides that share base 1: a condition on it has no single side to bind.
+  RelationPtr c = MakeRel("c", 10, 10, 41);
+  auto rids = [](const char* name) {
+    auto rel = std::make_shared<Relation>(
+        name, Schema({{"x", ValueType::kInt64}, {"y", ValueType::kInt64}}));
+    rel->AppendIntRow({0, 0});
+    return rel;
+  };
+  spec.left = JoinSide::ForIntermediate(rids("ab"), {0, 1});
+  spec.right = JoinSide::ForIntermediate(rids("bc"), {1, 2});
+  spec.base_relations = {a, b, c};
+  spec.conditions = {{{1, 0}, ThetaOp::kLt, {2, 0}, 0.0, 0}};
+  EXPECT_FALSE(BuildOneBucketThetaJob(spec).ok());
+  spec.conditions = {{{0, 0}, ThetaOp::kLt, {2, 0}, 0.0, 0}};
+  EXPECT_TRUE(BuildOneBucketThetaJob(spec).ok());
 }
 
 // ---- Merge ----
@@ -1006,12 +1022,13 @@ TEST(FilterPushdownTest, EquiJoinFiltersShrinkShuffleNotInput) {
 
 // ---- Sort-based kernels: randomized differential vs nested-loop oracle ----
 
-// One-column relation of the given type; a small domain makes duplicate
-// keys the common case.
+// Relation whose column "k" has the given type, plus a constant int64
+// column "z" that an equi-join can key on to put every row in one reduce
+// group; a small domain makes duplicate keys the common case.
 RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
                          uint64_t seed) {
-  auto rel =
-      std::make_shared<Relation>("t", Schema({{"k", type}}));
+  auto rel = std::make_shared<Relation>(
+      "t", Schema({{"k", type}, {"z", ValueType::kInt64}}));
   Rng rng(seed);
   for (int64_t i = 0; i < rows; ++i) {
     std::vector<Value> row;
@@ -1028,14 +1045,25 @@ RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
         row.push_back(Value("s" + std::to_string(rng.Uniform(domain + 1))));
         break;
     }
+    row.push_back(Value(int64_t{0}));
     EXPECT_TRUE(rel->AppendRow(row).ok());
   }
   return rel;
 }
 
+// The (rid_0, rid_1) pairs a two-input join job's output holds, sorted.
+std::vector<std::pair<int64_t, int64_t>> SortedPairs(const Relation& out) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (int64_t r = 0; r < out.num_rows(); ++r) {
+    pairs.emplace_back(out.GetInt(r, 0), out.GetInt(r, 1));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 // All (lrow, rrow) pairs satisfying cond, via the boxed per-pair reference
 // path (Relation::Get + EvalTheta) — deliberately independent of the
-// compiled/sort-based code under test.
+// compiled predicates and the join kernel under test.
 std::vector<std::pair<int64_t, int64_t>> NestedLoopReference(
     const JoinCondition& cond, const Relation& lrel, const Relation& rrel) {
   std::vector<std::pair<int64_t, int64_t>> out;
@@ -1065,10 +1093,11 @@ TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
     Rng rng(9000 + seed);
     for (const auto& [ltype, rtype] : kTypes) {
       const ThetaOp op = kOps[rng.Uniform(6)];
-      // Row counts include empty sides; domains stay tiny so duplicate
+      // At least 16 rows a side, so one group of every row holds at least
+      // kSortKernelMinPairs candidate pairs; domains stay tiny so duplicate
       // keys and all-equal columns occur regularly.
-      const int64_t lrows = rng.Uniform(40);
-      const int64_t rrows = rng.Uniform(40);
+      const int64_t lrows = 16 + rng.Uniform(40);
+      const int64_t rrows = 16 + rng.Uniform(40);
       const int64_t domain = 1 + static_cast<int64_t>(rng.Uniform(12));
       double offset = 0.0;
       const bool strings = ltype == ValueType::kString;
@@ -1096,24 +1125,101 @@ TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
           << ValueTypeName(ltype) << "/" << ValueTypeName(rtype)
           << " seed=" << seed;
 
-      // Sort-based kernel over the full row sets.
-      std::vector<int64_t> lidx(lrel->num_rows()), ridx(rrel->num_rows());
-      std::iota(lidx.begin(), lidx.end(), 0);
-      std::iota(ridx.begin(), ridx.end(), 0);
-      std::vector<std::pair<int64_t, int64_t>> sorted_pairs;
-      SortJoinRowSets(cond, *lrel, lidx, *rrel, ridx,
-                      [&](int32_t lpos, int32_t rpos) {
-                        sorted_pairs.emplace_back(lidx[lpos], ridx[rpos]);
-                      });
-      std::sort(sorted_pairs.begin(), sorted_pairs.end());
-      EXPECT_EQ(sorted_pairs, expected)
-          << "sort kernel diverged: " << cond.ToString() << " "
-          << ValueTypeName(ltype) << "/" << ValueTypeName(rtype)
-          << " seed=" << seed << " lrows=" << lrows << " rrows=" << rrows;
+      // Both pairwise reducers under kAuto, each on one reduce group that
+      // holds every row: 1-Bucket-Theta on one reduce task, and the
+      // equi-join keyed on the constant z columns.
+      const JoinCondition z_eq{{0, 1}, ThetaOp::kEq, {1, 1}, 0.0, 1};
+      PairwiseJoinJobSpec spec;
+      spec.left = JoinSide::ForBase(lrel, 0);
+      spec.right = JoinSide::ForBase(rrel, 1);
+      spec.base_relations = {lrel, rrel};
+      spec.num_reduce_tasks = 1;
+      for (const bool equi : {false, true}) {
+        spec.conditions = equi ? std::vector<JoinCondition>{z_eq, cond}
+                               : std::vector<JoinCondition>{cond};
+        const auto job =
+            equi ? BuildEquiJoinJob(spec) : BuildOneBucketThetaJob(spec);
+        ASSERT_TRUE(job.ok()) << job.status().ToString();
+        const auto result = RunJob(*job);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(SortedPairs(*result->output), expected)
+            << (equi ? "equi" : "1-bucket") << " reducer diverged: "
+            << cond.ToString() << " " << ValueTypeName(ltype) << "/"
+            << ValueTypeName(rtype) << " seed=" << seed
+            << " kernel=" << job->kernel << " lrows=" << lrows
+            << " rrows=" << rrows;
+      }
       ++cases;
     }
   }
   EXPECT_GE(cases, 100);
+}
+
+// Two conditions between one pair of inputs, in reduce groups large enough
+// for the index: a two-sided band on one column pair (both bounds searched
+// on one range column, written from either side), and an equality plus a
+// range on another column pair. Both kernel policies, both builders where
+// they apply, against the naive oracle as multisets.
+TEST(KernelDifferentialTest, TwoConditionGroupsMatchNaiveReference) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(7300 + seed);
+    RelationPtr a = MakeRel("a", 200 + rng.Uniform(100), 40, 500 + seed);
+    RelationPtr b = MakeRel("b", 200 + rng.Uniform(100), 40, 600 + seed);
+    const double width = static_cast<double>(1 + rng.Uniform(6));
+    struct Case {
+      const char* name;
+      std::vector<JoinCondition> conditions;
+      bool equi;
+    };
+    const Case cases[] = {
+        // a.a < b.a < a.a + width
+        {"band",
+         {{{0, 0}, ThetaOp::kLt, {1, 0}, 0.0, 0},
+          {{1, 0}, ThetaOp::kLt, {0, 0}, width, 1}},
+         false},
+        // a.a <= b.a + width and a.a >= b.a: the upper bound on b's side
+        {"band-rhs",
+         {{{0, 0}, ThetaOp::kLe, {1, 0}, width, 0},
+          {{0, 0}, ThetaOp::kGe, {1, 0}, 0.0, 1}},
+         false},
+        // a.b = b.b and a.a + 1 > b.a
+        {"eq+range",
+         {{{0, 1}, ThetaOp::kEq, {1, 1}, 0.0, 0},
+          {{0, 0}, ThetaOp::kGt, {1, 0}, 1.0, 1}},
+         true},
+    };
+    for (const Case& tc : cases) {
+      const auto oracle = NaiveMultiwayJoin({a, b}, {0, 1}, tc.conditions);
+      ASSERT_TRUE(oracle.ok());
+      PairwiseJoinJobSpec spec;
+      spec.left = JoinSide::ForBase(a, 0);
+      spec.right = JoinSide::ForBase(b, 1);
+      spec.base_relations = {a, b};
+      spec.conditions = tc.conditions;
+      spec.num_reduce_tasks = 1 + static_cast<int>(rng.Uniform(4));
+      for (KernelPolicy policy :
+           {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
+        spec.kernel_policy = policy;
+        for (const bool equi : {false, true}) {
+          if (equi && !tc.equi) continue;
+          const auto job =
+              equi ? BuildEquiJoinJob(spec) : BuildOneBucketThetaJob(spec);
+          ASSERT_TRUE(job.ok()) << job.status().ToString();
+          EXPECT_EQ(job->kernel, policy == KernelPolicy::kAuto
+                                     ? "sort-theta"
+                                     : "generic");
+          const auto result = RunJob(*job);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_TRUE(SameRows(*oracle, *result->output))
+              << tc.name << " seed=" << seed
+              << (equi ? " equi" : " 1-bucket") << " kernel=" << job->kernel
+              << ": "
+              << result->output->num_rows() << " rows, oracle "
+              << oracle->num_rows();
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelDifferentialTest, OneBucketJobMatchesOracleUnderBothPolicies) {
@@ -1192,7 +1298,9 @@ TEST(KernelSelectionTest, HilbertReportsEligibilityNotPolicy) {
 // re-derives a bound in doubles (`other - offset`), rounds an int64 key
 // to a double, or treats a comparison as monotone where an infinite
 // offset makes it NaN drops that row. One reduce task, so every
-// candidate meets every other in one group.
+// candidate meets every other in one group. The 1-Bucket-Theta job must
+// evaluate the conditions as written too: rewriting `b.x + off θ a.x` for
+// the left side as `a.x - off θ' b.x` rounds in doubles.
 TEST(HilbertIndexTest, ExactInThePredicateDomain) {
   struct Case {
     const char* name;
@@ -1246,6 +1354,20 @@ TEST(HilbertIndexTest, ExactInThePredicateDomain) {
       EXPECT_TRUE(SameRows(*oracle, *result->output))
           << tc.name << " kernel=" << job->kernel << ": "
           << result->output->num_rows() << " rows";
+
+      PairwiseJoinJobSpec pw;
+      pw.left = JoinSide::ForBase(a, 0);
+      pw.right = JoinSide::ForBase(b, 1);
+      pw.base_relations = {a, b};
+      pw.conditions = {tc.cond};
+      pw.kernel_policy = policy;
+      const auto one_bucket = BuildOneBucketThetaJob(pw);
+      ASSERT_TRUE(one_bucket.ok());
+      const auto pw_result = RunJob(*one_bucket);
+      ASSERT_TRUE(pw_result.ok());
+      EXPECT_TRUE(SameRows(*oracle, *pw_result->output))
+          << tc.name << " 1-bucket: " << pw_result->output->num_rows()
+          << " rows";
     }
   }
 }
@@ -1283,22 +1405,6 @@ TEST(HilbertIndexTest, MixedNumericEqualityPartitionsTogether) {
   const auto equi = BuildEquiJoinJob(pw);
   ASSERT_TRUE(equi.ok());
   EXPECT_TRUE(SameRows(*oracle, *RunJob(*equi)->output));
-}
-
-TEST(ChooseSortDriverTest, PrefersInequalityOverEquality) {
-  const std::vector<JoinCondition> conds = {
-      {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
-      {{0, 1}, ThetaOp::kLt, {1, 1}, 0.0, 1},
-  };
-  EXPECT_EQ(ChooseSortDriver(conds), 1);
-  const std::vector<JoinCondition> eq_only = {
-      {{0, 0}, ThetaOp::kEq, {1, 0}, 0.0, 0},
-  };
-  EXPECT_EQ(ChooseSortDriver(eq_only), 0);
-  const std::vector<JoinCondition> ne_only = {
-      {{0, 0}, ThetaOp::kNe, {1, 0}, 0.0, 0},
-  };
-  EXPECT_EQ(ChooseSortDriver(ne_only), -1);
 }
 
 // ---- Spill differential: every operator under a tight memory budget ----

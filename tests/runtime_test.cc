@@ -12,6 +12,7 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,19 +120,41 @@ TEST(DagSchedulerTest, SequentialOrderIsLowestIndexFirst) {
 
 TEST(DagSchedulerTest, ReportsLowestIndexFailureAndStopsScheduling) {
   // 0 and 1 are independent and both fail; 2 depends on 1 and must not run.
+  // At one thread 0 runs first, and its failure keeps 1 from starting.
   const std::vector<std::vector<int>> deps = {{}, {}, {1}};
   for (int threads : {1, 2, 4}) {
+    std::atomic<bool> ran1{false};
     std::atomic<bool> ran2{false};
     const Status status = RunDag(deps, threads, [&](int node) -> Status {
       if (node == 2) {
         ran2 = true;
         return Status::OK();
       }
+      if (node == 1) ran1 = true;
       return Status::Internal("node " + std::to_string(node) + " failed");
     });
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.message(), "node 0 failed") << "threads=" << threads;
     EXPECT_FALSE(ran2.load());
+    if (threads == 1) {
+      EXPECT_FALSE(ran1.load());
+    }
+  }
+}
+
+TEST(DagSchedulerTest, OneWorkerRunsOnTheCallingThread) {
+  // One thread, or one node at any width: every body runs on the caller.
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::pair<std::vector<std::vector<int>>, int>> runs = {
+      {{{}, {0}, {}, {1, 2}}, 1}, {{{}}, 1}, {{{}}, 4}};
+  for (const auto& [deps, threads] : runs) {
+    std::atomic<int> elsewhere{0};
+    ASSERT_TRUE(RunDag(deps, threads, [&](int) {
+                  if (std::this_thread::get_id() != caller) ++elsewhere;
+                  return Status::OK();
+                }).ok());
+    EXPECT_EQ(elsewhere.load(), 0)
+        << deps.size() << " nodes, threads=" << threads;
   }
 }
 
@@ -184,12 +207,23 @@ TEST(DagSchedulerTest, CancelledNodeNeverMasksTheRealFailure) {
 }
 
 TEST(DagSchedulerTest, RejectsCyclesAndBadDeps) {
-  auto noop = [](int) { return Status::OK(); };
-  EXPECT_FALSE(RunDag({{1}, {0}}, 2, noop).ok());          // 2-cycle
-  EXPECT_FALSE(RunDag({{}, {1}}, 2, noop).ok());           // self-dep
-  EXPECT_FALSE(RunDag({{7}}, 2, noop).ok());               // out of range
-  EXPECT_FALSE(RunDag({{}, {2}, {1}}, 2, noop).ok());      // cycle + root
-  EXPECT_TRUE(RunDag({}, 2, noop).ok());                   // empty dag
+  for (int threads : {1, 2, 4}) {
+    std::atomic<int> runs{0};
+    auto count = [&](int) {
+      ++runs;
+      return Status::OK();
+    };
+    EXPECT_FALSE(RunDag({{1}, {0}}, threads, count).ok());  // 2-cycle
+    EXPECT_FALSE(RunDag({{}, {1}}, threads, count).ok());   // self-dep
+    EXPECT_FALSE(RunDag({{7}}, threads, count).ok());       // out of range
+    EXPECT_EQ(runs.load(), 0) << "threads=" << threads;
+    // A cycle behind a root: the root runs, then the cycle is reported.
+    const Status cycle = RunDag({{}, {2}, {1}}, threads, count);
+    EXPECT_EQ(cycle.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(cycle.message(), "dag contains a dependency cycle");
+    EXPECT_EQ(runs.load(), 1) << "threads=" << threads;
+    EXPECT_TRUE(RunDag({}, threads, count).ok());  // empty dag
+  }
 }
 
 // ---- RunJobParallel differential suite ----
