@@ -10,7 +10,11 @@
 
 using namespace mrtheta;  // NOLINT: example brevity
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   ThetaEngine engine;
 
   // Itinerary over four cities = three flight-leg tables, each

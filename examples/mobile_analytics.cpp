@@ -33,7 +33,11 @@ uint64_t RowsFingerprint(const QueryResult& result) {
   return sum;
 }
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   ThetaEngine engine;
 
   TablePrinter table({"query", "ours (s)", "ysmart (s)", "hive (s)",

@@ -26,7 +26,11 @@ RelationPtr MakeRel(const char* name, int64_t logical_mb, uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (takes no arguments)\n", argv[0]);
+    return 2;
+  }
   ThetaEngine engine;
 
   // Fig. 1's G_J over r0..r4:

@@ -7,16 +7,17 @@
 
 namespace mrtheta {
 
-/// CLI flags shared by the example and bench binaries.
+/// CLI flags shared by the binaries that parse them (docs/OBSERVABILITY.md,
+/// "Binary flags").
 struct CommonFlags {
   /// --threads N: threads of the in-process runtime (>= 1).
   int num_threads = 1;
   /// --trace-out=FILE: write a Chrome trace-event JSON of the run's spans
   /// (load in chrome://tracing or Perfetto — docs/OBSERVABILITY.md). Empty
-  /// = tracing stays disabled. Accepted by every binary.
+  /// = tracing stays disabled.
   std::string trace_out;
   /// --metrics-out=FILE: write the session MetricsRegistry snapshot as
-  /// JSON at exit. Empty = no snapshot. Accepted by every binary.
+  /// JSON at exit. Empty = no snapshot.
   std::string metrics_out;
   /// --mem-budget SIZE: memory budget of the run (docs/MEMORY.md);
   /// shuffle state beyond it spills to disk with byte-identical results.

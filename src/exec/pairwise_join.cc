@@ -169,7 +169,8 @@ StatusOr<MapReduceJobSpec> BuildEquiJoinJob(const PairwiseJoinJobSpec& spec) {
     out.AddComparisons(static_cast<double>(lrecs.size()) *
                        static_cast<double>(rrecs.size()) *
                        std::max(state->left.scale, state->right.scale));
-    // Conditions re-checked in full: hash groups may contain collisions.
+    // Hash groups may contain collisions; both paths decide every
+    // condition on the keys themselves.
     state->JoinGroup(ctx, out);
   };
   return job;

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <ranges>
+#include <span>
+#include <type_traits>
+#include <vector>
 
 namespace mrtheta {
 
@@ -32,13 +36,15 @@ DepthIndexPlan PlanDepthIndex(int depth,
                               const JoinSide& input,
                               const std::vector<RelationPtr>& base_relations) {
   DepthIndexPlan plan;
-  // Numeric, non-<> conditions against an earlier input; their columns on
-  // this depth's input, in condition order, for the range choice.
+  // Numeric range conditions against an earlier input with a finite
+  // offset, and their columns on this depth's input in condition order,
+  // for the range choice.
   std::vector<IndexTerm> range_terms;
   std::vector<ColumnRef> range_cols;
   for (const BoundCondition& bc : conditions) {
-    if (bc.lhs_input == bc.rhs_input || bc.cond.op == ThetaOp::kNe ||
+    if (bc.lhs_input == bc.rhs_input ||
         bc.pred.domain() == CompiledPredicate::Domain::kString) {
+      plan.residuals.push_back(bc);
       continue;
     }
     const IndexTerm term{bc, bc.lhs_input == depth};
@@ -46,10 +52,12 @@ DepthIndexPlan PlanDepthIndex(int depth,
       plan.eq.push_back(term);
       continue;
     }
-    // cur + ±inf is NaN at the opposite infinity, so the comparison is not
-    // monotone in the column; such a condition is only checked per
-    // candidate.
-    if (!std::isfinite(bc.cond.offset)) continue;
+    // Neither <> nor an infinite offset is monotone in the column (cur +
+    // ±inf is NaN at the opposite infinity), so no search decides them.
+    if (bc.cond.op == ThetaOp::kNe || !std::isfinite(bc.cond.offset)) {
+      plan.filters.push_back(term);
+      continue;
+    }
     const ColumnRef cur = term.cur_column();
     if (std::find(range_cols.begin(), range_cols.end(), cur) ==
         range_cols.end()) {
@@ -74,7 +82,8 @@ DepthIndexPlan PlanDepthIndex(int depth,
       }
     }
     for (const IndexTerm& term : range_terms) {
-      if (term.cur_column() == range_col) plan.range.push_back(term);
+      (term.cur_column() == range_col ? plan.range : plan.filters)
+          .push_back(term);
     }
     const Relation& base = *base_relations[range_col.relation];
     if (base.schema().column(range_col.column).type == ValueType::kInt64) {
@@ -94,7 +103,7 @@ DepthIndexPlan PlanDepthIndex(int depth,
       std::all_of(plan.range.begin(), plan.range.end(), reads_first)) {
     plan.key_input = first;
   }
-  return plan;
+  return plan.active() ? plan : DepthIndexPlan{};
 }
 
 // Key images for the composite sort. Both are bijective on their domain,
@@ -112,21 +121,85 @@ uint64_t OrderedImage(double v) {
   return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
 }
 
-// The key of one endpoint of an equality condition, in the predicate's own
-// domain (LhsKey folds the offset in), as an equality image. NaN keys,
-// which equal nothing, report false.
+// The key of one endpoint of `bc` in the predicate's domain T (int64_t or
+// double): LhsKey (offset folded in) or RhsKey of `row`, a row of the input
+// covering the endpoint. Comparing two such keys with the condition's
+// operator is the comparison CompiledPredicate::Eval makes.
+template <typename T>
+T EndpointKey(const BoundCondition& bc, bool lhs, int64_t row) {
+  const CompiledPredicate& p = bc.pred;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return lhs ? p.LhsKeyInt(bc.LhsBaseRow(row))
+               : p.RhsKeyInt(bc.RhsBaseRow(row));
+  } else {
+    return lhs ? p.LhsKeyDouble(bc.LhsBaseRow(row))
+               : p.RhsKeyDouble(bc.RhsBaseRow(row));
+  }
+}
+
+// The key of one endpoint of an equality condition as an equality image.
+// NaN keys, which equal nothing, report false.
 bool EqualityKey(const BoundCondition& bc, bool lhs, int64_t row,
                  uint64_t* image) {
-  const CompiledPredicate& p = bc.pred;
-  if (p.domain() == CompiledPredicate::Domain::kInt64) {
-    *image = static_cast<uint64_t>(lhs ? p.LhsKeyInt(bc.LhsBaseRow(row))
-                                       : p.RhsKeyInt(bc.RhsBaseRow(row)));
+  if (bc.pred.domain() == CompiledPredicate::Domain::kInt64) {
+    *image = static_cast<uint64_t>(EndpointKey<int64_t>(bc, lhs, row));
     return true;
   }
-  const double key = lhs ? p.LhsKeyDouble(bc.LhsBaseRow(row))
-                         : p.RhsKeyDouble(bc.RhsBaseRow(row));
+  const double key = EndpointKey<double>(bc, lhs, row);
   *image = EqualityImage(key);
   return key == key;
+}
+
+// The depth-side key of filter term `term` for each of `recs`.
+template <typename T>
+void FillKeys(const IndexTerm& term,
+              std::span<const MapOutputRecord* const> recs,
+              std::vector<T>& keys) {
+  keys.resize(recs.size());
+  for (size_t j = 0; j < recs.size(); ++j) {
+    keys[j] = EndpointKey<T>(term.bc, term.cur_is_lhs, recs[j]->row);
+  }
+}
+
+// One filter pass: keeps the positions p with cmp(keys[p], other), reading
+// positions lo, lo+1, ... on the first pass and sel[0..n) after it, and
+// writes the kept ones to the front of `sel`. Branch-free, because about
+// half of the candidates fail a filter term.
+template <bool kFirst, typename T, typename Cmp>
+size_t SelectPass(std::span<const T> keys, T other, Cmp cmp, size_t lo,
+                  size_t n, std::span<uint32_t> sel) {
+  size_t kept = 0;
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t p = kFirst ? static_cast<uint32_t>(lo + k) : sel[k];
+    sel[kept] = p;
+    kept += cmp(keys[p], other) ? 1 : 0;
+  }
+  return kept;
+}
+
+// SelectPass with the operator resolved once: `keys[p] op other`.
+template <typename T>
+size_t Select(std::span<const T> keys, T other, ThetaOp op, bool first,
+              size_t lo, size_t n, std::span<uint32_t> sel) {
+  auto pass = [&](auto cmp) {
+    return first ? SelectPass<true>(keys, other, cmp, lo, n, sel)
+                 : SelectPass<false>(keys, other, cmp, lo, n, sel);
+  };
+  switch (op) {
+    case ThetaOp::kLt:
+      return pass(std::less<T>());
+    case ThetaOp::kLe:
+      return pass(std::less_equal<T>());
+    case ThetaOp::kEq:
+      return pass(std::equal_to<T>());
+    case ThetaOp::kGe:
+      return pass(std::greater_equal<T>());
+    case ThetaOp::kGt:
+      return pass(std::greater<T>());
+    case ThetaOp::kNe:
+      return pass(std::not_equal_to<T>());
+  }
+  return 0;
 }
 
 // Index of the first position in [lo, hi) where `pred` fails; `pred` must
@@ -252,9 +325,19 @@ void ComponentJoiner::BuildIndex(int depth) {
     index.found.assign(ctx_.records(plan.key_input).size(),
                        {DepthIndex::kUnsearched, 0});
   }
+  index.filter_keys.resize(plan.filters.size());
+  for (size_t f = 0; f < plan.filters.size(); ++f) {
+    const IndexTerm& term = plan.filters[f];
+    if (term.bc.pred.domain() == CompiledPredicate::Domain::kInt64) {
+      FillKeys(term, index.recs, index.filter_keys[f].i64);
+    } else {
+      FillKeys(term, index.recs, index.filter_keys[f].f64);
+    }
+  }
+  if (!plan.filters.empty()) index.selection.resize(index.recs.size());
 }
 
-std::pair<size_t, size_t> ComponentJoiner::Search(int depth) {
+ComponentJoiner::Range ComponentJoiner::Search(int depth) {
   const DepthIndexPlan& plan = plan_.index_plans[depth];
   const DepthIndex& index = index_[depth];
   size_t lo = 0;
@@ -298,7 +381,34 @@ std::pair<size_t, size_t> ComponentJoiner::Search(int depth) {
       lo = PartitionPoint(lo, hi, [&](size_t j) { return !holds(j); });
     }
   }
-  return {lo, hi};
+  return {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
+}
+
+size_t ComponentJoiner::Filter(int depth, Range range) {
+  const DepthIndexPlan& plan = plan_.index_plans[depth];
+  DepthIndex& index = index_[depth];
+  const std::span<uint32_t> sel = index.selection;
+  size_t n = range.second - range.first;
+  for (size_t f = 0; f < plan.filters.size() && n > 0; ++f) {
+    const IndexTerm& term = plan.filters[f];
+    // The condition compares lhs op rhs; with this depth's input on the
+    // rhs, the scan's `cur op' other` needs the flipped operator.
+    const ThetaOp op =
+        term.cur_is_lhs ? term.bc.cond.op : FlipOp(term.bc.cond.op);
+    const int64_t row = rows_[term.other_input()];
+    const bool other_lhs = !term.cur_is_lhs;
+    const bool first = f == 0;
+    if (term.bc.pred.domain() == CompiledPredicate::Domain::kInt64) {
+      n = Select<int64_t>(index.filter_keys[f].i64,
+                          EndpointKey<int64_t>(term.bc, other_lhs, row), op,
+                          first, range.first, n, sel);
+    } else {
+      n = Select<double>(index.filter_keys[f].f64,
+                         EndpointKey<double>(term.bc, other_lhs, row), op,
+                         first, range.first, n, sel);
+    }
+  }
+  return n;
 }
 
 }  // namespace mrtheta

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -87,18 +86,30 @@ struct IndexTerm {
 /// numeric equality against an earlier input, then the range column. A
 /// lookup is one equal-range search on the equalities plus one partition
 /// point per range condition on that column.
+///
+/// The depth's conditions split three ways. The index decides `eq` and
+/// `range`: they hold on every candidate a lookup returns, so they are not
+/// evaluated again. `filters` are compared per candidate on key arrays, and
+/// `residuals` with BoundCondition::Eval. A plan without `eq` or `range`
+/// terms is inactive and empty: its depth runs the nested loop.
 struct DepthIndexPlan {
   std::vector<IndexTerm> eq;
   /// Every range condition on the range column with a finite offset.
   std::vector<IndexTerm> range;
+  /// Numeric conditions against one earlier input that the index does not
+  /// decide: a range on another column, <>, or an infinite offset.
+  std::vector<IndexTerm> filters;
+  /// String conditions and conditions within the depth's own input.
+  std::vector<BoundCondition> residuals;
   /// The range column's base cells (the one matching its type is valid when
   /// `range` is non-empty), and the depth input's rid column for its base.
   ColumnView<int64_t> range_i64;
   ColumnView<double> range_f64;
   const int64_t* range_rid = nullptr;
-  /// The earlier input every term reads, or -1 when they read several. Then
-  /// a lookup depends only on that input's bound record, and each reduce
-  /// group searches once per such record instead of once per prefix.
+  /// The earlier input every `eq` and `range` term reads, or -1 when they
+  /// read several. Then a lookup depends only on that input's bound record,
+  /// and each reduce group searches once per such record instead of once
+  /// per prefix.
   int key_input = -1;
 
   bool active() const { return !eq.empty() || !range.empty(); }
@@ -132,9 +143,14 @@ JoinKernelPlan BuildJoinKernelPlan(
     const std::vector<RelationPtr>& base_relations, KernelPolicy policy);
 
 /// \brief Backtracking join over one reduce group's records, input d at
-/// depth d. A depth with an active index plan visits only the candidates
-/// its index returns for the bound prefix; every condition of the depth is
-/// still checked per candidate.
+/// depth d. Depth 0, and every depth without an active index plan, visits
+/// each of its records and checks every condition of the depth. A depth
+/// with an index visits only the candidates its index returns for the
+/// bound prefix: it compares its filter terms on per-entry key arrays,
+/// checks its residuals, and never re-checks what the index decided. When
+/// the next depth's index is keyed on this depth, a candidate whose
+/// memoized next range is empty is counted as a call of the next depth and
+/// skipped, without being bound.
 class ComponentJoiner {
  public:
   /// `plan` and `ctx` must outlive the joiner.
@@ -149,70 +165,126 @@ class ComponentJoiner {
     if (Prepare()) Recurse(0, sink);
   }
 
-  /// Recurse(depth) invocations of the last Run: how many bound prefixes
-  /// reached the depth. Every kernel policy makes the same calls, because
-  /// the prefixes that reach a depth are the join's own partial results.
+  /// Prefixes of the last Run that reached `depth`: the Recurse(depth)
+  /// invocations, plus the look-ahead's skipped candidates, each of which
+  /// stands for one invocation that would have visited nothing. Every
+  /// kernel policy counts the same prefixes, because the prefixes that
+  /// reach a depth are the join's own partial results.
   double calls(int depth) const { return calls_[depth]; }
 
  private:
+  using Range = std::pair<uint32_t, uint32_t>;  // positions [lo, hi)
+
   // One depth's candidates sorted on its plan's composite key, built per
   // reduce group.
   struct DepthIndex {
     static constexpr uint32_t kUnsearched = ~uint32_t{0};
+    // One filter term's depth-side key per entry, in the predicate's domain
+    // (offset folded in); the array of the term's domain is filled.
+    struct FilterKeys {
+      std::vector<int64_t> i64;
+      std::vector<double> f64;
+    };
 
     std::vector<uint64_t> keys;  // DepthIndexPlan::width() images per entry
     std::vector<const MapOutputRecord*> recs;
-    // With a key input: the [lo, hi) found for each of its records, by the
+    // With a key input: the range found for each of its records, by the
     // record's position in that depth's visit order.
-    std::vector<std::pair<uint32_t, uint32_t>> found;
+    std::vector<Range> found;
+    std::vector<FilterKeys> filter_keys;  // per DepthIndexPlan::filters
+    // The positions of the current lookup that pass every filter term.
+    std::vector<uint32_t> selection;
   };
 
   int num_inputs() const { return static_cast<int>(calls_.size()); }
   // Builds the indexes; false when some input is empty (no results).
   bool Prepare();
   void BuildIndex(int depth);
-  // Candidate positions [lo, hi) of index_[depth] for the bound prefix.
-  // Inline: Recurse calls it once per prefix reaching an indexed depth.
-  std::pair<size_t, size_t> Lookup(int depth) {
+  // Candidate positions of index_[depth] for the bound prefix. Inline:
+  // Recurse calls it once per prefix reaching an indexed depth.
+  Range Lookup(int depth) {
     const int key_input = plan_.index_plans[depth].key_input;
     if (key_input < 0) return Search(depth);
-    std::pair<uint32_t, uint32_t>& found =
-        index_[depth].found[pos_[key_input]];
-    if (found.first == DepthIndex::kUnsearched) {
-      const auto [lo, hi] = Search(depth);
-      found = {static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
-    }
+    Range& found = index_[depth].found[pos_[key_input]];
+    if (found.first == DepthIndex::kUnsearched) found = Search(depth);
     return found;
   }
-  std::pair<size_t, size_t> Search(int depth);
+  Range Search(int depth);
+  // Writes the positions of `range` that pass every filter term of
+  // `depth` to index_[depth].selection and returns their count.
+  size_t Filter(int depth, Range range);
+
+  void Bind(int depth, size_t pos, const MapOutputRecord* rec) {
+    pos_[depth] = pos;
+    rows_[depth] = rec->row;
+    recs_[depth] = rec;
+  }
+  bool Holds(const std::vector<BoundCondition>& conditions) const {
+    for (const BoundCondition& bc : conditions) {
+      if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) return false;
+    }
+    return true;
+  }
+  // Continues from a bound record of `depth` that passed its conditions.
+  template <typename Sink>
+  void Descend(int depth, Sink& sink) {
+    if (depth + 1 < num_inputs()) {
+      Recurse(depth + 1, sink);
+    } else {
+      sink(std::span<const MapOutputRecord* const>(recs_));
+    }
+  }
 
   template <typename Sink>
   void Recurse(int depth, Sink& sink) {
     calls_[depth] += 1.0;
-    const bool indexed = depth > 0 && plan_.index_plans[depth].active();
-    size_t lo = 0;
-    size_t hi = ctx_.records(depth).size();
-    if (indexed) std::tie(lo, hi) = Lookup(depth);
-    for (size_t i = lo; i < hi; ++i) {
-      const MapOutputRecord* rec = indexed ? index_[depth].recs[i]
-                                           : ctx_.records(depth)[i];
-      pos_[depth] = i;
-      rows_[depth] = rec->row;
-      recs_[depth] = rec;
-      bool pass = true;
-      for (const BoundCondition& bc : plan_.conditions_at_depth[depth]) {
-        if (!bc.Eval(rows_[bc.lhs_input], rows_[bc.rhs_input])) {
-          pass = false;
-          break;
+    const DepthIndexPlan& plan = plan_.index_plans[depth];
+    if (depth == 0 || !plan.active()) {
+      const std::vector<const MapOutputRecord*>& recs = ctx_.records(depth);
+      for (size_t i = 0; i < recs.size(); ++i) {
+        Bind(depth, i, recs[i]);
+        if (Holds(plan_.conditions_at_depth[depth])) Descend(depth, sink);
+      }
+      return;
+    }
+    const Range range = Lookup(depth);
+    const std::span<const MapOutputRecord* const> recs = index_[depth].recs;
+    // Look-ahead: the next depth's range depends only on this depth's
+    // record, and its memo is indexed by this depth's positions.
+    const bool look_ahead = depth + 1 < num_inputs() &&
+                            plan_.index_plans[depth + 1].key_input == depth;
+    const std::span<Range> next =
+        look_ahead ? std::span<Range>(index_[depth + 1].found)
+                   : std::span<Range>();
+    // The candidates are [lo, hi), or the positions of it that pass every
+    // filter term.
+    const bool filtered = !plan.filters.empty();
+    const size_t n =
+        filtered ? Filter(depth, range) : range.second - range.first;
+    const std::span<const uint32_t> selection = index_[depth].selection;
+    uint64_t skipped = 0;
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = filtered ? selection[k] : range.first + k;
+      if (!plan.residuals.empty()) {
+        rows_[depth] = recs[i]->row;
+        if (!Holds(plan.residuals)) continue;
+      }
+      if (look_ahead) {
+        Range& found = next[i];
+        if (found.first == DepthIndex::kUnsearched) {
+          rows_[depth] = recs[i]->row;
+          found = Search(depth + 1);
+        }
+        if (found.first == found.second) {
+          ++skipped;
+          continue;
         }
       }
-      if (!pass) continue;
-      if (depth + 1 < num_inputs()) {
-        Recurse(depth + 1, sink);
-        continue;
-      }
-      sink(std::span<const MapOutputRecord* const>(recs_));
+      Bind(depth, i, recs[i]);
+      Descend(depth, sink);
     }
+    // Integral counts: adding them at once is exact (below 2^53).
+    if (look_ahead) calls_[depth + 1] += static_cast<double>(skipped);
   }
 
   const JoinKernelPlan& plan_;
@@ -220,7 +292,7 @@ class ComponentJoiner {
   std::vector<size_t> pos_;  // visit-order position of each bound record
   std::vector<int64_t> rows_;
   std::vector<const MapOutputRecord*> recs_;
-  std::vector<double> calls_;      // Recurse(d) invocations per depth
+  std::vector<double> calls_;      // prefixes that reached each depth
   std::vector<DepthIndex> index_;  // per depth; built by Prepare
   std::vector<uint64_t> target_;   // Search's equality key scratch
 };

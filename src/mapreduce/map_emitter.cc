@@ -1,8 +1,8 @@
 #include <array>
 #include <limits>
 #include <new>
-#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/mapreduce/job.h"
 #include "src/obs/trace.h"
@@ -44,16 +44,21 @@ MapEmitter& MapEmitter::operator=(MapEmitter&& other) noexcept {
 
 void MapEmitter::Reserve(size_t records) {
   if (!status_.ok()) return;
+  // No container of records can hold more than this (about 2^58), so such a
+  // hint is refused before the allocator sees it: sanitizer allocators
+  // abort on an impossible size instead of throwing std::bad_alloc.
+  if (records > std::vector<MapOutputRecord>().max_size()) {
+    status_ = Status::ResourceExhausted(
+        "map emit reservation for " + std::to_string(records) +
+        " records exceeds the largest record container");
+    return;
+  }
   try {
     pages_.reserve(records / static_cast<size_t>(kRecordsPerPage) + 1);
   } catch (const std::bad_alloc&) {
     status_ = Status::ResourceExhausted(
         "map emit reservation for " + std::to_string(records) +
         " records failed");
-  } catch (const std::length_error&) {
-    status_ = Status::ResourceExhausted(
-        "map emit reservation for " + std::to_string(records) +
-        " records exceeds the page table's limit");
   }
 }
 

@@ -4,6 +4,7 @@
 // memory budget, and the kernel-independent comparison charge.
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
@@ -230,10 +231,35 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
   EXPECT_GE(nonempty, 60) << nonempty;
 }
 
+// Ordered FNV-1a fingerprint of a rid table: every cell of every row, in
+// row order.
+uint64_t OrderedFingerprint(const Relation& rows) {
+  uint64_t h = 1469598103934665603ULL;
+  for (int64_t r = 0; r < rows.num_rows(); ++r) {
+    for (int c = 0; c < rows.schema().num_columns(); ++c) {
+      h = (h ^ static_cast<uint64_t>(rows.GetInt(r, c))) * 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+std::string HexFloats(const std::vector<double>& values) {
+  std::string out;
+  char buf[32];
+  for (double v : values) {
+    std::snprintf(buf, sizeof(buf), "%a, ", v);
+    out += buf;
+  }
+  return out;
+}
+
 // Small versions of the two theta_bench Hilbert workloads: the charged
-// comparisons are what the generic loop visits, under either kernel.
-void ExpectKernelIndependentCharge(const Query& query,
-                                   const std::string& label) {
+// comparisons are what the generic loop visits, under either kernel. The
+// literals pin kAuto's rows, row order and per-task charge, so a faster
+// joiner must reproduce all three bit for bit.
+void ExpectKernelIndependentCharge(const Query& query, const std::string& label,
+                                   uint64_t fingerprint,
+                                   const std::vector<double>& charges) {
   MultiwayJoinJobSpec spec;
   spec.base_relations = query.relations();
   spec.conditions = query.conditions();
@@ -255,6 +281,10 @@ void ExpectKernelIndependentCharge(const Query& query,
   EXPECT_EQ(a->metrics.reduce_comparisons_logical,
             b->metrics.reduce_comparisons_logical)
       << label;
+  EXPECT_EQ(OrderedFingerprint(*a->output), fingerprint)
+      << label << std::hex << ": 0x" << OrderedFingerprint(*a->output);
+  EXPECT_EQ(a->metrics.reduce_comparisons_logical, charges)
+      << label << ": " << HexFloats(a->metrics.reduce_comparisons_logical);
 }
 
 TEST(HilbertIndexTest, ComparisonChargeIsKernelIndependent) {
@@ -264,7 +294,10 @@ TEST(HilbertIndexTest, ComparisonChargeIsKernelIndependent) {
   mobile.num_stations = 30;
   const auto q1 = MobileQueryBuilder(1, mobile).Build();
   ASSERT_TRUE(q1.ok());
-  ExpectKernelIndependentCharge(*q1, "mobile Q1");
+  ExpectKernelIndependentCharge(
+      *q1, "mobile Q1", 0xcdb7f1de161016cdULL,
+      {0x1.a67bcp+18, 0x1.09d0ep+19, 0x1.68aap+16, 0x1.7531p+18,
+       0x1.ad528p+18, 0x1.f66p+15, 0x1.0d8bep+19, 0x1.a73acp+18});
 
   FlightLegOptions leg;
   leg.physical_rows = 150;
@@ -275,7 +308,10 @@ TEST(HilbertIndexTest, ComparisonChargeIsKernelIndependent) {
       ItineraryQueryBuilder(legs, {StayOver{60, 240}, StayOver{120, 360}})
           .Build();
   ASSERT_TRUE(chain3.ok());
-  ExpectKernelIndependentCharge(*chain3, "flights chain3");
+  ExpectKernelIndependentCharge(
+      *chain3, "flights chain3", 0x7ee66291d3b57fedULL,
+      {0x1.79e8p+13, 0x1.79e8p+13, 0x1.0c38p+13, 0x1.0c38p+13, 0x1.a73p+13,
+       0x1.a73p+13, 0x1.005cp+14, 0x1.005cp+14});
 }
 
 }  // namespace
