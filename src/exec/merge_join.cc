@@ -4,6 +4,7 @@
 #include <cassert>
 #include <memory>
 #include <set>
+#include <span>
 
 namespace mrtheta {
 
@@ -64,14 +65,14 @@ struct MergeState {
 
   // A reduce group is one hash of the shared rids, so unless two rid
   // tuples collide every pair in it matches: the nested loop is the join.
-  void JoinGroup(const std::vector<const MapOutputRecord*>& lrecs,
-                 const std::vector<const MapOutputRecord*>& rrecs,
+  void JoinGroup(std::span<const MapOutputRecord> lrecs,
+                 std::span<const MapOutputRecord> rrecs,
                  ReduceCollector& out) const {
     std::vector<int64_t> row(output_sources.size());
-    for (const MapOutputRecord* lrec : lrecs) {
-      for (const MapOutputRecord* rrec : rrecs) {
-        if (!RidsMatch(lrec->row, rrec->row)) continue;
-        EmitPair(lrec->row, rrec->row, row, out);
+    for (const MapOutputRecord& lrec : lrecs) {
+      for (const MapOutputRecord& rrec : rrecs) {
+        if (!RidsMatch(lrec.row, rrec.row)) continue;
+        EmitPair(lrec.row, rrec.row, row, out);
       }
     }
   }
@@ -128,8 +129,8 @@ StatusOr<MapReduceJobSpec> BuildMergeJob(const MergeJobSpec& spec) {
     out.Emit(static_cast<int64_t>(state->KeyOf(tag, row)), tag, row, row);
   };
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
-    const auto& lrecs = ctx.records(0);
-    const auto& rrecs = ctx.records(1);
+    const std::span<const MapOutputRecord> lrecs = ctx.records(0);
+    const std::span<const MapOutputRecord> rrecs = ctx.records(1);
     out.AddComparisons(static_cast<double>(lrecs.size()) *
                        static_cast<double>(rrecs.size()));
     state->JoinGroup(lrecs, rrecs, out);

@@ -48,11 +48,12 @@ struct PairwiseState {
   // CPU model prices the |L|x|R| work a real reducer would do, not this
   // process's wall clock.
   void JoinGroup(const ReduceContext& ctx, ReduceCollector& out) const {
-    const auto& lrecs = ctx.records(0);
-    const auto& rrecs = ctx.records(1);
-    std::vector<int64_t> row(output_sources.size());
+    const std::span<const MapOutputRecord> lrecs = ctx.records(0);
+    const std::span<const MapOutputRecord> rrecs = ctx.records(1);
     const int64_t pairs = static_cast<int64_t>(lrecs.size()) *
                           static_cast<int64_t>(rrecs.size());
+    if (pairs == 0) return;
+    std::vector<int64_t> row(output_sources.size());
     if (kernel_plan.index_plans[1].active() && pairs >= kSortKernelMinPairs) {
       ComponentJoiner joiner(kernel_plan, ctx);
       joiner.Run([&](std::span<const MapOutputRecord* const> recs) {
@@ -60,9 +61,9 @@ struct PairwiseState {
       });
       return;
     }
-    for (const MapOutputRecord* l : lrecs) {
-      for (const MapOutputRecord* r : rrecs) {
-        if (Matches(l->row, r->row)) EmitPair(l->row, r->row, row, out);
+    for (const MapOutputRecord& l : lrecs) {
+      for (const MapOutputRecord& r : rrecs) {
+        if (Matches(l.row, r.row)) EmitPair(l.row, r.row, row, out);
       }
     }
   }
@@ -164,10 +165,8 @@ StatusOr<MapReduceJobSpec> BuildEquiJoinJob(const PairwiseJoinJobSpec& spec) {
     out.Emit(static_cast<int64_t>(HashValue(v)), tag, row, /*rec_id=*/row);
   };
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
-    const auto& lrecs = ctx.records(0);
-    const auto& rrecs = ctx.records(1);
-    out.AddComparisons(static_cast<double>(lrecs.size()) *
-                       static_cast<double>(rrecs.size()) *
+    out.AddComparisons(static_cast<double>(ctx.records(0).size()) *
+                       static_cast<double>(ctx.records(1).size()) *
                        std::max(state->left.scale, state->right.scale));
     // Hash groups may contain collisions; both paths decide every
     // condition on the keys themselves.
@@ -250,10 +249,8 @@ StatusOr<MapReduceJobSpec> BuildOneBucketThetaJob(
     }
   };
   job.reduce = [state](const ReduceContext& ctx, ReduceCollector& out) {
-    const auto& lrecs = ctx.records(0);
-    const auto& rrecs = ctx.records(1);
-    out.AddComparisons(static_cast<double>(lrecs.size()) *
-                       static_cast<double>(rrecs.size()) *
+    out.AddComparisons(static_cast<double>(ctx.records(0).size()) *
+                       static_cast<double>(ctx.records(1).size()) *
                        std::max(state->left.scale, state->right.scale));
     state->JoinGroup(ctx, out);
   };

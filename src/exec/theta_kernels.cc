@@ -268,7 +268,7 @@ bool ComponentJoiner::Prepare() {
 
 void ComponentJoiner::BuildIndex(int depth) {
   const DepthIndexPlan& plan = plan_.index_plans[depth];
-  const std::vector<const MapOutputRecord*>& recs = ctx_.records(depth);
+  const std::span<const MapOutputRecord> recs = ctx_.records(depth);
   const int w = plan.width();
   // Unsorted images; a candidate whose key is NaN can satisfy no indexed
   // condition and is left out.
@@ -276,7 +276,7 @@ void ComponentJoiner::BuildIndex(int depth) {
   std::vector<char> keep(recs.size(), 1);
   for (size_t i = 0; i < recs.size(); ++i) {
     for (size_t k = 0; k < plan.eq.size(); ++k) {
-      if (!EqualityKey(plan.eq[k].bc, plan.eq[k].cur_is_lhs, recs[i]->row,
+      if (!EqualityKey(plan.eq[k].bc, plan.eq[k].cur_is_lhs, recs[i].row,
                        &images[i * w + k])) {
         keep[i] = 0;
       }
@@ -286,7 +286,7 @@ void ComponentJoiner::BuildIndex(int depth) {
     // Typed columnar extraction: one type dispatch per depth.
     auto fill = [&](const auto& view) {
       for (size_t i = 0; i < recs.size(); ++i) {
-        const int64_t row = recs[i]->row;
+        const int64_t row = recs[i].row;
         const auto v =
             view[plan.range_rid != nullptr ? plan.range_rid[row] : row];
         images[i * w + w - 1] = OrderedImage(v);
@@ -319,7 +319,7 @@ void ComponentJoiner::BuildIndex(int depth) {
   for (size_t j = 0; j < order.size(); ++j) {
     std::copy_n(images.data() + size_t{order[j]} * w, w,
                 index.keys.data() + j * w);
-    index.recs[j] = recs[order[j]];
+    index.recs[j] = &recs[order[j]];
   }
   if (plan.key_input >= 0) {
     index.found.assign(ctx_.records(plan.key_input).size(),

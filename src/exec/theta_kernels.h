@@ -187,7 +187,7 @@ class ComponentJoiner {
     };
 
     std::vector<uint64_t> keys;  // DepthIndexPlan::width() images per entry
-    std::vector<const MapOutputRecord*> recs;
+    std::vector<const MapOutputRecord*> recs;  // into ReduceContext::records
     // With a key input: the range found for each of its records, by the
     // record's position in that depth's visit order.
     std::vector<Range> found;
@@ -240,9 +240,9 @@ class ComponentJoiner {
     calls_[depth] += 1.0;
     const DepthIndexPlan& plan = plan_.index_plans[depth];
     if (depth == 0 || !plan.active()) {
-      const std::vector<const MapOutputRecord*>& recs = ctx_.records(depth);
+      const std::span<const MapOutputRecord> recs = ctx_.records(depth);
       for (size_t i = 0; i < recs.size(); ++i) {
-        Bind(depth, i, recs[i]);
+        Bind(depth, i, &recs[i]);
         if (Holds(plan_.conditions_at_depth[depth])) Descend(depth, sink);
       }
       return;

@@ -33,9 +33,11 @@ struct MapOutputRecord {
 
 /// Optional map-side combiner (docs/MEMORY.md): invoked once per input row
 /// on the slice of records that row emitted, in emit order; it may drop,
-/// rewrite or reorder records in place. The row boundary is the only
-/// combine scope that is invariant across thread counts, split shapes and
-/// budgets, which is what keeps combined runs deterministic.
+/// reorder or rewrite records in place, but never a record's tag or row
+/// (the reduce side's (key, tag, row) order rests on them, see MapFn). The
+/// row boundary is the only combine scope that is invariant across thread
+/// counts, split shapes and budgets, which is what keeps combined runs
+/// deterministic.
 using CombineFn = std::function<void(std::vector<MapOutputRecord>&)>;
 
 /// Order-preserving duplicate elimination: keeps the first occurrence of
@@ -288,26 +290,33 @@ struct JobInput {
 /// Context handed to the reduce function for one key group.
 struct ReduceContext {
   int64_t key = 0;
-  /// Records of this key group, partitioned by input tag (stable row order).
-  const std::vector<std::vector<const MapOutputRecord*>>* by_tag = nullptr;
+  /// The group's records of each input tag, in row order: by_tag[t] is a
+  /// contiguous run of the reduce task's sorted record array, read in
+  /// place. Valid only during the reduce call.
+  std::span<const std::span<const MapOutputRecord>> by_tag;
   /// The job's inputs, for tuple access by (tag, row).
   const std::vector<JobInput>* inputs = nullptr;
 
   const Relation& relation(int tag) const {
     return *(*inputs)[tag].relation;
   }
-  const std::vector<const MapOutputRecord*>& records(int tag) const {
-    return (*by_tag)[tag];
+  std::span<const MapOutputRecord> records(int tag) const {
+    return by_tag[tag];
   }
 };
 
 /// Map function: invoked once per physical row of every input. Every
-/// record it emits carries `tag`, the input being mapped: the shuffle
-/// charges a record its input's record_bytes and scale.
+/// record it emits carries `tag` and `row`, the input and row being mapped:
+/// the shuffle charges a record its input's record_bytes and scale, and
+/// the reduce side's (key, tag, row) order rests on records arriving in
+/// (tag, row) order. A reduce task fails with kInternal on a record whose
+/// tag or row breaks that order.
 using MapFn = std::function<void(int tag, const Relation& rel, int64_t row,
                                  MapEmitter& out)>;
 
-/// Reduce function: invoked once per distinct key, keys in ascending order.
+/// Reduce function: invoked once per distinct key of a reduce task, keys in
+/// ascending signed order, each tag's records in row order (the runner's
+/// (key, tag, row) order, docs/RUNTIME.md).
 using ReduceFn = std::function<void(const ReduceContext& ctx,
                                     ReduceCollector& out)>;
 

@@ -1,12 +1,14 @@
 #include "src/runtime/parallel_job_runner.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_annotations.h"
@@ -360,39 +362,115 @@ void ReplayShuffleBytes(const MapReduceJobSpec& spec,
   }
 }
 
-/// Runs one reduce task: sorts `records` in place by (key, tag, row),
-/// groups by key, invokes spec.reduce per group into `out` (the attempt's
-/// own collector), and returns the task's charged comparisons — or the
-/// first emit error, with its code preserved (kResourceExhausted for
-/// allocation failures). Idempotent per attempt: a retried attempt sorts
-/// a fresh gather of the same records into a fresh collector.
-StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
-                               std::span<MapOutputRecord> records,
-                               ReduceCollector& out) {
-  const int num_tags = static_cast<int>(spec.inputs.size());
-  std::sort(records.begin(), records.end(),
-            [](const MapOutputRecord& a, const MapOutputRecord& b) {
-              if (a.key != b.key) return a.key < b.key;
-              if (a.tag != b.tag) return a.tag < b.tag;
-              return a.row < b.row;
-            });
-  size_t i = 0;
-  while (i < records.size()) {
-    size_t j = i;
-    while (j < records.size() && records[j].key == records[i].key) ++j;
-    std::vector<std::vector<const MapOutputRecord*>> by_tag(num_tags);
-    for (size_t k = i; k < j; ++k) {
-      by_tag[records[k].tag].push_back(&records[k]);
+/// The order-preserving image of a key: images compare as unsigned
+/// integers in the keys' signed order.
+uint64_t KeyImage(int64_t key) {
+  return static_cast<uint64_t>(key) ^ (uint64_t{1} << 63);
+}
+
+/// Sorts `records` by key, stably: a least-significant-digit radix sort on
+/// KeyImage, one byte per pass. The passes alternate between `records` and
+/// a scratch vector of the same size, charged to the memory budget while
+/// it lives; kResourceExhausted when it cannot be allocated.
+Status RadixSortByKey(std::vector<MapOutputRecord>& records) {
+  std::vector<MapOutputRecord> scratch;
+  try {
+    scratch.resize(records.size());
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "sorting " + std::to_string(records.size()) + " records failed");
+  }
+  const ScopedCharge charge(static_cast<int64_t>(scratch.capacity()) *
+                            static_cast<int64_t>(sizeof(MapOutputRecord)));
+  constexpr int kPasses = 8;
+  std::array<std::array<size_t, 256>, kPasses> counts{};
+  for (const MapOutputRecord& rec : records) {
+    const uint64_t image = KeyImage(rec.key);
+    for (int p = 0; p < kPasses; ++p) ++counts[p][(image >> (8 * p)) & 0xff];
+  }
+  for (int p = 0; p < kPasses; ++p) {
+    std::array<size_t, 256>& next = counts[p];
+    size_t offset = 0;
+    for (size_t& slot : next) offset += std::exchange(slot, offset);
+    for (const MapOutputRecord& rec : records) {
+      scratch[next[(KeyImage(rec.key) >> (8 * p)) & 0xff]++] = rec;
     }
-    ReduceContext ctx;
-    ctx.key = records[i].key;
-    ctx.by_tag = &by_tag;
-    ctx.inputs = &spec.inputs;
+    records.swap(scratch);
+  }
+  return Status::OK();
+}
+
+/// Runs one reduce task over its gathered `records`: sorts them by key,
+/// groups them by key, invokes spec.reduce per group into `out` (the
+/// attempt's own collector), and returns the task's charged comparisons —
+/// or the first error, with its code preserved (kResourceExhausted for
+/// allocation failures). Idempotent per attempt: a retried attempt sorts a
+/// fresh gather of the same records into a fresh collector.
+///
+/// The records arrive in (tag, row) order: splits are in (tag, row range)
+/// order, and a gather keeps split order. A stable sort on the key alone
+/// therefore yields (key, tag, row) order, and each tag's records of a
+/// group are one contiguous run, which the reducer reads in place. A
+/// record whose tag is outside the job's inputs, or that breaks the
+/// (tag, row) order within its group, fails the task with kInternal.
+StatusOr<double> RunReduceTask(const MapReduceJobSpec& spec,
+                               std::vector<MapOutputRecord>& records,
+                               ReduceCollector& out) {
+  // Every Hilbert and 1-Bucket-Theta task holds one key: no sort.
+  if (!std::is_sorted(records.begin(), records.end(),
+                      [](const MapOutputRecord& a, const MapOutputRecord& b) {
+                        return a.key < b.key;
+                      })) {
+    const Status sorted = RadixSortByKey(records);
+    if (!sorted.ok()) return WrapTaskError("reduce sort failed", spec, sorted);
+  }
+  const std::span<const MapOutputRecord> task = records;
+
+  const int num_tags = static_cast<int>(spec.inputs.size());
+  std::vector<std::span<const MapOutputRecord>> by_tag(num_tags);
+  ReduceContext ctx;
+  ctx.by_tag = by_tag;
+  ctx.inputs = &spec.inputs;
+  size_t i = 0;
+  while (i < task.size()) {
+    const int64_t key = task[i].key;
+    std::fill(by_tag.begin(), by_tag.end(),
+              std::span<const MapOutputRecord>());
+    int32_t prev_tag = -1;
+    // One run of equal tags per step.
+    while (i < task.size() && task[i].key == key) {
+      const int32_t tag = task[i].tag;
+      if (tag < 0 || tag >= num_tags) {
+        return Status::Internal("job '" + spec.name + "': map emitted tag " +
+                                std::to_string(tag) + " outside [0, " +
+                                std::to_string(num_tags) + ")");
+      }
+      if (tag < prev_tag) {
+        return Status::Internal(
+            "job '" + spec.name + "': tag " + std::to_string(tag) +
+            " follows tag " + std::to_string(prev_tag) + " in key group " +
+            std::to_string(key) + "; a map must emit its own input's tag");
+      }
+      size_t j = i + 1;
+      while (j < task.size() && task[j].key == key && task[j].tag == tag) {
+        if (task[j].row < task[j - 1].row) {
+          return Status::Internal(
+              "job '" + spec.name + "': row " + std::to_string(task[j].row) +
+              " follows row " + std::to_string(task[j - 1].row) + " of tag " +
+              std::to_string(tag) + " in key group " + std::to_string(key) +
+              "; a map must emit the row it maps");
+        }
+        ++j;
+      }
+      by_tag[tag] = task.subspan(i, j - i);
+      prev_tag = tag;
+      i = j;
+    }
+    ctx.key = key;
     spec.reduce(ctx, out);
     if (!out.status().ok()) {
       return WrapTaskError("reduce emit failed", spec, out.status());
     }
-    i = j;
   }
   return out.comparisons();
 }
@@ -569,10 +647,10 @@ StatusOr<PhysicalJobResult> RunJobParallel(
   shuffle_phase.End();
 
   // ---- Reduce phase: restartable tasks, each with a private output ----
-  // Each task gathers its partition from every split, then sorts, groups
-  // and reduces it (RunReduceTask). The gather leaves the map output
-  // intact, so a retried attempt reduces exactly the records the failed
-  // attempt saw.
+  // Each task gathers its partition from every split, then sorts it by
+  // key, groups and reduces it (RunReduceTask). The gather leaves the map
+  // output intact, so a retried attempt reduces exactly the records the
+  // failed attempt saw.
   m.reduce_comparisons_logical.assign(n, 0.0);
   const int width = spec.output_schema.num_columns();
   std::vector<ReduceCollector> task_outputs(n, ReduceCollector(width));

@@ -60,10 +60,10 @@ struct ParallelRunnerOptions {
 ///  - between the phases, only the simulator's byte accounting, replayed
 ///    from per-split record counts in emit order;
 ///  - reduce tasks, each gathering its partition from every split in
-///    (input, split) order — emit order restricted to the task — sorting
-///    it by (key, tag, row), invoking reduce once per key group, and
-///    collecting into a private output; task outputs are concatenated in
-///    task order.
+///    (input, split) order — emit order restricted to the task, which is
+///    (tag, row) order — sorting it stably by key, so into (key, tag, row)
+///    order, invoking reduce once per key group, and collecting into a
+///    private output; task outputs are concatenated in task order.
 ///
 /// Fault tolerance: with `options.injector` set, map splits and reduce
 /// partitions become restartable units — each attempt works into fresh

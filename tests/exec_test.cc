@@ -2,9 +2,11 @@
 // checked against the single-machine nested-loop oracle.
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -1024,9 +1026,10 @@ TEST(FilterPushdownTest, EquiJoinFiltersShrinkShuffleNotInput) {
 
 // Relation whose column "k" has the given type, plus a constant int64
 // column "z" that an equi-join can key on to put every row in one reduce
-// group; a small domain makes duplicate keys the common case.
+// group; a small domain makes duplicate keys the common case. With
+// `specials`, a double cell is NaN, +inf or -inf one time in five.
 RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
-                         uint64_t seed) {
+                         uint64_t seed, bool specials = false) {
   auto rel = std::make_shared<Relation>(
       "t", Schema({{"k", type}, {"z", ValueType::kInt64}}));
   Rng rng(seed);
@@ -1037,6 +1040,12 @@ RelationPtr MakeTypedRel(ValueType type, int64_t rows, int64_t domain,
         row.push_back(Value(rng.UniformInt(-domain, domain)));
         break;
       case ValueType::kDouble:
+        if (specials && rng.Bernoulli(0.2)) {
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          const double special[] = {std::nan(""), kInf, -kInf};
+          row.push_back(Value(special[rng.Uniform(3)]));
+          break;
+        }
         // Half-integral values: exercises exact ties across the domain.
         row.push_back(
             Value(static_cast<double>(rng.UniformInt(-domain, domain)) * 0.5));
@@ -1061,21 +1070,35 @@ std::vector<std::pair<int64_t, int64_t>> SortedPairs(const Relation& out) {
   return pairs;
 }
 
-// All (lrow, rrow) pairs satisfying cond, via the boxed per-pair reference
-// path (Relation::Get + EvalTheta) — deliberately independent of the
-// compiled predicates and the join kernel under test.
+// All (lrow, rrow) pairs satisfying cond, in (lrow, rrow) order, via the
+// boxed per-pair reference path (Relation::Get + EvalTheta) — deliberately
+// independent of the compiled predicates and the join kernel under test.
+// Base 0 is the left relation; either may hold the lhs endpoint.
 std::vector<std::pair<int64_t, int64_t>> NestedLoopReference(
     const JoinCondition& cond, const Relation& lrel, const Relation& rrel) {
+  const bool lhs_left = cond.lhs.relation == 0;
   std::vector<std::pair<int64_t, int64_t>> out;
   for (int64_t l = 0; l < lrel.num_rows(); ++l) {
     for (int64_t r = 0; r < rrel.num_rows(); ++r) {
-      if (EvalTheta(lrel.Get(l, cond.lhs.column), cond.op,
-                    rrel.Get(r, cond.rhs.column), cond.offset)) {
+      const Value lv = lrel.Get(l, (lhs_left ? cond.lhs : cond.rhs).column);
+      const Value rv = rrel.Get(r, (lhs_left ? cond.rhs : cond.lhs).column);
+      if (lhs_left ? EvalTheta(lv, cond.op, rv, cond.offset)
+                   : EvalTheta(rv, cond.op, lv, cond.offset)) {
         out.emplace_back(l, r);
       }
     }
   }
   return out;
+}
+
+// The (rid_0, rid_1) pairs a two-input join job's output holds, in row
+// order.
+std::vector<std::pair<int64_t, int64_t>> OutputPairs(const Relation& out) {
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  for (int64_t r = 0; r < out.num_rows(); ++r) {
+    pairs.emplace_back(out.GetInt(r, 0), out.GetInt(r, 1));
+  }
+  return pairs;
 }
 
 TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
@@ -1153,6 +1176,92 @@ TEST(KernelDifferentialTest, SortAndCompiledKernelsMatchNaiveReference) {
     }
   }
   EXPECT_GE(cases, 100);
+}
+
+// Groups below kSortKernelMinPairs run the pairwise reducers' nested
+// loop, whatever the policy. Each side holds 1-15 rows in one
+// reduce group, and the condition is written with its lhs on either input,
+// over doubles that include NaN and +-inf and with integral, .5 and
+// infinite offsets. Rows equal the naive reference as multisets, and come
+// in left arrival x right arrival order.
+TEST(KernelDifferentialTest, SmallGroupsMatchNaiveReferenceInArrivalOrder) {
+  constexpr ThetaOp kOps[] = {ThetaOp::kLt, ThetaOp::kLe, ThetaOp::kEq,
+                              ThetaOp::kGe, ThetaOp::kGt, ThetaOp::kNe};
+  const std::pair<ValueType, ValueType> kTypes[] = {
+      {ValueType::kInt64, ValueType::kInt64},
+      {ValueType::kDouble, ValueType::kDouble},
+      {ValueType::kString, ValueType::kString},
+      {ValueType::kInt64, ValueType::kDouble},
+      {ValueType::kDouble, ValueType::kInt64},
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  int cases = 0;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(4400 + seed);
+    for (const auto& [ltype, rtype] : kTypes) {
+      const ThetaOp op = kOps[rng.Uniform(6)];
+      const int64_t lrows = 1 + rng.Uniform(15);
+      const int64_t rrows = 1 + rng.Uniform(15);
+      const int64_t domain = 1 + static_cast<int64_t>(rng.Uniform(6));
+      double offset = 0.0;
+      if (ltype != ValueType::kString) {
+        switch (rng.Uniform(4)) {
+          case 0:
+            break;
+          case 1:
+            offset = static_cast<double>(rng.UniformInt(-3, 3));
+            break;
+          case 2:
+            offset = static_cast<double>(rng.UniformInt(-3, 3)) + 0.5;
+            break;
+          case 3:
+            offset = rng.Bernoulli(0.5) ? kInf : -kInf;
+            break;
+        }
+      }
+      RelationPtr lrel =
+          MakeTypedRel(ltype, lrows, domain, 300 + seed * 7, true);
+      RelationPtr rrel =
+          MakeTypedRel(rtype, rrows, domain, 400 + seed * 13, true);
+      const JoinCondition z_eq{{0, 1}, ThetaOp::kEq, {1, 1}, 0.0, 1};
+      for (const bool lhs_left : {true, false}) {
+        const JoinCondition cond =
+            lhs_left ? JoinCondition{{0, 0}, op, {1, 0}, offset, 0}
+                     : JoinCondition{{1, 0}, op, {0, 0}, offset, 0};
+        const auto expected = NestedLoopReference(cond, *lrel, *rrel);
+        auto expected_set = expected;
+        std::sort(expected_set.begin(), expected_set.end());
+        PairwiseJoinJobSpec spec;
+        spec.left = JoinSide::ForBase(lrel, 0);
+        spec.right = JoinSide::ForBase(rrel, 1);
+        spec.base_relations = {lrel, rrel};
+        spec.num_reduce_tasks = 1;
+        for (const KernelPolicy policy :
+             {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
+          spec.kernel_policy = policy;
+          for (const bool equi : {false, true}) {
+            spec.conditions = equi ? std::vector<JoinCondition>{z_eq, cond}
+                                   : std::vector<JoinCondition>{cond};
+            const auto job =
+                equi ? BuildEquiJoinJob(spec) : BuildOneBucketThetaJob(spec);
+            ASSERT_TRUE(job.ok()) << job.status().ToString();
+            const auto result = RunJob(*job);
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            const std::string at =
+                std::string(equi ? "equi" : "1-bucket") + " " +
+                cond.ToString() + " " + ValueTypeName(ltype) + "/" +
+                ValueTypeName(rtype) + " seed=" + std::to_string(seed) +
+                (policy == KernelPolicy::kAuto ? " auto" : " generic");
+            EXPECT_EQ(SortedPairs(*result->output), expected_set) << at;
+            EXPECT_EQ(OutputPairs(*result->output), expected)
+                << at << ": rows out of arrival order";
+          }
+        }
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 400);
 }
 
 // Two conditions between one pair of inputs, in reduce groups large enough

@@ -2,12 +2,19 @@
 // discrete-event engine, the timing model, the load models, and the
 // bounded-memory emit/spill machinery (docs/MEMORY.md).
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/mapreduce/job_runner.h"
 #include "src/mapreduce/load_model.h"
 #include "src/mapreduce/sim_cluster.h"
@@ -77,6 +84,190 @@ TEST(JobRunnerTest, KeysArriveSortedWithinTask) {
   ASSERT_TRUE(RunJob(spec).ok());
   ASSERT_EQ(seen.size(), 10u);
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+}
+
+// Each (threads, budget) setting the runner tests below run under: 1 and 4
+// threads, unbudgeted and under a budget that spills every map task.
+struct RunnerSetting {
+  int threads;
+  bool spill;
+  std::string Name() const {
+    return "threads=" + std::to_string(threads) +
+           (spill ? " spilling" : " unbudgeted");
+  }
+};
+constexpr RunnerSetting kRunnerSettings[] = {
+    {1, false}, {1, true}, {4, false}, {4, true}};
+
+StatusOr<PhysicalJobResult> RunUnder(const MapReduceJobSpec& spec,
+                                     const RunnerSetting& setting,
+                                     SpillDirectory& spill_dir) {
+  ThreadPool pool(setting.threads);
+  ParallelRunnerOptions options;
+  options.min_split_rows = 64;  // several splits per input at 4 threads
+  if (setting.spill) {
+    options.mem_budget_bytes = 1;
+    options.spill_dir = &spill_dir;
+  }
+  return RunJobParallel(spec, pool, options);
+}
+
+// The keys every row of a two-input job emits: keys[tag][row] holds one
+// or two keys.
+using RowKeys = std::vector<std::vector<std::vector<int64_t>>>;
+
+// A job whose map emits `keys` and whose reduce emits (key, tag, row) for
+// every record of every tag, in the order it reads them.
+MapReduceJobSpec EchoJob(std::shared_ptr<const RowKeys> keys,
+                         int reducers) {
+  MapReduceJobSpec spec;
+  spec.name = "echo";
+  for (const auto& rows : *keys) {
+    spec.inputs.push_back(
+        {MakeInts(static_cast<int64_t>(rows.size())), 1.0, 16});
+  }
+  spec.num_reduce_tasks = reducers;
+  spec.output_schema = Schema({{"key", ValueType::kInt64},
+                               {"tag", ValueType::kInt64},
+                               {"row", ValueType::kInt64}});
+  spec.map = [keys](int tag, const Relation&, int64_t row, MapEmitter& out) {
+    for (const int64_t key : (*keys)[tag][row]) out.Emit(key, tag, row, row);
+  };
+  spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
+    for (int tag = 0; tag < 2; ++tag) {
+      for (const MapOutputRecord& rec : ctx.records(tag)) {
+        const int64_t row[] = {rec.key, rec.tag, rec.row};
+        out.Emit(row);
+      }
+    }
+  };
+  return spec;
+}
+
+// The order the reduce side promises: each task's records sorted on
+// (key, tag, row), tasks in order.
+std::vector<std::array<int64_t, 3>> ExpectedEcho(const RowKeys& keys,
+                                                 int reducers) {
+  std::vector<std::vector<std::array<int64_t, 3>>> tasks(reducers);
+  for (int64_t tag = 0; tag < static_cast<int64_t>(keys.size()); ++tag) {
+    for (int64_t row = 0; row < static_cast<int64_t>(keys[tag].size());
+         ++row) {
+      for (const int64_t key : keys[tag][row]) {
+        tasks[HashPartition(key, reducers)].push_back({key, tag, row});
+      }
+    }
+  }
+  std::vector<std::array<int64_t, 3>> expected;
+  for (auto& task : tasks) {
+    std::sort(task.begin(), task.end());
+    expected.insert(expected.end(), task.begin(), task.end());
+  }
+  return expected;
+}
+
+// Pins the reduce-side order contract, not the algorithm behind it: keys
+// ascend in signed order (negative hash keys included) and each group's
+// records come tag by tag in row order, at any thread count and budget.
+TEST(JobRunnerTest, ReduceReadsRecordsInKeyTagRowOrder) {
+  constexpr int kReducers = 5;
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t specials[] = {kMin, kMin + 1, -1, 0, 1, kMax};
+  const int64_t rows[] = {700, 450};
+  Rng rng(2026);
+  std::vector<int64_t> pool;  // keys shared by many records and both tags
+  for (int k = 0; k < 40; ++k) pool.push_back(static_cast<int64_t>(rng.Next()));
+  struct Case {
+    const char* name;
+    std::function<int64_t(int tag, int64_t row, int j)> key;
+  };
+  const Case cases[] = {
+      {"mixed",
+       [&](int, int64_t, int) {
+         const uint64_t pick = rng.Uniform(4);
+         if (pick == 0) return specials[rng.Uniform(6)];
+         if (pick == 1) return pool[rng.Uniform(pool.size())];
+         // Full 64-bit values: negative half the time, as hash keys are.
+         return static_cast<int64_t>(rng.Next());
+       }},
+      {"all-equal", [](int, int64_t, int) { return int64_t{-7}; }},
+      // Ascending in emit order, so no task needs sorting.
+      {"ascending",
+       [](int tag, int64_t row, int j) {
+         return (tag * 1000 + row) * 2 + j - 1500;
+       }},
+      {"descending",
+       [](int tag, int64_t row, int j) {
+         return 1500 - (tag * 1000 + row) * 2 - j;
+       }},
+  };
+  SpillDirectory spill_dir;
+  for (const Case& c : cases) {
+    auto keys = std::make_shared<RowKeys>(2);
+    for (int tag = 0; tag < 2; ++tag) {
+      (*keys)[tag].resize(rows[tag]);
+      for (int64_t row = 0; row < rows[tag]; ++row) {
+        const int emits = row % 3 == 0 ? 2 : 1;
+        for (int j = 0; j < emits; ++j) {
+          (*keys)[tag][row].push_back(c.key(tag, row, j));
+        }
+      }
+    }
+    const std::vector<std::array<int64_t, 3>> expected =
+        ExpectedEcho(*keys, kReducers);
+    for (const RunnerSetting& setting : kRunnerSettings) {
+      const std::string at = std::string(c.name) + " " + setting.Name();
+      const auto result =
+          RunUnder(EchoJob(keys, kReducers), setting, spill_dir);
+      ASSERT_TRUE(result.ok()) << at << ": " << result.status().ToString();
+      if (setting.spill) EXPECT_GT(result->spill_bytes, 0) << at;
+      const Relation& out = *result->output;
+      ASSERT_EQ(out.num_rows(), static_cast<int64_t>(expected.size())) << at;
+      for (int64_t r = 0; r < out.num_rows(); ++r) {
+        const std::array<int64_t, 3> got = {out.GetInt(r, 0), out.GetInt(r, 1),
+                                            out.GetInt(r, 2)};
+        ASSERT_EQ(got, expected[r]) << at << " row " << r;
+      }
+    }
+  }
+}
+
+// A map that emits a tag outside [0, inputs), a tag below one already seen
+// in its key group, or a row other than the one it maps, out of row order,
+// fails the job with kInternal instead of reading out of bounds or handing
+// the reducer records out of order.
+TEST(JobRunnerTest, RecordOutsideItsOrderFailsTheJob) {
+  struct Case {
+    int32_t tag;
+    int64_t row;
+    std::string message;
+  };
+  // Input 1's last row (key 9) claims `tag` and `row`, after the tag-1
+  // records of its key group (rows 9, 19, ..., 89).
+  const Case cases[] = {{2, 99, "tag 2"},
+                        {-1, 99, "tag -1"},
+                        {0, 99, "tag 0"},
+                        {1, 0, "row 0 follows row 89"}};
+  SpillDirectory spill_dir;
+  for (const Case& c : cases) {
+    MapReduceJobSpec spec = CountJob(MakeInts(100), 3);
+    spec.inputs.push_back(spec.inputs[0]);
+    spec.map = [c](int tag, const Relation& r, int64_t row,
+                   MapEmitter& out) {
+      const bool bad = tag == 1 && row == 99;
+      out.Emit(r.GetInt(row, 0), bad ? c.tag : tag, bad ? c.row : row, row);
+    };
+    for (const RunnerSetting& setting : kRunnerSettings) {
+      const std::string at = c.message + " " + setting.Name();
+      const auto result = RunUnder(spec, setting, spill_dir);
+      ASSERT_FALSE(result.ok()) << at;
+      EXPECT_EQ(result.status().code(), StatusCode::kInternal) << at;
+      EXPECT_NE(result.status().message().find("'count'"), std::string::npos)
+          << at << ": " << result.status().ToString();
+      EXPECT_NE(result.status().message().find(c.message), std::string::npos)
+          << at << ": " << result.status().ToString();
+    }
+  }
 }
 
 TEST(JobRunnerTest, MetricsScaleWithLogicalVolume) {
