@@ -19,30 +19,91 @@ namespace mrtheta {
 
 namespace {
 
-// Resolves one plan input into a JoinSide. Base inputs carry the query's
-// single-relation selections as a compiled map-side filter (selection
-// pushdown below the first shuffle).
-StatusOr<JoinSide> ResolveInput(const Query& query,
-                                const std::vector<JobExecution>& done,
-                                const PlanInput& input) {
-  if (input.is_base()) {
-    if (input.base >= query.num_relations()) {
-      return Status::InvalidArgument("plan input base out of range");
+// What RunOn reads of a plan: each job's input jobs and covered bases
+// (ascending, the order of its rid columns), and the columns the last job
+// projects (empty when the query declares no outputs).
+struct CheckedPlan {
+  std::vector<std::vector<int>> deps;
+  std::vector<std::vector<int>> covered;
+  std::vector<ProjectedColumn> projection;
+};
+
+// Checks a plan before any job runs, so that one that drops a relation or
+// a condition fails instead of returning wrong rows. Every input names a
+// query base or an earlier job (a forward reference is the "not
+// topological" error a job would otherwise hit racily), every θ id is the
+// query's, and every job but the last is read by a later one, so all jobs
+// are the last job's ancestors. The last job must cover every relation,
+// and the plan must evaluate every condition.
+StatusOr<CheckedPlan> CheckPlan(const Query& query, const QueryPlan& plan) {
+  const int num_jobs = static_cast<int>(plan.jobs.size());
+  CheckedPlan checked;
+  checked.deps.resize(num_jobs);
+  checked.covered.resize(num_jobs);
+  std::vector<bool> read(num_jobs, false);
+  uint32_t evaluated = 0;
+  for (int i = 0; i < num_jobs; ++i) {
+    std::set<int> bases;
+    for (const PlanInput& in : plan.jobs[i].inputs) {
+      if (in.is_base()) {
+        if (in.base >= query.num_relations()) {
+          return Status::InvalidArgument("plan input base out of range");
+        }
+        bases.insert(in.base);
+        continue;
+      }
+      if (in.job < 0 || in.job >= i) {
+        return Status::InvalidArgument(
+            "plan input references a job that has not run (plans must be in "
+            "topological order)");
+      }
+      checked.deps[i].push_back(in.job);
+      read[in.job] = true;
+      bases.insert(checked.covered[in.job].begin(),
+                   checked.covered[in.job].end());
     }
-    JoinSide side =
-        JoinSide::ForBase(query.relations()[input.base], input.base);
-    side.filter = CompiledRowFilter::CompileFor(
-        input.base, query.filters(), query.relations()[input.base]);
-    return side;
+    checked.covered[i].assign(bases.begin(), bases.end());
+    for (int theta : plan.jobs[i].thetas) {
+      if (theta < 0 || theta >= query.num_conditions()) {
+        return Status::InvalidArgument(
+            "plan job " + std::to_string(i) + " evaluates condition " +
+            std::to_string(theta) + ", which the query does not have");
+      }
+      evaluated |= 1u << theta;
+    }
   }
-  if (input.job < 0 || input.job >= static_cast<int>(done.size()) ||
-      done[input.job].output == nullptr) {
+  for (int i = 0; i + 1 < num_jobs; ++i) {
+    if (!read[i]) {
+      return Status::InvalidArgument("plan job " + std::to_string(i) +
+                                     " is read by no later job");
+    }
+  }
+  // The last job writes the query's projection (the paper's final MRJ
+  // output) straight from its reducers' rid columns.
+  const std::vector<int>& result_bases = checked.covered.back();
+  for (const OutputColumn& out : query.outputs()) {
+    const auto it =
+        std::find(result_bases.begin(), result_bases.end(), out.base);
+    if (it == result_bases.end()) {
+      return Status::InvalidArgument(
+          "projection references base not covered by result");
+    }
+    const RelationPtr& rel = query.relations()[out.base];
+    const ColumnDef& src = rel->schema().column(out.column);
+    checked.projection.push_back(
+        {ColumnDef("R" + std::to_string(out.base) + "." + src.name,
+                   src.type, src.avg_width),
+         rel, out.column, static_cast<int>(it - result_bases.begin())});
+  }
+  if (static_cast<int>(result_bases.size()) != query.num_relations()) {
     return Status::InvalidArgument(
-        "plan input references a job that has not run (plans must be in "
-        "topological order)");
+        "the last plan job does not cover every query relation");
   }
-  return JoinSide::ForIntermediate(done[input.job].output,
-                                   done[input.job].covered_bases);
+  if (evaluated != query.AllConditionsMask()) {
+    return Status::InvalidArgument(
+        "the plan does not evaluate every join condition");
+  }
+  return checked;
 }
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -85,21 +146,10 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
   }
   const int num_jobs = static_cast<int>(plan.jobs.size());
 
-  // Dependency edges: plan jobs reference earlier jobs' outputs. A forward
-  // or out-of-range reference is the "not topological" error the body would
-  // otherwise hit racily.
-  std::vector<std::vector<int>> deps(num_jobs);
-  for (int i = 0; i < num_jobs; ++i) {
-    for (const PlanInput& in : plan.jobs[i].inputs) {
-      if (in.is_base()) continue;
-      if (in.job < 0 || in.job >= i) {
-        return Status::InvalidArgument(
-            "plan input references a job that has not run (plans must be in "
-            "topological order)");
-      }
-      deps[i].push_back(in.job);
-    }
-  }
+  StatusOr<CheckedPlan> checked = CheckPlan(query, plan);
+  if (!checked.ok()) return checked.status();
+  const std::vector<std::vector<int>>& deps = checked->deps;
+  const std::vector<ProjectedColumn>& projection = checked->projection;
 
   ExecutionResult result;
   result.jobs.resize(num_jobs);
@@ -164,14 +214,21 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     TraceSpan job_span("plan-job", "executor");
     job_span.Arg("index", static_cast<int64_t>(i))
         .Arg("kind", PlanJobKindName(pj.kind));
-    // Resolve inputs.
+    // Resolve inputs. Base inputs carry the query's single-relation
+    // selections as a compiled map-side filter (selection pushdown below
+    // the first shuffle).
     std::vector<JoinSide> sides;
-    std::vector<int> dep_jobs;
     for (const PlanInput& in : pj.inputs) {
-      StatusOr<JoinSide> side = ResolveInput(query, result.jobs, in);
-      if (!side.ok()) return side.status();
-      sides.push_back(*std::move(side));
-      if (!in.is_base()) dep_jobs.push_back(in.job);
+      if (!in.is_base()) {
+        const JobExecution& dep = result.jobs[in.job];
+        sides.push_back(
+            JoinSide::ForIntermediate(dep.output, dep.covered_bases));
+        continue;
+      }
+      const RelationPtr& rel = query.relations()[in.base];
+      sides.push_back(JoinSide::ForBase(rel, in.base));
+      sides.back().filter =
+          CompiledRowFilter::CompileFor(in.base, query.filters(), rel);
     }
 
     // Build the MapReduce job.
@@ -234,6 +291,10 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     if (!spec.ok()) return spec.status();
     spec->text_serde = pj.text_serde;
     if (pj.map_side_combine) spec->combine = MakeDedupCombiner();
+    if (i + 1 == num_jobs && !projection.empty()) {
+      spec->projection = projection;
+      spec->output_name = "projection";
+    }
     job_span.Arg("job", spec->name);
 
     const auto job_start = std::chrono::steady_clock::now();
@@ -259,7 +320,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
 
     JobExecution& exec = result.jobs[i];
     exec.name = spec->name;
-    exec.input_jobs = dep_jobs;
+    exec.input_jobs = deps[i];
     exec.kind = pj.kind;
     exec.reduce_tasks = spec->num_reduce_tasks;
     exec.kernel = spec->kernel;
@@ -274,12 +335,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
           static_cast<int>(hilbert_info.skew.groups.size());
     }
     exec.output = phys->output;
-    // Covered bases = union of the inputs' coverage.
-    std::set<int> bases;
-    for (const JoinSide& side : sides) {
-      bases.insert(side.bases.begin(), side.bases.end());
-    }
-    exec.covered_bases.assign(bases.begin(), bases.end());
+    exec.covered_bases = checked->covered[i];
 
     // Shared-scan discount (YSmart-style plans): repeated scans of a base
     // relation are served by one physical scan.
@@ -290,23 +346,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
                                 pj.scan_discount_bytes);
     }
 
-    // The final job writes the query's *projection*, not materialized
-    // intermediate rows — every compared system benefits identically.
-    if (i + 1 == num_jobs && !query.outputs().empty()) {
-      int64_t projected_width = 4;  // record framing
-      for (const OutputColumn& out : query.outputs()) {
-        projected_width += query.relations()[out.base]
-                               ->schema()
-                               .column(out.column)
-                               .avg_width;
-      }
-      exec.metrics.output_bytes_logical = static_cast<int64_t>(
-          std::min(exec.metrics.output_rows_logical *
-                       static_cast<double>(projected_width),
-                   9.0e18));
-    }
-
-    sim_jobs[i] = cluster_->BuildSimJob(*spec, exec.metrics, dep_jobs);
+    sim_jobs[i] = cluster_->BuildSimJob(*spec, exec.metrics, deps[i]);
     return Status::OK();
   };
   // A real (non-cancellation) failure cancels the in-flight siblings; the
@@ -343,9 +383,13 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     result.jobs[i].timing = report->jobs[i];
   }
 
-  // Final result: the last job's output.
+  // Final result: the last job's output, the rid table or the projection.
   const JobExecution& last = result.jobs.back();
-  result.result_ids = last.output;
+  if (projection.empty()) {
+    result.result_ids = last.output;
+  } else {
+    result.projected = last.output;
+  }
   result.covered_bases = last.covered_bases;
 
   double cross = 1.0;
@@ -353,19 +397,7 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     cross *= static_cast<double>(std::max<int64_t>(1, rel->logical_rows()));
   }
   result.result_selectivity =
-      static_cast<double>(last.output->logical_rows()) / cross;
-
-  if (!query.outputs().empty()) {
-    TraceSpan project_span("project", "executor");
-    if (project_span.enabled()) {
-      project_span.Arg("rows", last.output->num_rows());
-    }
-    StatusOr<Relation> projected =
-        ProjectResult(*last.output, last.covered_bases, query.relations(),
-                      query.outputs(), pool);
-    if (!projected.ok()) return projected.status();
-    result.projected = std::make_shared<Relation>(*std::move(projected));
-  }
+      static_cast<double>(last.metrics.LogicalOutputRows()) / cross;
   return result;
 }
 

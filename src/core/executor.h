@@ -61,18 +61,23 @@ struct ExecutionResult {
   SimTime makespan = 0;
   /// Measured wall-clock seconds for physically executing the whole plan
   /// (jobs with disjoint deps overlap when ExecutorOptions::num_threads
-  /// > 1). Excludes the discrete-event replay and final projection.
+  /// > 1), the last job's projection included. Excludes the discrete-event
+  /// replay.
   double measured_seconds = 0.0;
   /// Simulated shuffle volume: Σ over plan jobs of the logical bytes
   /// shipped map → reduce. This is the paper's cost objective, and the
   /// quantity column pruning / selection pushdown shrink
   /// (docs/EXECUTOR.md).
   int64_t sim_shuffle_bytes = 0;
-  /// The final intermediate (one rid column per covered base).
+  /// The final intermediate, one rid column per covered base: set only
+  /// when the query declares no outputs. A projected query's last job
+  /// builds no rid table; run the same plan on the query without its
+  /// outputs (Query::WithoutOutputs) to get one.
   std::shared_ptr<Relation> result_ids;
   std::vector<int> covered_bases;
-  /// The projection requested by the query (empty schema when the query
-  /// declares no outputs).
+  /// The projection requested by the query, written by the last job (the
+  /// same relation as jobs.back().output); null when the query declares no
+  /// outputs.
   std::shared_ptr<Relation> projected;
   /// Logical result rows / Π logical |Ri| (the paper's "Result Sel.").
   double result_selectivity = 0.0;
@@ -190,10 +195,8 @@ class QueryResult {
   const ExecutionResult& execution() const { return execution_; }
   const std::vector<JobExecution>& jobs() const { return execution_.jobs; }
 
-  /// Physical result tuples (rows of the rid table).
-  int64_t num_rows() const {
-    return execution_.result_ids ? execution_.result_ids->num_rows() : 0;
-  }
+  /// Physical result tuples: rows of rows().
+  int64_t num_rows() const { return rows().num_rows(); }
   double selectivity() const { return execution_.result_selectivity; }
   SimTime makespan() const { return execution_.makespan; }
   double simulated_seconds() const { return ToSeconds(execution_.makespan); }

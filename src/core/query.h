@@ -50,6 +50,14 @@ class Query {
   const std::vector<OutputColumn>& outputs() const { return outputs_; }
   const std::vector<SelectionFilter>& filters() const { return filters_; }
 
+  /// This query without its output columns: on the same plan, it yields
+  /// the rid table (ExecutionResult::result_ids) behind the projection.
+  Query WithoutOutputs() const {
+    Query copy = *this;
+    copy.outputs_.clear();
+    return copy;
+  }
+
   /// Bitmask over all condition ids (the set-cover universe).
   uint32_t AllConditionsMask() const;
 

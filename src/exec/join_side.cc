@@ -1,11 +1,9 @@
 #include "src/exec/join_side.h"
 
 #include "src/common/status.h"
-#include "src/runtime/thread_pool.h"
 
 #include <algorithm>
 #include <cmath>
-#include <variant>
 
 namespace mrtheta {
 
@@ -163,76 +161,6 @@ std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
                        RidColumnFor(*it, base)});
   }
   return sources;
-}
-
-namespace {
-template <typename T>
-Relation::ColumnData ReservedColumn(int64_t rows) {
-  std::vector<T> column;
-  column.reserve(static_cast<size_t>(rows));
-  return column;
-}
-}  // namespace
-
-StatusOr<Relation> ProjectResult(
-    const Relation& intermediate, const std::vector<int>& covered_bases,
-    const std::vector<RelationPtr>& base_relations,
-    const std::vector<OutputColumn>& outputs, ThreadPool& pool) {
-  std::vector<ColumnDef> cols;
-  for (const OutputColumn& out : outputs) {
-    if (std::find(covered_bases.begin(), covered_bases.end(), out.base) ==
-        covered_bases.end()) {
-      return Status::InvalidArgument(
-          "projection references base not covered by result");
-    }
-    const ColumnDef& src =
-        base_relations[out.base]->schema().column(out.column);
-    cols.emplace_back("R" + std::to_string(out.base) + "." + src.name,
-                      src.type, src.avg_width);
-  }
-  // Column-at-a-time gather through the rid columns into exactly sized
-  // typed columns: no per-cell Value boxing. The columns are reserved here
-  // so their blocks come from this thread's malloc arena; the gather, where
-  // their pages fault in, runs as one task per column.
-  const int64_t rows = intermediate.num_rows();
-  std::vector<Relation::ColumnData> data;
-  data.reserve(outputs.size());
-  for (const OutputColumn& out : outputs) {
-    switch (base_relations[out.base]->schema().column(out.column).type) {
-      case ValueType::kInt64:
-        data.push_back(ReservedColumn<int64_t>(rows));
-        break;
-      case ValueType::kDouble:
-        data.push_back(ReservedColumn<double>(rows));
-        break;
-      case ValueType::kString:
-        data.push_back(ReservedColumn<std::string>(rows));
-        break;
-    }
-  }
-  auto gather = [&](int64_t i) {
-    const OutputColumn& out = outputs[i];
-    const auto it =
-        std::find(covered_bases.begin(), covered_bases.end(), out.base);
-    const int64_t* rid =
-        intermediate
-            .TryColumn<int64_t>(static_cast<int>(it - covered_bases.begin()))
-            ->data();
-    std::visit(
-        [&](auto& dst) {
-          using T = typename std::decay_t<decltype(dst)>::value_type;
-          const T* src =
-              base_relations[out.base]->TryColumn<T>(out.column)->data();
-          // Within the reservation, so it sizes without allocating.
-          dst.resize(static_cast<size_t>(rows));
-          T* cells = dst.data();
-          for (int64_t r = 0; r < rows; ++r) cells[r] = src[rid[r]];
-        },
-        data[i]);
-  };
-  pool.ParallelFor(static_cast<int64_t>(outputs.size()), gather);
-  return Relation::FromColumns("projection", Schema(std::move(cols)),
-                               std::move(data));
 }
 
 ColumnDistinct EstimateDistinct(const Relation& rel, int column,

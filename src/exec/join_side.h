@@ -12,8 +12,6 @@
 
 namespace mrtheta {
 
-class ThreadPool;
-
 // RequiredColumns / PrunedRowBytes / FindRequired — the column-pruning
 // payload descriptors the builders consume — live in relation/schema.h so
 // the plan layer can name them without depending on the exec layer.
@@ -127,21 +125,11 @@ struct RidSource {
 std::vector<RidSource> ResolveRidSources(const std::vector<int>& output_bases,
                                          const std::vector<JoinSide>& inputs);
 
-/// Projects an intermediate result to output columns: for each
-/// (base, column) pair, emits the referenced base value. The intermediate
-/// must cover every requested base.
-///
-/// Every output column is reserved on the calling thread, as
-/// FinishJobOutput does, and one task per column on `pool` gathers it
-/// through its rid column. The result does not depend on the pool's width.
+/// One output column of a query: column `column` of base relation `base`.
 struct OutputColumn {
   int base = 0;
   int column = 0;
 };
-StatusOr<Relation> ProjectResult(
-    const Relation& intermediate, const std::vector<int>& covered_bases,
-    const std::vector<RelationPtr>& base_relations,
-    const std::vector<OutputColumn>& outputs, ThreadPool& pool);
 
 /// Physical and extrapolated-logical distinct counts of a column: a column
 /// whose sample is nearly all-distinct is key-like, so its logical distinct

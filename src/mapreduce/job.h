@@ -320,6 +320,17 @@ using MapFn = std::function<void(int tag, const Relation& rel, int64_t row,
 using ReduceFn = std::function<void(const ReduceContext& ctx,
                                     ReduceCollector& out)>;
 
+/// One column of a projected job output (MapReduceJobSpec::projection):
+/// `def` names and types it, and each of its cells is column `column` of
+/// `relation`, read at the row that rid column `rid` of the reducers'
+/// output names.
+struct ProjectedColumn {
+  ColumnDef def;
+  RelationPtr relation;
+  int column = 0;
+  int rid = 0;
+};
+
 /// \brief Complete specification of one MapReduce job (MRJ).
 struct MapReduceJobSpec {
   std::string name;
@@ -333,7 +344,12 @@ struct MapReduceJobSpec {
   /// Optional map-side combiner, applied per input row (see CombineFn).
   /// Null = no combining. Executors set it from PlanJob::map_side_combine.
   CombineFn combine;
+  /// The reducers' rid rows: all int64 (ReduceCollector).
   Schema output_schema;
+  /// When non-empty, the job's output is this projection of the rid rows,
+  /// one column per entry, instead of the rid table itself: the last job
+  /// of a query with output columns writes the query's result.
+  std::vector<ProjectedColumn> projection;
   std::string output_name = "out";
   /// Multiplier that converts physical output rows to logical output rows
   /// (β-extrapolation: results scale linearly with the represented volume).
@@ -374,6 +390,9 @@ struct JobMeasurement {
   int64_t output_bytes_logical = 0;
 
   int64_t MaxReduceInputBytes() const;
+  /// output_rows_logical rounded to whole rows: a rid output's
+  /// logical_rows().
+  int64_t LogicalOutputRows() const;
 };
 
 }  // namespace mrtheta

@@ -17,6 +17,16 @@ uint64_t Mix64(uint64_t x) {
   x ^= x >> 33;
   return x;
 }
+
+// An empty column of `type` with room for `rows` cells.
+Relation::ColumnData ReservedColumn(ValueType type, int64_t rows) {
+  Relation::ColumnData column;
+  if (type == ValueType::kDouble) column = std::vector<double>();
+  if (type == ValueType::kString) column = std::vector<std::string>();
+  std::visit([rows](auto& v) { v.reserve(static_cast<size_t>(rows)); },
+             column);
+  return column;
+}
 }  // namespace
 
 int HashPartition(int64_t key, int num_reduce_tasks) {
@@ -30,6 +40,12 @@ int64_t JobMeasurement::MaxReduceInputBytes() const {
   return mx;
 }
 
+int64_t JobMeasurement::LogicalOutputRows() const {
+  // Guard against llround overflow on extreme extrapolations.
+  return static_cast<int64_t>(
+      std::llround(std::min(output_rows_logical, 4.0e18)));
+}
+
 Status FinishJobOutput(const MapReduceJobSpec& spec,
                        std::vector<ReduceCollector>& tasks,
                        PhysicalJobResult& result, ThreadPool& pool) {
@@ -41,34 +57,64 @@ Status FinishJobOutput(const MapReduceJobSpec& spec,
     rows += task.rows_emitted();
     task_columns.push_back(task.TakeColumns());
   }
+  const std::vector<ProjectedColumn>& projection = spec.projection;
+  const bool projected = !projection.empty();
   if (span.enabled()) span.Arg("job", spec.name).Arg("rows", rows);
-  const int width = spec.output_schema.num_columns();
-  std::vector<Relation::ColumnData> data(width);  // empty int64 columns
-  for (Relation::ColumnData& column : data) {
-    std::get<std::vector<int64_t>>(column).reserve(static_cast<size_t>(rows));
+  if (span.enabled() && projected) {
+    span.Arg("projected", static_cast<int64_t>(projection.size()));
+  }
+  std::vector<ColumnDef> defs;
+  for (const ProjectedColumn& p : projection) defs.push_back(p.def);
+  const Schema schema =
+      projected ? Schema(std::move(defs)) : spec.output_schema;
+  std::vector<Relation::ColumnData> data;
+  for (const ColumnDef& def : schema.columns()) {
+    data.push_back(ReservedColumn(def.type, rows));
   }
   // Filling is where the fresh pages fault in. Task c touches only column
-  // c of the output and of every task.
+  // c of the output, and of every task unless it projects (rid columns
+  // may feed several output columns, so they are freed after the fill).
   auto fill = [&](int64_t c) {
-    std::vector<int64_t>& column = std::get<std::vector<int64_t>>(data[c]);
-    for (std::vector<std::vector<int64_t>>& task : task_columns) {
-      column.insert(column.end(), task[c].begin(), task[c].end());
-      std::vector<int64_t>().swap(task[c]);
+    if (!projected) {
+      std::vector<int64_t>& column = std::get<std::vector<int64_t>>(data[c]);
+      for (std::vector<std::vector<int64_t>>& task : task_columns) {
+        column.insert(column.end(), task[c].begin(), task[c].end());
+        std::vector<int64_t>().swap(task[c]);
+      }
+      return;
     }
+    const ProjectedColumn& p = projection[c];
+    std::visit(
+        [&](auto& dst) {
+          using T = typename std::decay_t<decltype(dst)>::value_type;
+          const T* src = p.relation->TryColumn<T>(p.column)->data();
+          // Within the reservation, so it sizes without allocating.
+          dst.resize(static_cast<size_t>(rows));
+          T* cell = dst.data();
+          for (const std::vector<std::vector<int64_t>>& task : task_columns) {
+            for (const int64_t rid : task[p.rid]) *cell++ = src[rid];
+          }
+        },
+        data[c]);
   };
-  pool.ParallelFor(width, fill);
+  pool.ParallelFor(schema.num_columns(), fill);
   JobMeasurement& m = result.metrics;
   m.output_rows_physical = rows;
   m.output_rows_logical =
       static_cast<double>(rows) * spec.output_row_scale;
-  // Guard against llround overflow on extreme extrapolations.
-  const double capped_rows = std::min(m.output_rows_logical, 4.0e18);
+  // A projection counts its physical rows as logical; its logical bytes
+  // are the logical rows at the projected width.
   StatusOr<Relation> output = Relation::FromColumns(
-      spec.output_name, spec.output_schema, std::move(data),
-      static_cast<int64_t>(std::llround(capped_rows)));
+      spec.output_name, schema, std::move(data),
+      projected ? -1 : m.LogicalOutputRows());
   if (!output.ok()) return output.status();
   result.output = std::make_shared<Relation>(*std::move(output));
-  m.output_bytes_logical = result.output->logical_bytes();
+  m.output_bytes_logical =
+      projected ? static_cast<int64_t>(std::min(
+                      m.output_rows_logical *
+                          static_cast<double>(schema.avg_row_bytes()),
+                      9.0e18))
+                : result.output->logical_bytes();
   return Status::OK();
 }
 

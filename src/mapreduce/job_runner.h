@@ -25,10 +25,13 @@ struct PhysicalJobResult {
 };
 
 /// Builds `result.output` from the reduce tasks' collected rows and fills
-/// the output fields of `result.metrics`. The tasks' rows are concatenated
-/// in task order into exactly sized columns, each task column freed as
-/// soon as it is appended, and adopted in one Relation build (one
-/// generation).
+/// the output fields of `result.metrics`. Without a `spec.projection`, the
+/// tasks' rid rows are concatenated in task order into exactly sized
+/// columns, each task column freed as soon as it is appended. With one,
+/// each output column is gathered from its base relation through the
+/// tasks' rid column, in task order, and no rid table is built; the
+/// projection's logical rows are its physical rows. Either way the
+/// columns are adopted in one Relation build (one generation).
 ///
 /// Every column is reserved on the calling thread, so the large blocks
 /// come from its malloc arena, not a pool worker's (docs/MEMORY.md,

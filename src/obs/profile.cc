@@ -52,8 +52,9 @@ QueryProfile BuildQueryProfile(const ExecutionResult& result) {
   profile.measured_seconds = result.measured_seconds;
   profile.simulated_seconds = ToSeconds(result.makespan);
   profile.sim_shuffle_bytes = result.sim_shuffle_bytes;
-  profile.result_rows_physical =
-      result.result_ids ? result.result_ids->num_rows() : 0;
+  const std::shared_ptr<Relation>& rows =
+      result.projected ? result.projected : result.result_ids;
+  profile.result_rows_physical = rows ? rows->num_rows() : 0;
   profile.result_selectivity = result.result_selectivity;
   profile.spill_bytes = result.spill_bytes;
   profile.spill_files = result.spill_files;

@@ -295,8 +295,10 @@ Status RunRestartableTask(FaultContext& ctx, const std::string& job,
 }
 
 /// What the runner requires of a job before running it: inputs, map and
-/// reduce functions, at least one reduce task, and an all-int64 output
-/// schema (reducers emit rid rows through ReduceCollector).
+/// reduce functions, at least one reduce task, an all-int64 output schema
+/// (reducers emit rid rows through ReduceCollector), and a projection
+/// whose every column reads an existing rid column and a source column of
+/// its declared type.
 Status ValidateJobSpec(const MapReduceJobSpec& spec) {
   if (spec.inputs.empty()) {
     return Status::InvalidArgument("job '" + spec.name + "' has no inputs");
@@ -313,6 +315,16 @@ Status ValidateJobSpec(const MapReduceJobSpec& spec) {
       return Status::InvalidArgument("job '" + spec.name +
                                      "' output column '" + col.name +
                                      "' is not int64");
+    }
+  }
+  for (const ProjectedColumn& p : spec.projection) {
+    if (p.rid < 0 || p.rid >= spec.output_schema.num_columns() ||
+        p.relation == nullptr || p.column < 0 ||
+        p.column >= p.relation->schema().num_columns() ||
+        p.relation->schema().column(p.column).type != p.def.type) {
+      return Status::InvalidArgument(
+          "job '" + spec.name + "' projects column '" + p.def.name +
+          "' from a missing rid column or a source of another type");
     }
   }
   return Status::OK();

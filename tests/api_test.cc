@@ -25,6 +25,7 @@
 #include "src/workload/flights.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -57,6 +58,8 @@ void ExpectIdenticalRows(const Relation& a, const Relation& b) {
 
 // Facade results must be byte-identical to the legacy pipeline: same rows
 // in the same order, same simulated makespan, same per-job measurements.
+// A projected query is checked again without its outputs, which compares
+// the rid rows its projection reads.
 void CheckFacadeMatchesLegacy(const Query& query) {
   const StatusOr<ExecutionResult> legacy = RunLegacyPipeline(query);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
@@ -67,7 +70,7 @@ void CheckFacadeMatchesLegacy(const Query& query) {
 
   EXPECT_EQ(facade->makespan(), legacy->makespan);
   EXPECT_EQ(facade->selectivity(), legacy->result_selectivity);
-  ExpectIdenticalRows(*facade->execution().result_ids, *legacy->result_ids);
+  EXPECT_TRUE(SameRelation(facade->rows(), ResultRows(*legacy)));
   ASSERT_EQ(facade->jobs().size(), legacy->jobs.size());
   for (size_t i = 0; i < legacy->jobs.size(); ++i) {
     const JobExecution& fj = facade->jobs()[i];
@@ -85,6 +88,7 @@ void CheckFacadeMatchesLegacy(const Query& query) {
   if (legacy->projected != nullptr) {
     ASSERT_TRUE(facade->has_projection());
     ASSERT_EQ(facade->rows().num_rows(), legacy->projected->num_rows());
+    CheckFacadeMatchesLegacy(query.WithoutOutputs());
   }
 }
 
@@ -135,8 +139,7 @@ TEST(ThetaEngineTest, CalibrationAndStatsComputedOnceAcrossExecutes) {
     ASSERT_TRUE(again.ok());
     // Determinism contract: repeated Execute is byte-identical.
     EXPECT_EQ(again->makespan(), first->makespan());
-    ExpectIdenticalRows(*again->execution().result_ids,
-                        *first->execution().result_ids);
+    EXPECT_TRUE(SameRelation(again->rows(), first->rows()));
   }
 
   const EngineMetrics metrics = engine.metrics();
@@ -150,6 +153,15 @@ TEST(ThetaEngineTest, CalibrationAndStatsComputedOnceAcrossExecutes) {
   EXPECT_EQ(metrics.plan_cache_misses, 1);
   EXPECT_EQ(metrics.plan_cache_hits, 2);
   EXPECT_EQ(metrics.executions, 3);
+
+  // The rid rows behind the projection repeat byte for byte too.
+  const Query ids_query = query->WithoutOutputs();
+  const StatusOr<QueryResult> ids_first = engine.Execute(ids_query);
+  const StatusOr<QueryResult> ids_again = engine.Execute(ids_query);
+  ASSERT_TRUE(ids_first.ok());
+  ASSERT_TRUE(ids_again.ok());
+  EXPECT_TRUE(SameRelation(*ids_again->execution().result_ids,
+                           *ids_first->execution().result_ids));
 }
 
 TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
@@ -167,32 +179,34 @@ TEST(ThetaEngineTest, ConcurrentSubmitsMatchSequentialExecution) {
   const auto flights =
       ItineraryQueryBuilder(legs, {StayOver{}, StayOver{}}).Build();
   ASSERT_TRUE(flights.ok());
+  // Each query with and without its outputs: the projections and the rid
+  // rows they read.
+  const std::vector<Query> queries = {*mobile, mobile->WithoutOutputs(),
+                                      *flights, flights->WithoutOutputs()};
 
   // Sequential reference on its own session.
   ThetaEngine sequential;
-  const auto seq_mobile = sequential.Execute(*mobile);
-  const auto seq_flights = sequential.Execute(*flights);
-  ASSERT_TRUE(seq_mobile.ok());
-  ASSERT_TRUE(seq_flights.ok());
+  std::vector<QueryResult> seq;
+  for (const Query& query : queries) {
+    StatusOr<QueryResult> result = sequential.Execute(query);
+    ASSERT_TRUE(result.ok());
+    seq.push_back(*std::move(result));
+  }
 
   // Concurrent submissions on a multi-thread engine share the pool and
   // overlap; answers must not change.
   EngineOptions options;
   options.executor.num_threads = 2;
   ThetaEngine engine(options);
-  std::future<StatusOr<QueryResult>> f_mobile = engine.Submit(*mobile);
-  std::future<StatusOr<QueryResult>> f_flights = engine.Submit(*flights);
-  const StatusOr<QueryResult> par_mobile = f_mobile.get();
-  const StatusOr<QueryResult> par_flights = f_flights.get();
-  ASSERT_TRUE(par_mobile.ok()) << par_mobile.status().ToString();
-  ASSERT_TRUE(par_flights.ok()) << par_flights.status().ToString();
-
-  EXPECT_EQ(par_mobile->makespan(), seq_mobile->makespan());
-  EXPECT_EQ(par_flights->makespan(), seq_flights->makespan());
-  ExpectIdenticalRows(*par_mobile->execution().result_ids,
-                      *seq_mobile->execution().result_ids);
-  ExpectIdenticalRows(*par_flights->execution().result_ids,
-                      *seq_flights->execution().result_ids);
+  std::vector<std::future<StatusOr<QueryResult>>> futures;
+  for (const Query& query : queries) futures.push_back(engine.Submit(query));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const StatusOr<QueryResult> par = futures[q].get();
+    ASSERT_TRUE(par.ok()) << par.status().ToString();
+    EXPECT_EQ(par->makespan(), seq[q].makespan()) << "query " << q;
+    EXPECT_TRUE(SameRelation(par->rows(), seq[q].rows())) << "query " << q;
+    EXPECT_EQ(par->has_projection(), q % 2 == 0) << "query " << q;
+  }
   EXPECT_EQ(engine.metrics().calibrations, 1);
 }
 
@@ -212,7 +226,12 @@ TEST(ThetaEngineTest, PerQueryThreadsCapKeepsResults) {
   const TpchData db = GenerateTpch(tpch_options);
   const auto q17 = TpchQueryBuilder(17, db).Build();
   ASSERT_TRUE(q17.ok());
-  const std::vector<const Query*> queries = {&*mobile, &*q17};
+  // Each query with and without its outputs: the projections and the rid
+  // rows they read.
+  const Query mobile_ids = mobile->WithoutOutputs();
+  const Query q17_ids = q17->WithoutOutputs();
+  const std::vector<const Query*> queries = {&*mobile, &mobile_ids, &*q17,
+                                             &q17_ids};
 
   std::vector<std::vector<QueryResult>> results;  // [cap][query]
   for (int cap : {0, 1, 2}) {
@@ -236,9 +255,7 @@ TEST(ThetaEngineTest, PerQueryThreadsCapKeepsResults) {
                    std::to_string(cap));
       const QueryResult& capped = results[cap][q];
       EXPECT_EQ(capped.makespan(), ref.makespan());
-      ExpectIdenticalRows(*capped.execution().result_ids,
-                          *ref.execution().result_ids);
-      ExpectIdenticalRows(capped.rows(), ref.rows());
+      EXPECT_TRUE(SameRelation(capped.rows(), ref.rows()));
     }
   }
 }
@@ -463,27 +480,30 @@ TEST(PlanCacheTest, ConcurrentSubmitStormPlansOneShapeOnce) {
 
   EngineOptions engine_options;
   engine_options.executor.num_threads = 2;
-  ThetaEngine engine(engine_options);
-  constexpr int kStorm = 8;
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  futures.reserve(kStorm);
-  for (int i = 0; i < kStorm; ++i) futures.push_back(engine.Submit(*query));
+  // The query with and without its outputs, each on a fresh engine: the
+  // projections and the rid rows they read.
+  for (const Query& shape : {*query, query->WithoutOutputs()}) {
+    ThetaEngine engine(engine_options);
+    constexpr int kStorm = 8;
+    std::vector<std::future<StatusOr<QueryResult>>> futures;
+    futures.reserve(kStorm);
+    for (int i = 0; i < kStorm; ++i) futures.push_back(engine.Submit(shape));
 
-  std::vector<StatusOr<QueryResult>> results;
-  for (auto& future : futures) results.push_back(future.get());
-  for (const auto& result : results) {
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ExpectIdenticalRows(*result->execution().result_ids,
-                        *results.front()->execution().result_ids);
+    std::vector<StatusOr<QueryResult>> results;
+    for (auto& future : futures) results.push_back(future.get());
+    for (const auto& result : results) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(SameRelation(result->rows(), results.front()->rows()));
+    }
+
+    // The whole miss path runs under one lock hold, so a storm of one new
+    // shape plans exactly once no matter how the submissions interleave.
+    const EngineMetrics metrics = engine.metrics();
+    EXPECT_EQ(metrics.plan_cache_misses, 1);
+    EXPECT_EQ(metrics.plan_cache_hits, kStorm - 1);
+    EXPECT_EQ(metrics.plans, 1);
+    EXPECT_EQ(metrics.executions, kStorm);
   }
-
-  // The whole miss path runs under one lock hold, so a storm of one new
-  // shape plans exactly once no matter how the submissions interleave.
-  const EngineMetrics metrics = engine.metrics();
-  EXPECT_EQ(metrics.plan_cache_misses, 1);
-  EXPECT_EQ(metrics.plan_cache_hits, kStorm - 1);
-  EXPECT_EQ(metrics.plans, 1);
-  EXPECT_EQ(metrics.executions, kStorm);
 }
 
 TEST(PreparedQueryTest, PinSkipsPlanningAndSurvivesMutation) {
@@ -599,7 +619,6 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
   options.executor.num_threads = 2;
   options.max_inflight_queries = 1;
   options.max_queue_depth = 8;
-  ThetaEngine engine(options);
   MobileDataOptions data;
   // Large enough that the head query still holds the slot when the third
   // Submit returns: at 80 rows it could finish first, and a free slot
@@ -609,26 +628,30 @@ TEST(AdmissionControlTest, QueuedSubmissionsRunFifoAndRecordWait) {
   const auto query = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(query.ok());
 
-  const auto reference = engine.Execute(*query);
-  ASSERT_TRUE(reference.ok());
+  // The query with and without its outputs, each on a fresh engine: the
+  // projections and the rid rows they read.
+  for (const Query& shape : {*query, query->WithoutOutputs()}) {
+    ThetaEngine engine(options);
+    const auto reference = engine.Execute(shape);
+    ASSERT_TRUE(reference.ok());
 
-  // One slot: the second and third submissions must queue, wait their
-  // turn, and still produce byte-identical answers.
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  for (int i = 0; i < 3; ++i) futures.push_back(engine.Submit(*query));
-  for (auto& future : futures) {
-    const auto result = future.get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ExpectIdenticalRows(*result->execution().result_ids,
-                        *reference->execution().result_ids);
+    // One slot: the second and third submissions must queue, wait their
+    // turn, and still produce byte-identical answers.
+    std::vector<std::future<StatusOr<QueryResult>>> futures;
+    for (int i = 0; i < 3; ++i) futures.push_back(engine.Submit(shape));
+    for (auto& future : futures) {
+      const auto result = future.get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(SameRelation(result->rows(), reference->rows()));
+    }
+
+    EXPECT_EQ(engine.metrics().admission_rejections, 0);
+    // Every queued admission records its wait in the serving histogram; at
+    // least the two submissions behind the head must have queued.
+    MetricHistogram* wait = engine.metrics_registry().GetHistogram(
+        "engine_queue_wait_seconds", {}, 1e-6);
+    EXPECT_GE(wait->count(), 2);
   }
-
-  EXPECT_EQ(engine.metrics().admission_rejections, 0);
-  // Every queued admission records its wait in the serving histogram; at
-  // least the two submissions behind the head must have queued.
-  MetricHistogram* wait = engine.metrics_registry().GetHistogram(
-      "engine_queue_wait_seconds", {}, 1e-6);
-  EXPECT_GE(wait->count(), 2);
 }
 
 TEST(ThetaEngineTest, DiscardedSubmitFutureNeitherBlocksNorLeaks) {
@@ -969,6 +992,7 @@ TEST(ColumnPruningPlanTest, PrunedPlanMatchesFullWidthAcrossThreads) {
   QueryPlan full_width = *plan;
   for (PlanJob& job : full_width.jobs) job.output_columns.clear();
 
+  const Query ids_query = query->WithoutOutputs();
   for (int threads : {1, 4}) {
     ExecutorOptions exec = engine.options().executor;
     exec.num_threads = threads;
@@ -977,11 +1001,17 @@ TEST(ColumnPruningPlanTest, PrunedPlanMatchesFullWidthAcrossThreads) {
     ASSERT_TRUE(pruned.ok());
     ASSERT_TRUE(full.ok());
 
-    // Byte-identical projected rows (content AND order).
+    // Byte-identical projected rows (content AND order), and rid rows of
+    // the same plans run without the outputs.
     ASSERT_TRUE(pruned->has_projection());
-    ExpectIdenticalRows(pruned->rows(), full->rows());
-    ExpectIdenticalRows(*pruned->execution().result_ids,
-                        *full->execution().result_ids);
+    EXPECT_TRUE(SameRelation(pruned->rows(), full->rows()));
+    const auto pruned_ids = engine.ExecutePlan(ids_query, *plan, exec, 42);
+    const auto full_ids = engine.ExecutePlan(ids_query, full_width, exec, 42);
+    ASSERT_TRUE(pruned_ids.ok());
+    ASSERT_TRUE(full_ids.ok());
+    // Cells only: pruning narrows the rid columns' accounted widths.
+    ExpectIdenticalRows(*pruned_ids->execution().result_ids,
+                        *full_ids->execution().result_ids);
 
     // Identical structure and physical work, smaller simulated volumes.
     ASSERT_EQ(pruned->jobs().size(), full->jobs().size());
@@ -1028,16 +1058,24 @@ TEST(FilterQueryTest, FilteredQueryMatchesOracleAndShrinksShuffle) {
   EXPECT_LT(filtered_result->sim_shuffle_bytes(),
             plain_result->sim_shuffle_bytes());
 
-  // Exact answer: the rid multiset must equal the filtered oracle's.
+  // Exact answer: the rid multiset of the same plan run without the
+  // outputs must equal the filtered oracle's, and the projection must be
+  // read through those rids.
+  const auto plan = engine.PlanQuery(*filtered);
+  ASSERT_TRUE(plan.ok());
+  const Query ids_query = filtered->WithoutOutputs();
+  const auto ids = engine.ExecutePlan(ids_query, *plan);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
   std::vector<int> all_bases(filtered->num_relations());
   for (int i = 0; i < filtered->num_relations(); ++i) all_bases[i] = i;
   const auto oracle =
       NaiveMultiwayJoin(filtered->relations(), all_bases,
                         filtered->conditions(), filtered->filters());
   ASSERT_TRUE(oracle.ok());
-  const Relation sorted_ids =
-      SortedByRows(*filtered_result->execution().result_ids);
+  const Relation sorted_ids = SortedByRows(*ids->execution().result_ids);
   ExpectIdenticalRows(sorted_ids, *oracle);
+  EXPECT_TRUE(SameRelation(filtered_result->rows(),
+                           NaiveProjection(*filtered, ids->execution())));
 }
 
 TEST(FilterQueryTest, FilterValidationRejectsBadShapes) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/theta_engine.h"
 #include "src/baselines/baseline_planners.h"
 #include "src/common/rng.h"
 #include "src/core/column_pruning.h"
@@ -14,7 +15,9 @@
 #include "src/core/planner.h"
 #include "src/cost/calibration.h"
 #include "src/exec/naive_join.h"
+#include "src/obs/trace.h"
 #include "src/workload/tpch.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -373,11 +376,14 @@ TEST_F(CoreTest, ExecutorMatchesOracle) {
   Executor executor(cluster_.get());
   const auto result = executor.Execute(q, *plan);
   ASSERT_TRUE(result.ok());
+  // The rid rows behind the projection: the same plan without outputs.
+  const auto ids = executor.Execute(q.WithoutOutputs(), *plan);
+  ASSERT_TRUE(ids.ok());
 
   const auto oracle = NaiveMultiwayJoin(q.relations(), {0, 1, 2},
                                         q.conditions());
   ASSERT_TRUE(oracle.ok());
-  const Relation sorted_result = SortedByRows(*result->result_ids);
+  const Relation sorted_result = SortedByRows(*ids->result_ids);
   ASSERT_EQ(sorted_result.num_rows(), oracle->num_rows());
   for (int64_t r = 0; r < oracle->num_rows(); ++r) {
     for (int c = 0; c < 3; ++c) {
@@ -385,10 +391,13 @@ TEST_F(CoreTest, ExecutorMatchesOracle) {
     }
   }
   EXPECT_GT(result->makespan, 0);
-  // Projection produced one column (R2.a) per result row.
+  // Projection produced one column (R2.a) per result row, read through
+  // those rids, and no rid table.
   ASSERT_NE(result->projected, nullptr);
+  EXPECT_EQ(result->result_ids, nullptr);
   EXPECT_EQ(result->projected->num_rows(), oracle->num_rows());
   EXPECT_EQ(result->projected->schema().num_columns(), 1);
+  EXPECT_TRUE(SameRelation(*result->projected, NaiveProjection(q, *ids)));
 }
 
 TEST_F(CoreTest, AllPlannersAgreeOnResults) {
@@ -409,10 +418,15 @@ TEST_F(CoreTest, AllPlannersAgreeOnResults) {
     ASSERT_TRUE(plan.ok());
     const auto result = executor.Execute(q, *plan);
     ASSERT_TRUE(result.ok()) << plan->strategy;
+    // The rid rows behind the projection: the same plan without outputs.
+    const auto ids = executor.Execute(q.WithoutOutputs(), *plan);
+    ASSERT_TRUE(ids.ok()) << plan->strategy;
+    EXPECT_EQ(result->projected->num_rows(), ids->result_ids->num_rows())
+        << plan->strategy;
     if (expected_rows < 0) {
-      expected_rows = result->result_ids->num_rows();
+      expected_rows = ids->result_ids->num_rows();
     } else {
-      EXPECT_EQ(result->result_ids->num_rows(), expected_rows)
+      EXPECT_EQ(ids->result_ids->num_rows(), expected_rows)
           << plan->strategy;
     }
   }
@@ -561,6 +575,119 @@ TEST_F(CoreTest, ExecutorRejectsMalformedPlans) {
   EXPECT_FALSE(executor.Execute(q, forward_ref).ok());
 }
 
+// A plan that drops a relation or a condition, or names a condition the
+// query does not have, is rejected before any job runs: Execute returns
+// InvalidArgument and no "plan-job" span starts.
+class PlanCheckTest : public CoreTest {
+ protected:
+  // The chain query R0.a <= R1.a (θ0), R1.b = R2.b (θ1), projecting R2.a.
+  void SetUp() override {
+    CoreTest::SetUp();
+    query_ = ChainQuery(
+        {MakeRel(20, 5, 73), MakeRel(20, 5, 74), MakeRel(20, 5, 75)});
+  }
+
+  static PlanJob Job(PlanJobKind kind, std::vector<PlanInput> inputs,
+                     std::vector<int> thetas) {
+    PlanJob job;
+    job.kind = kind;
+    job.inputs = std::move(inputs);
+    job.thetas = std::move(thetas);
+    job.num_reduce_tasks = 2;
+    return job;
+  }
+
+  // Executes `plan`; fails the test unless it returns InvalidArgument
+  // with a message naming `what`, and no job started.
+  void ExpectRejected(const Query& q, const QueryPlan& plan,
+                      const std::string& what) {
+    Tracer tracer;
+    Status status;
+    {
+      TraceSession session(&tracer);
+      status = Executor(cluster_.get()).Execute(q, plan).status();
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(what), std::string::npos)
+        << status.ToString();
+    for (const TraceEvent& event : tracer.events()) {
+      EXPECT_NE(std::string(event.name), "plan-job");
+    }
+  }
+
+  Query query_;
+};
+
+TEST_F(PlanCheckTest, RejectsAnUnknownConditionId) {
+  for (int theta : {-1, 2}) {
+    QueryPlan plan;
+    plan.jobs = {Job(PlanJobKind::kHilbertJoin,
+                     {PlanInput::Base(0), PlanInput::Base(1),
+                      PlanInput::Base(2)},
+                     {0, 1, theta})};
+    ExpectRejected(query_, plan, "which the query does not have");
+  }
+}
+
+TEST_F(PlanCheckTest, RejectsALastJobThatMissesARelation) {
+  // One job over R0 and R1 with θ0 only. Before the check it returned OK
+  // with the rows of R0 ⋈ R1 and no R2 column.
+  QueryPlan plan;
+  plan.jobs = {Job(PlanJobKind::kThetaPair,
+                   {PlanInput::Base(0), PlanInput::Base(1)}, {0})};
+  ExpectRejected(query_.WithoutOutputs(), plan,
+                 "does not cover every query relation");
+  // Through the engine as well: a caller plan meets the same check.
+  ThetaEngine engine;
+  const auto result = engine.ExecutePlan(query_.WithoutOutputs(), plan);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(PlanCheckTest, RejectsAPlanThatDropsACondition) {
+  // Every relation is joined, but θ1 is evaluated by no job.
+  QueryPlan plan;
+  plan.jobs = {Job(PlanJobKind::kHilbertJoin,
+                   {PlanInput::Base(0), PlanInput::Base(1),
+                    PlanInput::Base(2)},
+                   {0})};
+  ExpectRejected(query_, plan, "does not evaluate every join condition");
+}
+
+TEST_F(PlanCheckTest, RejectsAJobThatNoLaterJobReads) {
+  // The last job (R1 ⋈ R2) ignores job 0 (R0 ⋈ R1). Before the check it
+  // returned OK with the rows of R1 ⋈ R2.
+  QueryPlan plan;
+  plan.jobs = {Job(PlanJobKind::kThetaPair,
+                   {PlanInput::Base(0), PlanInput::Base(1)}, {0}),
+               Job(PlanJobKind::kEquiJoin,
+                   {PlanInput::Base(1), PlanInput::Base(2)}, {1})};
+  ExpectRejected(query_, plan, "plan job 0 is read by no later job");
+}
+
+TEST_F(PlanCheckTest, RejectsAnOutputOnAnUncoveredBase) {
+  // The projection's base (R2) is not covered by the last job: checked
+  // before any job runs, where the projection used to find it after
+  // every job had run.
+  QueryPlan plan;
+  plan.jobs = {Job(PlanJobKind::kThetaPair,
+                   {PlanInput::Base(0), PlanInput::Base(1)}, {0})};
+  ExpectRejected(query_, plan,
+                 "projection references base not covered by result");
+}
+
+TEST_F(PlanCheckTest, AcceptsEveryPlannersPlan) {
+  Planner planner(cluster_.get(), params_);
+  for (const StatusOr<QueryPlan>& plan :
+       {planner.Plan(query_), PlanHiveStyle(query_, *cluster_),
+        PlanPigStyle(query_, *cluster_), PlanYSmartStyle(query_, *cluster_)}) {
+    ASSERT_TRUE(plan.ok());
+    const auto result = Executor(cluster_.get()).Execute(query_, *plan);
+    EXPECT_TRUE(result.ok()) << plan->strategy << ": "
+                             << result.status().ToString();
+  }
+}
+
 TEST_F(CoreTest, ResultSelectivityIsLogical) {
   std::vector<RelationPtr> rels = {
       MakeRel(80, 15, 80, 8000), MakeRel(80, 15, 81, 8000),
@@ -573,7 +700,7 @@ TEST_F(CoreTest, ResultSelectivityIsLogical) {
   // selectivity = logical result rows / (8000^3); logical rows scale the
   // physical count by 100 (β rule).
   const double expected =
-      static_cast<double>(result->result_ids->num_rows()) * 100.0 /
+      static_cast<double>(result->projected->num_rows()) * 100.0 /
       (8000.0 * 8000.0 * 8000.0);
   EXPECT_NEAR(result->result_selectivity, expected, expected * 0.01);
 }

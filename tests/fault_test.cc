@@ -34,6 +34,7 @@
 #include "src/workload/flights.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -387,14 +388,21 @@ class ChaosDifferentialTest : public ::testing::Test {
   // Plans `query` once, executes it fault-free, then replays it at
   // {1,2,4,8} threads x {0%,10%,30%} fault rates: rows (order included),
   // per-job metrics, makespan and shuffle volume must match the reference
-  // byte-for-byte.
+  // byte-for-byte. The plan also runs on the query without its outputs,
+  // whose rid rows the projection reads.
   void CheckChaosInvariance(const Query& query, const std::string& label) {
     const auto plan = planner_->Plan(query);
     ASSERT_TRUE(plan.ok()) << label;
+    CheckChaosInvariance(query, *plan, label);
+    CheckChaosInvariance(query.WithoutOutputs(), *plan, label + " ids");
+  }
+
+  void CheckChaosInvariance(const Query& query, const QueryPlan& plan,
+                            const std::string& label) {
     ExecutorOptions ref_options;
     ref_options.fault_plan = FaultPlan{};  // fault-free, env-proof
     const Executor reference(cluster_.get(), ref_options);
-    const auto ref = reference.Execute(query, *plan);
+    const auto ref = reference.Execute(query, plan);
     ASSERT_TRUE(ref.ok()) << label << ": " << ref.status().ToString();
 
     for (const double rate : {0.0, 0.1, 0.3}) {
@@ -415,7 +423,7 @@ class ChaosDifferentialTest : public ::testing::Test {
         options.retry.backoff_base_ms = 0.05;
         options.retry.backoff_max_ms = 0.5;
         const Executor executor(cluster_.get(), options);
-        const auto result = executor.Execute(query, *plan);
+        const auto result = executor.Execute(query, plan);
         const std::string at = label + " rate=" + std::to_string(rate) +
                                " threads=" + std::to_string(threads);
         ASSERT_TRUE(result.ok()) << at << ": " << result.status().ToString();
@@ -427,13 +435,10 @@ class ChaosDifferentialTest : public ::testing::Test {
               IdenticalMetrics(ref->jobs[j].metrics, result->jobs[j].metrics))
               << at << " job " << j;
         }
-        EXPECT_TRUE(IdenticalRelations(*ref->result_ids, *result->result_ids))
+        EXPECT_TRUE(SameRelation(ResultRows(*ref), ResultRows(*result)))
             << at;
-        if (ref->projected != nullptr) {
-          ASSERT_NE(result->projected, nullptr) << at;
-          EXPECT_TRUE(IdenticalRelations(*ref->projected, *result->projected))
-              << at;
-        }
+        EXPECT_EQ(result->projected != nullptr, !query.outputs().empty())
+            << at;
         if (rate > 0.0) {
           // The run must actually have been chaotic, or this test is
           // vacuous.
@@ -508,33 +513,38 @@ TEST_F(ChaosDifferentialTest, TinyBudgetChaosIsInvisibleAndLeaksNoFiles) {
   ExecutorOptions ref_options;
   ref_options.fault_plan = FaultPlan{};  // fault-free, env-proof
   const Executor reference(cluster_.get(), ref_options);
-  const auto ref = reference.Execute(*q, *plan);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  // The query with and without its outputs: the projections and the rid
+  // rows they read.
+  for (const Query& shape : {*q, q->WithoutOutputs()}) {
+    const auto ref = reference.Execute(shape, *plan);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-  for (const int threads : {1, 4}) {
-    ExecutorOptions options;
-    options.num_threads = threads;
-    options.mem_budget_bytes = 1;  // maximal spill pressure
-    options.fault_plan = FaultPlan{};
-    options.fault_plan.seed = 4321;
-    options.fault_plan.map_failure_rate = 0.2;
-    options.fault_plan.reduce_failure_rate = 0.2;
-    options.fault_plan.armed = true;
-    options.retry.max_attempts = 12;
-    options.retry.backoff_base_ms = 0.05;
-    options.retry.backoff_max_ms = 0.5;
-    const Executor executor(cluster_.get(), options);
-    const auto result = executor.Execute(*q, *plan);
-    ASSERT_TRUE(result.ok())
-        << "threads=" << threads << ": " << result.status().ToString();
-    EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
-    EXPECT_TRUE(IdenticalRelations(*ref->result_ids, *result->result_ids))
-        << "threads=" << threads;
-    EXPECT_GT(result->fault_report.injected_faults, 0)
-        << "threads=" << threads;
-    // The run must actually have spilled, or the cleanup check is vacuous.
-    EXPECT_GT(result->spill_bytes, 0) << "threads=" << threads;
-    EXPECT_TRUE(fs::is_empty(root, ec)) << "threads=" << threads;
+    for (const int threads : {1, 4}) {
+      ExecutorOptions options;
+      options.num_threads = threads;
+      options.mem_budget_bytes = 1;  // maximal spill pressure
+      options.fault_plan = FaultPlan{};
+      options.fault_plan.seed = 4321;
+      options.fault_plan.map_failure_rate = 0.2;
+      options.fault_plan.reduce_failure_rate = 0.2;
+      options.fault_plan.armed = true;
+      options.retry.max_attempts = 12;
+      options.retry.backoff_base_ms = 0.05;
+      options.retry.backoff_max_ms = 0.5;
+      const Executor executor(cluster_.get(), options);
+      const auto result = executor.Execute(shape, *plan);
+      ASSERT_TRUE(result.ok())
+          << "threads=" << threads << ": " << result.status().ToString();
+      EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
+      EXPECT_TRUE(SameRelation(ResultRows(*ref), ResultRows(*result)))
+          << "threads=" << threads;
+      EXPECT_GT(result->fault_report.injected_faults, 0)
+          << "threads=" << threads;
+      // The run must actually have spilled, or the cleanup check is
+      // vacuous.
+      EXPECT_GT(result->spill_bytes, 0) << "threads=" << threads;
+      EXPECT_TRUE(fs::is_empty(root, ec)) << "threads=" << threads;
+    }
   }
 
   // A *failing* execution (retries exhausted mid-run, spill files open)
@@ -676,7 +686,10 @@ TEST(EngineFaultTest, CancelInflightStopsAFaultFreeOneThreadJobMidway) {
   options.executor.fault_plan = FaultPlan{};
   ThetaEngine engine(options);
   MobileDataOptions data;
-  data.physical_rows = 2000;
+  // Large enough that the uncancelled run takes over 100 ms in Release
+  // (130-170 ms on a 4-vCPU VM), so the quarter-way cancel keeps a wide
+  // margin when the test thread is descheduled under load.
+  data.physical_rows = 6000;
   data.logical_bytes = 2 * kGiB;
   const auto q = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(q.ok());
@@ -692,6 +705,8 @@ TEST(EngineFaultTest, CancelInflightStopsAFaultFreeOneThreadJobMidway) {
   ASSERT_TRUE(engine.Execute(*q).ok());
   const std::chrono::duration<double> full =
       std::chrono::steady_clock::now() - start;
+  SCOPED_TRACE("uncancelled run took " + std::to_string(full.count()) +
+               " s");
   auto future = engine.Submit(*q);
   std::this_thread::sleep_for(full / 4);
   engine.CancelInflight();

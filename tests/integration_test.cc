@@ -13,6 +13,7 @@
 #include "src/workload/flights.h"
 #include "src/workload/mobile.h"
 #include "src/workload/tpch.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -28,7 +29,9 @@ class IntegrationTest : public ::testing::Test {
 
   // Runs the query with every planner, asserts identical results and
   // agreement with the oracle; returns the per-system simulated seconds
-  // in order {ours, ysmart, hive, pig}.
+  // in order {ours, ysmart, hive, pig}. Each plan also runs on the query
+  // without its outputs: its rid rows go to the oracle, and the projected
+  // run must be their projection.
   std::vector<double> CheckAllSystems(const Query& q) {
     std::vector<int> indices(q.num_relations());
     for (int i = 0; i < q.num_relations(); ++i) indices[i] = i;
@@ -49,7 +52,11 @@ class IntegrationTest : public ::testing::Test {
       EXPECT_TRUE(plan.ok());
       const auto result = executor.Execute(q, *plan);
       EXPECT_TRUE(result.ok()) << plan->strategy;
-      const Relation sorted = SortedByRows(*result->result_ids);
+      const auto ids = executor.Execute(q.WithoutOutputs(), *plan);
+      EXPECT_TRUE(ids.ok()) << plan->strategy;
+      EXPECT_TRUE(SameRelation(ResultRows(*result), NaiveProjection(q, *ids)))
+          << plan->strategy;
+      const Relation sorted = SortedByRows(*ids->result_ids);
       EXPECT_EQ(sorted.num_rows(), oracle->num_rows()) << plan->strategy;
       if (sorted.num_rows() == oracle->num_rows()) {
         int64_t mismatches = 0;
@@ -186,12 +193,16 @@ TEST_F(IntegrationTest, DeterministicAcrossRuns) {
   Executor executor(cluster_.get());
   const auto plan = planner.Plan(*q);
   ASSERT_TRUE(plan.ok());
-  const auto a = executor.Execute(*q, *plan, /*seed=*/7);
-  const auto b = executor.Execute(*q, *plan, /*seed=*/7);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->makespan, b->makespan);
-  EXPECT_EQ(a->result_ids->num_rows(), b->result_ids->num_rows());
+  // The query with and without its outputs: the projections and the rid
+  // rows they read.
+  for (const Query& query : {*q, q->WithoutOutputs()}) {
+    const auto a = executor.Execute(query, *plan, /*seed=*/7);
+    const auto b = executor.Execute(query, *plan, /*seed=*/7);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->makespan, b->makespan);
+    EXPECT_TRUE(SameRelation(ResultRows(*a), ResultRows(*b)));
+  }
 }
 
 }  // namespace

@@ -326,46 +326,133 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
                                {"b", ValueType::kInt64},
                                {"c", ValueType::kInt64}});
   spec.output_row_scale = 2.5;
-  // Rows emitted per reduce task: empty tasks between non-empty ones, and
-  // a job with no rows at all.
-  const std::vector<std::vector<int>> jobs = {{2, 0, 3, 0, 0, 1, 0},
-                                              {0, 0, 0}};
+  // The projected path reads two bases, each with a column of every type,
+  // through rid columns a and b.
+  std::vector<RelationPtr> bases;
+  Rng rng(23);
+  for (const char* name : {"b0", "b1"}) {
+    auto base = std::make_shared<Relation>(
+        name, Schema({{"i", ValueType::kInt64},
+                      {"d", ValueType::kDouble},
+                      {"s", ValueType::kString}}));
+    for (int64_t r = 0; r < 2000; ++r) {
+      ASSERT_TRUE(base->AppendRow(
+                          {Value(static_cast<int64_t>(rng.Uniform(1000))),
+                           Value(rng.UniformDouble()),
+                           Value(std::string(rng.Uniform(40), 'a' + r % 26))})
+                      .ok());
+    }
+    bases.push_back(base);
+  }
+  // (base, column, rid column) per output column: three columns of b0 and
+  // b1.s twice.
+  const std::vector<std::array<int, 3>> outputs = {
+      {0, 2, 0}, {1, 0, 1}, {0, 1, 0}, {1, 2, 1}, {1, 2, 1}, {0, 0, 0}};
+  MapReduceJobSpec projected = spec;
+  projected.output_name = "projection";
+  for (const auto& [b, c, rid] : outputs) {
+    const ColumnDef& src = bases[b]->schema().column(c);
+    projected.projection.push_back(
+        {ColumnDef("R" + std::to_string(b) + "." + src.name, src.type,
+                   src.avg_width),
+         bases[b], c, rid});
+  }
+  // Rows emitted per reduce task: empty tasks between non-empty ones, a
+  // job with no rows at all, and one large enough to span pages.
+  const std::vector<std::vector<int>> jobs = {
+      {2, 0, 3, 0, 0, 1, 0}, {0, 0, 0}, {400, 0, 0, 900, 0, 250}};
   ThreadPool one(1);
   ThreadPool four(4);
-  for (const std::vector<int>& task_rows : jobs) {
-    std::vector<int64_t> expected[3];
-    auto collect = [&](bool record) {
-      std::vector<ReduceCollector> tasks(task_rows.size(),
-                                         ReduceCollector(3));
-      int64_t next = 0;
-      for (size_t t = 0; t < task_rows.size(); ++t) {
-        for (int r = 0; r < task_rows[t]; ++r, ++next) {
-          const int64_t row[] = {next, 100 + next, 1000 * next};
-          tasks[t].Emit(row);
-          if (!record) continue;
-          for (int c = 0; c < 3; ++c) expected[c].push_back(row[c]);
+  for (const MapReduceJobSpec* job : {&spec, &projected}) {
+    for (const std::vector<int>& task_rows : jobs) {
+      SCOPED_TRACE(job->output_name + " with " +
+                   std::to_string(task_rows.size()) + " tasks");
+      std::vector<int64_t> expected[3];
+      auto collect = [&](bool record) {
+        std::vector<ReduceCollector> tasks(task_rows.size(),
+                                           ReduceCollector(3));
+        int64_t next = 0;
+        for (size_t t = 0; t < task_rows.size(); ++t) {
+          for (int r = 0; r < task_rows[t]; ++r, ++next) {
+            const int64_t row[] = {next, 100 + next, 1000 * next};
+            tasks[t].Emit(row);
+            if (!record) continue;
+            for (int c = 0; c < 3; ++c) expected[c].push_back(row[c]);
+          }
+        }
+        return tasks;
+      };
+      std::vector<ReduceCollector> inline_tasks = collect(true);
+      std::vector<ReduceCollector> pooled_tasks = collect(false);
+      PhysicalJobResult inline_result;
+      PhysicalJobResult pooled;
+      ASSERT_TRUE(
+          FinishJobOutput(*job, inline_tasks, inline_result, one).ok());
+      ASSERT_TRUE(FinishJobOutput(*job, pooled_tasks, pooled, four).ok());
+      const int64_t rows = static_cast<int64_t>(expected[0].size());
+      EXPECT_EQ(pooled.metrics.output_rows_physical, rows);
+      EXPECT_EQ(inline_result.metrics.output_rows_physical,
+                pooled.metrics.output_rows_physical);
+      EXPECT_EQ(inline_result.metrics.output_rows_logical,
+                pooled.metrics.output_rows_logical);
+      EXPECT_EQ(pooled.metrics.output_rows_logical, 2.5 * rows);
+      ASSERT_EQ(pooled.output->num_rows(), rows);
+      EXPECT_EQ(pooled.output->name(), job->output_name);
+      if (job == &spec) {
+        EXPECT_EQ(pooled.output->logical_rows(),
+                  pooled.metrics.LogicalOutputRows());
+        for (int c = 0; c < 3; ++c) {
+          EXPECT_EQ(*pooled.output->TryColumn<int64_t>(c), expected[c]);
+          EXPECT_EQ(*inline_result.output->TryColumn<int64_t>(c),
+                    expected[c]);
+        }
+        continue;
+      }
+      // The projection counts its physical rows as logical, and its
+      // logical bytes are the logical rows at the projected width.
+      EXPECT_EQ(pooled.output->logical_rows(), rows);
+      EXPECT_EQ(pooled.metrics.output_bytes_logical,
+                static_cast<int64_t>(
+                    2.5 * rows *
+                    static_cast<double>(
+                        pooled.output->schema().avg_row_bytes())));
+      // A naive loop over the concatenated rid columns.
+      for (size_t c = 0; c < outputs.size(); ++c) {
+        const auto& [b, col, rid] = outputs[c];
+        const ColumnDef& def = pooled.output->schema().column(
+            static_cast<int>(c));
+        EXPECT_EQ(def.name, projected.projection[c].def.name);
+        EXPECT_EQ(def.type, bases[b]->schema().column(col).type);
+        EXPECT_EQ(def.avg_width, bases[b]->schema().column(col).avg_width);
+        for (int64_t r = 0; r < rows; ++r) {
+          const Value want = bases[b]->Get(expected[rid][r], col);
+          ASSERT_EQ(pooled.output->Get(r, static_cast<int>(c)), want)
+              << "row " << r << ", column " << c;
+          ASSERT_EQ(inline_result.output->Get(r, static_cast<int>(c)), want)
+              << "row " << r << ", column " << c;
         }
       }
-      return tasks;
-    };
-    std::vector<ReduceCollector> inline_tasks = collect(true);
-    std::vector<ReduceCollector> pooled_tasks = collect(false);
-    PhysicalJobResult inline_result;
-    PhysicalJobResult pooled;
-    ASSERT_TRUE(FinishJobOutput(spec, inline_tasks, inline_result, one).ok());
-    ASSERT_TRUE(FinishJobOutput(spec, pooled_tasks, pooled, four).ok());
-    EXPECT_EQ(pooled.metrics.output_rows_physical,
-              static_cast<int64_t>(expected[0].size()));
-    EXPECT_EQ(inline_result.metrics.output_rows_physical,
-              pooled.metrics.output_rows_physical);
-    EXPECT_EQ(inline_result.metrics.output_rows_logical,
-              pooled.metrics.output_rows_logical);
-    ASSERT_EQ(pooled.output->num_rows(),
-              static_cast<int64_t>(expected[0].size()));
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(*pooled.output->TryColumn<int64_t>(c), expected[c]);
-      EXPECT_EQ(*inline_result.output->TryColumn<int64_t>(c), expected[c]);
     }
+  }
+}
+
+TEST(JobRunnerTest, ValidatesProjection) {
+  RelationPtr base = MakeInts(10);
+  MapReduceJobSpec good = CountJob(base, 2);
+  good.projection = {{ColumnDef("R0.v", ValueType::kInt64), base, 1, 0}};
+  const auto result = RunJob(good);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->output->schema().column(0).name, "R0.v");
+
+  // A rid column the reducers do not emit, a source column out of range,
+  // and a declared type that is not the source's.
+  for (const ProjectedColumn& bad :
+       {ProjectedColumn{ColumnDef("x", ValueType::kInt64), base, 1, 2},
+        ProjectedColumn{ColumnDef("x", ValueType::kInt64), base, 2, 0},
+        ProjectedColumn{ColumnDef("x", ValueType::kDouble), base, 1, 0}}) {
+    MapReduceJobSpec spec = CountJob(base, 2);
+    spec.projection = {bad};
+    EXPECT_EQ(RunJob(spec).status().code(), StatusCode::kInvalidArgument);
   }
 }
 

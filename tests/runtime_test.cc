@@ -32,6 +32,7 @@
 #include "src/runtime/dag_scheduler.h"
 #include "src/runtime/parallel_job_runner.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -655,31 +656,33 @@ TEST_F(RuntimeExecutorTest, ParallelPlanExecutionMatchesSequential) {
                                             PlanHiveStyle(q, *cluster_)};
   for (const auto& plan : plans) {
     ASSERT_TRUE(plan.ok());
-    Executor one_thread(cluster_.get());
-    const auto ref = one_thread.Execute(q, *plan);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    for (int threads : {2, 4, 8}) {
-      ExecutorOptions options;
-      options.num_threads = threads;
-      Executor executor(cluster_.get(), options);
-      const auto result = executor.Execute(q, *plan);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      // Simulated accounting must be byte-identical: same makespan, same
-      // per-job metrics, same outputs in the same order.
-      EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
-      EXPECT_GT(result->measured_seconds, 0.0);
-      ASSERT_EQ(result->jobs.size(), ref->jobs.size());
-      for (size_t j = 0; j < ref->jobs.size(); ++j) {
-        EXPECT_TRUE(IdenticalMetrics(ref->jobs[j].metrics,
-                                     result->jobs[j].metrics))
-            << "job " << j << " threads=" << threads;
-        EXPECT_GE(result->jobs[j].wall_seconds, 0.0);
+    // The query with and without its outputs: the projections and the rid
+    // rows they read.
+    for (const Query& shape : {q, q.WithoutOutputs()}) {
+      Executor one_thread(cluster_.get());
+      const auto ref = one_thread.Execute(shape, *plan);
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      for (int threads : {2, 4, 8}) {
+        ExecutorOptions options;
+        options.num_threads = threads;
+        Executor executor(cluster_.get(), options);
+        const auto result = executor.Execute(shape, *plan);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        // Simulated accounting must be byte-identical: same makespan, same
+        // per-job metrics, same outputs in the same order.
+        EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
+        EXPECT_GT(result->measured_seconds, 0.0);
+        ASSERT_EQ(result->jobs.size(), ref->jobs.size());
+        for (size_t j = 0; j < ref->jobs.size(); ++j) {
+          EXPECT_TRUE(IdenticalMetrics(ref->jobs[j].metrics,
+                                       result->jobs[j].metrics))
+              << "job " << j << " threads=" << threads;
+          EXPECT_GE(result->jobs[j].wall_seconds, 0.0);
+        }
+        EXPECT_TRUE(SameRelation(ResultRows(*ref), ResultRows(*result)))
+            << "threads=" << threads;
+        EXPECT_EQ(result->projected != nullptr, !shape.outputs().empty());
       }
-      EXPECT_TRUE(
-          IdenticalRelations(*ref->result_ids, *result->result_ids))
-          << "threads=" << threads;
-      ASSERT_NE(result->projected, nullptr);
-      EXPECT_TRUE(IdenticalRelations(*ref->projected, *result->projected));
     }
   }
 }
@@ -692,28 +695,130 @@ TEST_F(RuntimeExecutorTest, BudgetedExecutionMatchesUnbudgeted) {
   const auto plan = planner.Plan(q);
   ASSERT_TRUE(plan.ok());
   Executor one_thread(cluster_.get());
-  const auto ref = one_thread.Execute(q, *plan);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  // (No spill assertion on the reference: under a $MRTHETA_MEM_BUDGET CI
-  // leg even the default-options executor is budgeted and may spill.)
-  for (int threads : {1, 4}) {
-    ExecutorOptions options;
-    options.num_threads = threads;
-    options.mem_budget_bytes = 1;
-    Executor executor(cluster_.get(), options);
-    const auto result = executor.Execute(q, *plan);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
-    ASSERT_EQ(result->jobs.size(), ref->jobs.size());
-    for (size_t j = 0; j < ref->jobs.size(); ++j) {
-      EXPECT_TRUE(
-          IdenticalMetrics(ref->jobs[j].metrics, result->jobs[j].metrics))
-          << "job " << j << " threads=" << threads;
+  // The query with and without its outputs: the projections and the rid
+  // rows they read.
+  for (const Query& shape : {q, q.WithoutOutputs()}) {
+    const auto ref = one_thread.Execute(shape, *plan);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    // (No spill assertion on the reference: under a $MRTHETA_MEM_BUDGET CI
+    // leg even the default-options executor is budgeted and may spill.)
+    for (int threads : {1, 4}) {
+      ExecutorOptions options;
+      options.num_threads = threads;
+      options.mem_budget_bytes = 1;
+      Executor executor(cluster_.get(), options);
+      const auto result = executor.Execute(shape, *plan);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->makespan, ref->makespan) << "threads=" << threads;
+      ASSERT_EQ(result->jobs.size(), ref->jobs.size());
+      for (size_t j = 0; j < ref->jobs.size(); ++j) {
+        EXPECT_TRUE(
+            IdenticalMetrics(ref->jobs[j].metrics, result->jobs[j].metrics))
+            << "job " << j << " threads=" << threads;
+      }
+      EXPECT_TRUE(SameRelation(ResultRows(*ref), ResultRows(*result)))
+          << "threads=" << threads;
+      // The ledger saw the run: the process high-water mark is non-zero.
+      EXPECT_GT(result->peak_mem_bytes, 0) << "threads=" << threads;
     }
-    EXPECT_TRUE(IdenticalRelations(*ref->result_ids, *result->result_ids))
-        << "threads=" << threads;
-    // The ledger saw the run: the process high-water mark is non-zero.
-    EXPECT_GT(result->peak_mem_bytes, 0) << "threads=" << threads;
+  }
+}
+
+// The last job writes the query's projection straight from its reducers'
+// rid columns. For a last job of each kind, the projected run's rows must
+// be byte-identical, order included, to a naive projection of the rid
+// table the same plan yields without the outputs: at 1 and 4 threads,
+// unbudgeted and at 256 KiB, with and without the CI fault plan.
+TEST_F(RuntimeExecutorTest, ProjectionMatchesNaiveProjectionOfRidRows) {
+  // Three relations with a column of each type.
+  Query q;
+  Rng rng(1310);
+  for (const char* name : {"r0", "r1", "r2"}) {
+    auto rel = std::make_shared<Relation>(
+        name, Schema({{"a", ValueType::kInt64},
+                      {"b", ValueType::kInt64},
+                      {"d", ValueType::kDouble},
+                      {"s", ValueType::kString}}));
+    for (int64_t r = 0; r < 70; ++r) {
+      const std::string s(rng.Uniform(30), static_cast<char>('a' + r % 26));
+      ASSERT_TRUE(rel->AppendRow({Value(static_cast<int64_t>(rng.Uniform(20))),
+                                  Value(static_cast<int64_t>(rng.Uniform(8))),
+                                  Value(rng.UniformDouble()), Value(s)})
+                      .ok());
+    }
+    q.AddRelation(rel);
+  }
+  ASSERT_TRUE(q.AddCondition(0, "a", ThetaOp::kLe, 1, "a").ok());  // θ0
+  ASSERT_TRUE(q.AddCondition(1, "b", ThetaOp::kEq, 2, "b").ok());  // θ1
+  // Every type, two columns of R0, and R2.s twice.
+  for (const auto& [rel, col] :
+       std::vector<std::pair<int, const char*>>{{0, "s"}, {2, "d"}, {1, "a"},
+                                                {0, "a"}, {2, "s"}, {2, "s"}}) {
+    ASSERT_TRUE(q.AddOutput(rel, col).ok());
+  }
+  const Query ids_query = q.WithoutOutputs();
+
+  auto job = [](PlanJobKind kind, std::vector<PlanInput> inputs,
+                std::vector<int> thetas) {
+    PlanJob pj;
+    pj.kind = kind;
+    pj.inputs = std::move(inputs);
+    pj.thetas = std::move(thetas);
+    pj.num_reduce_tasks = 5;
+    return pj;
+  };
+  const PlanInput r0 = PlanInput::Base(0);
+  const PlanInput r1 = PlanInput::Base(1);
+  const PlanInput r2 = PlanInput::Base(2);
+  std::vector<QueryPlan> plans(4);
+  plans[0].jobs = {job(PlanJobKind::kHilbertJoin, {r0, r1, r2}, {0, 1})};
+  plans[1].jobs = {job(PlanJobKind::kThetaPair, {r0, r1}, {0}),
+                   job(PlanJobKind::kEquiJoin, {PlanInput::Job(0), r2}, {1})};
+  const auto hive = PlanHiveStyle(q, *cluster_);  // equi, then 1-Bucket-Theta
+  ASSERT_TRUE(hive.ok());
+  plans[2] = *hive;
+  plans[3].jobs = {job(PlanJobKind::kThetaPair, {r0, r1}, {0}),
+                   job(PlanJobKind::kEquiJoin, {r1, r2}, {1}),
+                   job(PlanJobKind::kMerge,
+                       {PlanInput::Job(0), PlanInput::Job(1)}, {})};
+  const std::vector<PlanJobKind> last_kinds = {
+      PlanJobKind::kHilbertJoin, PlanJobKind::kEquiJoin,
+      PlanJobKind::kThetaPair, PlanJobKind::kMerge};
+
+  const auto ci_faults =
+      FaultPlan::Parse("seed=7,map=0.1,reduce=0.1,straggler=0.05,delay_ms=2");
+  ASSERT_TRUE(ci_faults.ok());
+  for (size_t p = 0; p < plans.size(); ++p) {
+    ASSERT_EQ(plans[p].jobs.back().kind, last_kinds[p]) << "plan " << p;
+    for (int threads : {1, 4}) {
+      for (int64_t budget : {int64_t{0}, int64_t{256} << 10}) {
+        for (bool chaos : {false, true}) {
+          const std::string at =
+              "plan " + std::to_string(p) + " threads=" +
+              std::to_string(threads) + " budget=" + std::to_string(budget) +
+              (chaos ? " chaos" : "");
+          ExecutorOptions options;
+          options.num_threads = threads;
+          options.mem_budget_bytes = budget;
+          options.fault_plan = chaos ? *ci_faults : FaultPlan{};
+          const Executor executor(cluster_.get(), options);
+          const auto got = executor.Execute(q, plans[p]);
+          const auto ids = executor.Execute(ids_query, plans[p]);
+          ASSERT_TRUE(got.ok()) << at << ": " << got.status().ToString();
+          ASSERT_TRUE(ids.ok()) << at << ": " << ids.status().ToString();
+          ASSERT_GT(ids->result_ids->num_rows(), 0) << at;
+          // One copy of the rows: the projection is the last job's output.
+          EXPECT_EQ(got->result_ids, nullptr) << at;
+          EXPECT_EQ(got->projected, got->jobs.back().output) << at;
+          EXPECT_TRUE(SameRelation(*got->projected, NaiveProjection(q, *ids)))
+              << at;
+          EXPECT_EQ(got->result_selectivity, ids->result_selectivity) << at;
+          EXPECT_EQ(got->jobs.back().metrics.output_rows_logical,
+                    ids->jobs.back().metrics.output_rows_logical)
+              << at;
+        }
+      }
+    }
   }
 }
 

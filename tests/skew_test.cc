@@ -23,6 +23,7 @@
 #include "src/sched/skew_assigner.h"
 #include "src/stats/table_stats.h"
 #include "src/workload/mobile.h"
+#include "tests/result_checks.h"
 
 namespace mrtheta {
 namespace {
@@ -423,18 +424,21 @@ TEST_F(SkewExecutorTest, SkewedMobilePlanIsFlaggedAndResultInvariant) {
   ExecutorOptions off;
   off.skew_handling = SkewHandling::kOff;
   Executor reference(cluster_.get(), off);
-  const auto ref = reference.Execute(*query, *plan);
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  for (int threads : {1, 2, 4}) {
-    ExecutorOptions opts;
-    opts.skew_handling = SkewHandling::kAuto;
-    opts.num_threads = threads;
-    Executor executor(cluster_.get(), opts);
-    const auto got = executor.Execute(*query, *plan);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(SortedRows(*ref->result_ids), SortedRows(*got->result_ids))
-        << "threads=" << threads;
+  // The query with and without its outputs: the projections and the rid
+  // rows they read.
+  for (const Query& shape : {*query, query->WithoutOutputs()}) {
+    const auto ref = reference.Execute(shape, *plan);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (int threads : {1, 2, 4}) {
+      ExecutorOptions opts;
+      opts.skew_handling = SkewHandling::kAuto;
+      opts.num_threads = threads;
+      Executor executor(cluster_.get(), opts);
+      const auto got = executor.Execute(shape, *plan);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(SortedRows(ResultRows(*ref)), SortedRows(ResultRows(*got)))
+          << "threads=" << threads;
+    }
   }
 }
 
