@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
               result->measured_seconds(), flags->num_threads,
               FormatSimTime(result->makespan()).c_str());
 
-  // 5b. The same execution as a profile tree (ExplainAnalyze runs a fresh
-  // execution; here we reuse the one above via QueryResult::profile()).
+  // 5b. The same execution as a profile tree (QueryResult::profile()).
   std::printf("\nprofile:\n%s\n", result->profile().ToTable().c_str());
 
   // 6. Compare against the Hive-style baseline on the same session.

@@ -74,8 +74,7 @@ int main(int argc, char** argv) {
               result->measured_seconds(), flags->num_threads,
               FormatSimTime(result->makespan()).c_str());
 
-  std::printf("\nprofile (QueryResult::profile, same data as "
-              "ExplainAnalyze):\n%s\n",
+  std::printf("\nprofile (QueryResult::profile):\n%s\n",
               result->profile().ToTable().c_str());
 
   if (const Status s = obs.Finish(&engine.metrics_registry()); !s.ok()) {

@@ -30,22 +30,4 @@ Status EngineOptions::Validate() const {
   return Status::OK();
 }
 
-std::string EngineOptions::ToString() const {
-  std::string out = "EngineOptions{" + cluster.ToString();
-  out += ", threads=" + std::to_string(executor.num_threads);
-  out += ", seed=" + std::to_string(execution_seed);
-  if (max_inflight_queries > 0) {
-    out += ", max_inflight_queries=" + std::to_string(max_inflight_queries);
-    out += ", max_queue_depth=" + std::to_string(max_queue_depth);
-  }
-  if (per_query_threads > 0) {
-    out += ", per_query_threads=" + std::to_string(per_query_threads);
-  }
-  if (executor.fault_plan.enabled()) {
-    out += ", " + executor.fault_plan.ToString();
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace mrtheta

@@ -2,7 +2,6 @@
 #define MRTHETA_API_ENGINE_OPTIONS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/common/status.h"
 #include "src/core/executor.h"
@@ -48,8 +47,6 @@ struct EngineOptions {
   /// Cross-field validation; every ThetaEngine entry point fails with this
   /// status when the options are inconsistent.
   Status Validate() const;
-
-  std::string ToString() const;
 };
 
 }  // namespace mrtheta

@@ -160,23 +160,6 @@ StatusOr<ThetaEngine::PlannedQuery> ThetaEngine::PlanForExecution(
   return out;
 }
 
-StatusOr<ThetaEngine::PlannedQuery> ThetaEngine::PlanPinnedOrExecution(
-    const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
-    const std::string& pinned_key) {
-  // A fresh pin needs no lock: the key match proves the pinned plan was
-  // chosen for exactly this content, and the pin keeps it alive
-  // independently of LRU eviction. A mismatch (some input mutated since
-  // Prepare) falls through to the shared cache path.
-  if (pinned != nullptr && PlanCacheKey(query) == pinned_key) {
-    registry_.GetCounter("engine_plan_cache_hits")->Increment();
-    PlannedQuery out;
-    out.plan = pinned;
-    out.cache_hit = true;
-    return out;
-  }
-  return PlanForExecution(query);
-}
-
 void ThetaEngine::InsertPlanLocked(const std::string& key,
                                    std::shared_ptr<const QueryPlan> plan,
                                    std::vector<TableStats> stats) {
@@ -191,17 +174,18 @@ void ThetaEngine::InsertPlanLocked(const std::string& key,
   }
 }
 
-StatusOr<QueryResult> ThetaEngine::ExecuteResolved(
-    const Query& query, const PlannedQuery& planned,
-    const CancellationToken* token) {
+StatusOr<QueryResult> ThetaEngine::ExecuteCancellable(
+    const Query& query, const CancellationToken* token) {
+  StatusOr<PlannedQuery> planned = PlanForExecution(query);
+  if (!planned.ok()) return planned.status();
   ExecutorOptions opts = options_.executor;
   opts.cancel_token = token;
   if (options_.per_query_threads > 0) {
     opts.num_threads = std::min(opts.num_threads, options_.per_query_threads);
   }
   StatusOr<QueryResult> result =
-      ExecutePlan(query, *planned.plan, opts, options_.execution_seed);
-  if (result.ok()) result->set_plan_cache_hit(planned.cache_hit);
+      ExecutePlan(query, *planned->plan, opts, options_.execution_seed);
+  if (result.ok()) result->set_plan_cache_hit(planned->cache_hit);
   return result;
 }
 
@@ -221,9 +205,7 @@ StatusOr<PlanReport> ThetaEngine::Explain(const Query& query) {
 }
 
 StatusOr<QueryResult> ThetaEngine::Execute(const Query& query) {
-  StatusOr<PlannedQuery> planned = PlanForExecution(query);
-  if (!planned.ok()) return planned.status();
-  return ExecuteResolved(query, *planned, nullptr);
+  return ExecuteCancellable(query, nullptr);
 }
 
 StatusOr<QueryResult> ThetaEngine::Execute(const QueryBuilder& builder) {
@@ -232,26 +214,7 @@ StatusOr<QueryResult> ThetaEngine::Execute(const QueryBuilder& builder) {
   return Execute(*query);
 }
 
-StatusOr<QueryProfile> ThetaEngine::ExplainAnalyze(const Query& query) {
-  StatusOr<QueryResult> result = Execute(query);
-  if (!result.ok()) return result.status();
-  return result->profile();
-}
-
-StatusOr<QueryProfile> ThetaEngine::ExplainAnalyze(
-    const QueryBuilder& builder) {
-  StatusOr<Query> query = builder.Build();
-  if (!query.ok()) return query.status();
-  return ExplainAnalyze(*query);
-}
-
 std::future<StatusOr<QueryResult>> ThetaEngine::Submit(Query query) {
-  return SubmitInternal(std::move(query), nullptr, std::string());
-}
-
-std::future<StatusOr<QueryResult>> ThetaEngine::SubmitInternal(
-    Query query, std::shared_ptr<const QueryPlan> pinned,
-    std::string pinned_key) {
   auto promise = std::make_shared<std::promise<StatusOr<QueryResult>>>();
   std::future<StatusOr<QueryResult>> future = promise->get_future();
   // Each submission carries its own cancellation token, registered so
@@ -311,8 +274,7 @@ std::future<StatusOr<QueryResult>> ThetaEngine::SubmitInternal(
   // destructor's drain keeps `this` alive for the whole Execute.
   CoordinationTask task{
       [this, token, deregister, admitted, queued, ticket,
-       q = std::move(query), pinned = std::move(pinned),
-       key = std::move(pinned_key)]() -> StatusOr<QueryResult> {
+       q = std::move(query)]() -> StatusOr<QueryResult> {
         bool holds_slot = admitted;
         StatusOr<QueryResult> result = [&]() -> StatusOr<QueryResult> {
           TraceSpan span("submit", "engine");
@@ -321,7 +283,7 @@ std::future<StatusOr<QueryResult>> ThetaEngine::SubmitInternal(
             if (!admit.ok()) return admit;
             holds_slot = true;
           }
-          return ExecuteCancellable(q, pinned, key, token.get());
+          return ExecuteCancellable(q, token.get());
         }();
         if (holds_slot) ReleaseAdmission();
         deregister();
@@ -448,15 +410,6 @@ void ThetaEngine::CancelInflight() {
   admission_cv_.NotifyAll();
 }
 
-StatusOr<QueryResult> ThetaEngine::ExecuteCancellable(
-    const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
-    const std::string& pinned_key, const CancellationToken* token) {
-  StatusOr<PlannedQuery> planned =
-      PlanPinnedOrExecution(query, pinned, pinned_key);
-  if (!planned.ok()) return planned.status();
-  return ExecuteResolved(query, *planned, token);
-}
-
 std::future<StatusOr<QueryResult>> ThetaEngine::Submit(
     const QueryBuilder& builder) {
   StatusOr<Query> query = builder.Build();
@@ -466,52 +419,6 @@ std::future<StatusOr<QueryResult>> ThetaEngine::Submit(
     return failed.get_future();
   }
   return Submit(*std::move(query));
-}
-
-StatusOr<PreparedQuery> ThetaEngine::Prepare(const Query& query) {
-  StatusOr<PlannedQuery> planned = PlanForExecution(query);
-  if (!planned.ok()) return planned.status();
-  PreparedQuery prepared;
-  prepared.engine_ = this;
-  prepared.query_ = query;
-  prepared.plan_ = planned->plan;
-  prepared.cache_key_ = PlanCacheKey(query);
-  return prepared;
-}
-
-StatusOr<PreparedQuery> ThetaEngine::Prepare(const QueryBuilder& builder) {
-  StatusOr<Query> query = builder.Build();
-  if (!query.ok()) return query.status();
-  return Prepare(*query);
-}
-
-StatusOr<QueryResult> PreparedQuery::Execute() const {
-  if (engine_ == nullptr) {
-    return Status::FailedPrecondition(
-        "PreparedQuery is empty (default-constructed); obtain one from "
-        "ThetaEngine::Prepare");
-  }
-  StatusOr<ThetaEngine::PlannedQuery> planned =
-      engine_->PlanPinnedOrExecution(query_, plan_, cache_key_);
-  if (!planned.ok()) return planned.status();
-  return engine_->ExecuteResolved(query_, *planned, nullptr);
-}
-
-std::future<StatusOr<QueryResult>> PreparedQuery::Submit() const {
-  if (engine_ == nullptr) {
-    std::promise<StatusOr<QueryResult>> failed;
-    failed.set_value(Status::FailedPrecondition(
-        "PreparedQuery is empty (default-constructed); obtain one from "
-        "ThetaEngine::Prepare"));
-    return failed.get_future();
-  }
-  return engine_->SubmitInternal(query_, plan_, cache_key_);
-}
-
-StatusOr<QueryProfile> PreparedQuery::ExplainAnalyze() const {
-  StatusOr<QueryResult> result = Execute();
-  if (!result.ok()) return result.status();
-  return result->profile();
 }
 
 StatusOr<QueryResult> ThetaEngine::ExecutePlan(const Query& query,

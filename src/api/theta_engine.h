@@ -71,53 +71,6 @@ struct EngineMetrics {
   int64_t peak_mem_bytes = 0;  ///< budget high-water mark (last execution)
 };
 
-class ThetaEngine;
-
-/// \brief A query prepared against a ThetaEngine: the validated Query plus
-/// a pinned plan out of the engine's plan cache, unifying the Query- and
-/// QueryBuilder-shaped entry points behind one handle.
-///
-///   StatusOr<PreparedQuery> p = engine.Prepare(builder);   // plans once
-///   for (...) auto result = p->Execute();                  // never re-plans
-///
-/// Execute/Submit/ExplainAnalyze behave exactly like the engine's own
-/// overloads, except planning is skipped while the pin is *fresh*: on each
-/// call the engine recomputes the cache key (structure + every input's
-/// Relation::generation()); a match executes the pinned plan (counted as a
-/// plan-cache hit), a mismatch — some input was mutated since Prepare —
-/// transparently re-plans through the cache, so a stale handle is never
-/// wrong, only slower. The pin keeps the plan alive independently of LRU
-/// eviction. Handles are cheap value types (the plan is shared, the query
-/// holds RelationPtr refs); the engine must outlive every handle. Thread
-/// safety follows the engine's: concurrent calls on one handle are safe.
-class PreparedQuery {
- public:
-  PreparedQuery() = default;
-
-  const Query& query() const { return query_; }
-  /// The plan pinned at Prepare time (what a fresh Execute will run).
-  const QueryPlan& plan() const { return *plan_; }
-
-  /// Executes on the engine's runtime, skipping planning while fresh.
-  StatusOr<QueryResult> Execute() const;
-  /// Asynchronous Execute on the engine's shared pool; admission-controlled
-  /// like every Submit (docs/API.md "Serving").
-  std::future<StatusOr<QueryResult>> Submit() const;
-  /// Executes and returns the per-job profile; profile.plan_cache_hit
-  /// tells whether this call reused the pin.
-  StatusOr<QueryProfile> ExplainAnalyze() const;
-
- private:
-  friend class ThetaEngine;
-
-  ThetaEngine* engine_ = nullptr;
-  Query query_;
-  std::shared_ptr<const QueryPlan> plan_;
-  /// Cache key (structure + generations) observed at Prepare time; the
-  /// freshness check compares against the current key.
-  std::string cache_key_;
-};
-
 /// \brief The session facade over the paper's whole pipeline: statistics →
 /// cost calibration → join-path graph → set cover → malleable schedule →
 /// MapReduce execution, behind one object constructed once per session.
@@ -130,9 +83,10 @@ class PreparedQuery {
 /// evicted) — the one-time "uploading" work of Sec. 6.3 is paid on the
 /// first query and amortized across the rest of the session. On top of the
 /// stats cache sits an LRU *plan* cache keyed by canonical query structure
-/// + input generations, so a repeated query shape skips planning entirely,
-/// and an admission policy bounding concurrent Submits (docs/API.md
-/// "Serving"; EngineOptions serving knobs).
+/// + input generations, through which Execute, Submit, Explain and
+/// PlanQuery all resolve their plans, so a repeated query shape skips
+/// planning entirely; and an admission policy bounding concurrent Submits
+/// (docs/API.md "Serving"; EngineOptions serving knobs).
 ///
 /// Thread safety: all entry points may be called concurrently. Submit
 /// returns a future and runs the query on its own coordination thread
@@ -169,27 +123,11 @@ class ThetaEngine {
   /// Plans `query` and reports the choice without executing anything.
   StatusOr<PlanReport> Explain(const Query& query);
 
-  /// Plans and executes `query` on the engine's runtime.
+  /// Plans and executes `query` on the engine's runtime. The result's
+  /// profile() is its per-job execution profile (src/obs/profile.h).
   StatusOr<QueryResult> Execute(const Query& query);
   /// Builds, plans and executes the builder's query.
   StatusOr<QueryResult> Execute(const QueryBuilder& builder);
-
-  /// Executes `query` and returns its execution profile: per plan job,
-  /// wall vs simulated time, rows/bytes at pruned widths, retries,
-  /// speculation, skew routing and kernel choice (src/obs/profile.h;
-  /// render with ToTable() or ToJson()). Equivalent to
-  /// Execute(query)->profile() — the query runs exactly once, at full
-  /// fidelity; profiling adds no second execution and perturbs nothing.
-  StatusOr<QueryProfile> ExplainAnalyze(const Query& query);
-  StatusOr<QueryProfile> ExplainAnalyze(const QueryBuilder& builder);
-
-  /// Prepares a query for repeated execution: validates it, plans it once
-  /// through the plan cache, and returns a handle whose
-  /// Execute/Submit/ExplainAnalyze skip planning while the inputs are
-  /// unmutated (see PreparedQuery). The builder overload makes Prepare the
-  /// single entry point for both construction styles.
-  StatusOr<PreparedQuery> Prepare(const Query& query);
-  StatusOr<PreparedQuery> Prepare(const QueryBuilder& builder);
 
   /// Asynchronous Execute for concurrent multi-query sessions: returns
   /// immediately; the execution overlaps with other submissions on the
@@ -239,10 +177,8 @@ class ThetaEngine {
   MetricsRegistry& metrics_registry() const { return registry_; }
 
  private:
-  friend class PreparedQuery;
-
-  /// A plan resolved for execution: through the plan cache, a fresh
-  /// planner run, or a still-fresh PreparedQuery pin.
+  /// A plan resolved for execution: through the plan cache or a fresh
+  /// planner run.
   struct PlannedQuery {
     std::shared_ptr<const QueryPlan> plan;
     std::vector<TableStats> stats;  ///< statistics the plan was chosen with
@@ -256,33 +192,17 @@ class ThetaEngine {
   /// stats, plans, and inserts into the LRU cache (all under one mu_ hold,
   /// so concurrent submissions of one new shape plan it exactly once).
   StatusOr<PlannedQuery> PlanForExecution(const Query& query);
-  /// Like PlanForExecution, but serves `pinned` without locking when its
-  /// generation-stamped key still matches (the PreparedQuery fast path).
-  StatusOr<PlannedQuery> PlanPinnedOrExecution(
-      const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
-      const std::string& pinned_key);
   /// Inserts a freshly planned shape, evicting LRU entries beyond
   /// kPlanCacheCapacity; caller holds mu_.
   void InsertPlanLocked(const std::string& key,
                         std::shared_ptr<const QueryPlan> plan,
                         std::vector<TableStats> stats) MRTHETA_REQUIRES(mu_);
-  /// Executes a resolved plan with engine executor options (cancellation
-  /// token wired in, per_query_threads cap applied) and stamps the
-  /// result's plan_cache_hit.
-  StatusOr<QueryResult> ExecuteResolved(const Query& query,
-                                        const PlannedQuery& planned,
-                                        const CancellationToken* token);
-  /// Plan + execute under a Submit coordination thread's cancellation
-  /// token (engine executor options otherwise, with the per_query_threads
-  /// cap applied).
-  StatusOr<QueryResult> ExecuteCancellable(
-      const Query& query, const std::shared_ptr<const QueryPlan>& pinned,
-      const std::string& pinned_key, const CancellationToken* token);
-  /// Shared Submit path: admission control, then the task is handed to a
-  /// coordination thread.
-  std::future<StatusOr<QueryResult>> SubmitInternal(
-      Query query, std::shared_ptr<const QueryPlan> pinned,
-      std::string pinned_key);
+  /// Resolves the plan through the cache and executes it with engine
+  /// executor options (`token` wired in, per_query_threads cap applied),
+  /// stamping the result's plan_cache_hit. The body of Execute and of
+  /// every Submit task; `token` is null for Execute.
+  StatusOr<QueryResult> ExecuteCancellable(const Query& query,
+                                           const CancellationToken* token);
   /// Body of one coordination thread: runs queued Submit tasks one at a
   /// time until the engine is destroyed.
   void CoordinationLoop();

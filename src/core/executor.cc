@@ -290,7 +290,6 @@ StatusOr<ExecutionResult> Executor::RunOn(ThreadPool& pool,
     }
     if (!spec.ok()) return spec.status();
     spec->text_serde = pj.text_serde;
-    if (pj.map_side_combine) spec->combine = MakeDedupCombiner();
     if (i + 1 == num_jobs && !projection.empty()) {
       spec->projection = projection;
       spec->output_name = "projection";

@@ -222,12 +222,11 @@ class QueryResult {
 
   /// Per-job execution profile of this result (wall vs simulated time,
   /// rows/bytes at pruned widths, retries/speculation, skew routing,
-  /// kernel choice) — the substrate of ThetaEngine::ExplainAnalyze. See
-  /// src/obs/profile.h for the rendering API.
+  /// kernel choice). See src/obs/profile.h for the rendering API.
   QueryProfile profile() const;
 
-  /// True when the executed plan came out of the engine's plan cache (or a
-  /// still-fresh PreparedQuery pin) instead of a fresh Planner::Plan run.
+  /// True when the executed plan came out of the engine's plan cache
+  /// instead of a fresh Planner::Plan run.
   /// Always false for results of ExecutePlan with a caller-provided plan.
   bool plan_cache_hit() const { return plan_cache_hit_; }
   void set_plan_cache_hit(bool hit) { plan_cache_hit_ = hit; }

@@ -49,12 +49,6 @@ struct PlanJob {
   /// reducer grids (docs/SKEW.md). Set for Hilbert jobs whose equality
   /// columns show a heavy top value in the collected statistics.
   bool skew_handling = false;
-  /// Map-side combining (docs/MEMORY.md): when true the executor installs
-  /// the order-preserving dedup combiner (MakeDedupCombiner) on this job,
-  /// collapsing duplicate records per input row before they hit the emit
-  /// buffers. Off by default — the stock builders never emit duplicates,
-  /// so the planner leaves it to custom plans and tests.
-  bool map_side_combine = false;
   /// Required-column analysis (AnnotateRequiredColumns, docs/EXECUTOR.md
   /// "Column pruning"): per covered base (ascending), the minimal column
   /// set this job's output must carry for the conditions its descendants

@@ -31,21 +31,6 @@ struct MapOutputRecord {
   int64_t rec_id = 0;
 };
 
-/// Optional map-side combiner (docs/MEMORY.md): invoked once per input row
-/// on the slice of records that row emitted, in emit order; it may drop,
-/// reorder or rewrite records in place, but never a record's tag or row
-/// (the reduce side's (key, tag, row) order rests on them, see MapFn). The
-/// row boundary is the only combine scope that is invariant across thread
-/// counts, split shapes and budgets, which is what keeps combined runs
-/// deterministic.
-using CombineFn = std::function<void(std::vector<MapOutputRecord>&)>;
-
-/// Order-preserving duplicate elimination: keeps the first occurrence of
-/// each fully identical record in a row's slice. The safe default
-/// combiner — on specs that never emit duplicate records it is a no-op,
-/// so outputs *and metrics* stay byte-identical with it enabled.
-CombineFn MakeDedupCombiner();
-
 /// Partitioner: maps a key to a reduce task in [0, num_reduce_tasks).
 using PartitionFn = std::function<int(int64_t key, int num_reduce_tasks)>;
 
@@ -57,7 +42,7 @@ int HashPartition(int64_t key, int num_reduce_tasks);
 /// budget is exceeded (docs/MEMORY.md).
 ///
 /// Map functions call Emit once per (key, record); the runner calls
-/// EndRow() after each input row (the combine/spill boundary) and Finish()
+/// EndRow() after each input row (the spill boundary) and Finish()
 /// at the end of the map task, which indexes the output by reduce task;
 /// each reduce task then reads its own records with ReadSpilledTask() and
 /// CopyResidentTask(). All failures — page allocation, reservation, spill
@@ -84,9 +69,6 @@ class MapEmitter {
     partition_ = std::move(partition);
     num_reduce_tasks_ = num_reduce_tasks;
   }
-
-  /// Installs the per-row combiner applied by EndRow(); null disables.
-  void set_combine(CombineFn combine) { combine_ = std::move(combine); }
 
   /// Arms spilling to a file in `dir` (not owned; must outlive the
   /// emitter): EndRow() spills full pages once the global budget's in-use
@@ -126,10 +108,9 @@ class MapEmitter {
   /// into status() (surfaced as the task's Status) instead of aborting.
   void Reserve(size_t records);
 
-  /// Row boundary: applies the combiner to the records the row emitted,
-  /// then (when spilling is armed and the budget is exceeded) spills the
-  /// full pages as one run. The runner calls it after every spec.map
-  /// invocation.
+  /// Row boundary: when spilling is armed and the budget is exceeded,
+  /// spills the full pages as one run. The runner calls it after every
+  /// spec.map invocation.
   void EndRow();
 
   /// Ends the map task. When spilling is armed and more than half the
@@ -154,7 +135,7 @@ class MapEmitter {
   /// After Finish().
   void CopyResidentTask(int t, MapOutputRecord* out) const;
 
-  /// Records emitted (post-combine), spilled or resident.
+  /// Records emitted, spilled or resident.
   int64_t size() const { return size_; }
 
   /// First latched error, or OK.
@@ -167,7 +148,7 @@ class MapEmitter {
 
   /// Releases every page and the index to the budget, removes the spill
   /// file, and resets the emitter to freshly constructed state
-  /// (partitioner, combiner and spill arming included).
+  /// (partitioner and spill arming included).
   void Clear();
 
  private:
@@ -184,8 +165,7 @@ class MapEmitter {
                : index_offsets_[t + 1] - index_offsets_[t];
   }
 
-  bool AddPage();       // latches on failure
-  void ApplyCombine();  // combine_ over [row_mark_, size_)
+  bool AddPage();  // latches on failure
   /// Fills index_/index_offsets_ with the first `count` resident records
   /// ordered by target, emit order within a target. Latches on failure.
   bool IndexResident(int64_t count);
@@ -198,13 +178,10 @@ class MapEmitter {
   int64_t last_page_records_ = 0;
   int64_t size_ = 0;
   int64_t spilled_records_ = 0;  ///< records written to spill runs
-  int64_t row_mark_ = 0;         ///< size() when the current row began
   Status status_;
 
   PartitionFn partition_;
   int num_reduce_tasks_ = 0;
-  CombineFn combine_;
-  std::vector<MapOutputRecord> combine_buf_;  // scratch for one row slice
 
   int64_t spill_limit_bytes_ = 0;
   SpillDirectory* spill_dir_ = nullptr;
@@ -341,9 +318,6 @@ struct MapReduceJobSpec {
   /// parameter the paper optimizes.
   int num_reduce_tasks = 1;
   PartitionFn partition;  ///< defaults to HashPartition when null
-  /// Optional map-side combiner, applied per input row (see CombineFn).
-  /// Null = no combining. Executors set it from PlanJob::map_side_combine.
-  CombineFn combine;
   /// The reducers' rid rows: all int64 (ReduceCollector).
   Schema output_schema;
   /// When non-empty, the job's output is this projection of the rid rows,

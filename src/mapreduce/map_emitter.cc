@@ -13,26 +13,6 @@ namespace {
 constexpr int64_t kRecordBytes = static_cast<int64_t>(sizeof(MapOutputRecord));
 }  // namespace
 
-CombineFn MakeDedupCombiner() {
-  return [](std::vector<MapOutputRecord>& records) {
-    // Order-preserving first-occurrence scan. Row slices are small (a few
-    // records), so the quadratic scan beats hashing — and preserving emit
-    // order is what keeps duplicate-free runs byte-identical.
-    size_t out = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      const MapOutputRecord& r = records[i];
-      bool duplicate = false;
-      for (size_t j = 0; j < out && !duplicate; ++j) {
-        const MapOutputRecord& k = records[j];
-        duplicate = k.key == r.key && k.tag == r.tag && k.row == r.row &&
-                    k.rec_id == r.rec_id;
-      }
-      if (!duplicate) records[out++] = r;
-    }
-    records.resize(out);
-  };
-}
-
 MapEmitter& MapEmitter::operator=(MapEmitter&& other) noexcept {
   if (this != &other) {
     this->~MapEmitter();  // return our pages to the budget first
@@ -81,53 +61,13 @@ bool MapEmitter::AddPage() {
 
 void MapEmitter::EndRow() {
   if (!status_.ok()) return;
-  if (combine_ && size_ > row_mark_) ApplyCombine();
-  if (status_.ok() && spill_dir_ != nullptr &&
+  if (spill_dir_ != nullptr &&
       MemoryBudget::Global().OverBudget(spill_limit_bytes_)) {
-    // Full pages only; the partial last page keeps filling. Spilling at a
-    // row boundary can never split a combine slice.
+    // Full pages only; the partial last page keeps filling.
     int64_t full = static_cast<int64_t>(pages_.size());
     if (full > 0 && last_page_records_ < kRecordsPerPage) --full;
     if (full > 0) SpillRun(full * kRecordsPerPage);
   }
-  row_mark_ = size_;
-}
-
-void MapEmitter::ApplyCombine() {
-  // The row's slice is entirely in memory: spills happen only at row
-  // boundaries, so spilled_records_ <= row_mark_ always holds.
-  const int64_t begin_mem = row_mark_ - spilled_records_;
-  const int64_t end_mem = size_ - spilled_records_;
-  combine_buf_.clear();
-  try {
-    combine_buf_.reserve(static_cast<size_t>(end_mem - begin_mem));
-    for (int64_t i = begin_mem; i < end_mem; ++i) {
-      combine_buf_.push_back(Resident(i));
-    }
-    combine_(combine_buf_);
-  } catch (const std::bad_alloc&) {
-    status_ = Status::ResourceExhausted("map-side combine buffer failed");
-    return;
-  }
-  // Truncate the in-memory tail back to the row start (a full trailing
-  // page counts as "kept" so Emit's all-but-last-full invariant holds)...
-  const size_t keep_pages = static_cast<size_t>(
-      (begin_mem + kRecordsPerPage - 1) / kRecordsPerPage);
-  while (pages_.size() > keep_pages) {
-    MemoryBudget::Global().ReleasePage(std::move(pages_.back()));
-    pages_.pop_back();
-  }
-  last_page_records_ =
-      pages_.empty() ? 0
-                     : begin_mem - static_cast<int64_t>(pages_.size() - 1) *
-                                       kRecordsPerPage;
-  size_ = row_mark_;
-  // ...and re-append the combined records. Re-partitioned through Emit so
-  // a combiner that rewrites keys cannot leave stale targets behind.
-  for (const MapOutputRecord& rec : combine_buf_) {
-    Emit(rec.key, rec.tag, rec.row, rec.rec_id);
-  }
-  combine_buf_.clear();
 }
 
 bool MapEmitter::IndexResident(int64_t count) {
@@ -269,12 +209,9 @@ void MapEmitter::Clear() {
   last_page_records_ = 0;
   size_ = 0;
   spilled_records_ = 0;
-  row_mark_ = 0;
   status_ = Status::OK();
   partition_ = nullptr;
   num_reduce_tasks_ = 0;
-  combine_ = nullptr;
-  combine_buf_.clear();
   spill_limit_bytes_ = 0;
   spill_dir_ = nullptr;
   spill_file_.reset();

@@ -18,7 +18,6 @@ class SimCluster {
   explicit SimCluster(ClusterConfig config) : config_(config) {}
 
   const ClusterConfig& config() const { return config_; }
-  ClusterConfig* mutable_config() { return &config_; }
 
   /// Translates a measured job into the DES representation, applying the
   /// ground-truth timing model:

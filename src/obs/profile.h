@@ -54,8 +54,7 @@ struct JobExecutionProfile {
 
 /// \brief Execution profile of one query: the per-job tree plus plan-wide
 /// totals, rendered as an ASCII table (ToTable) or machine-readable JSON
-/// (ToJson). Produced by QueryResult::profile() and
-/// ThetaEngine::ExplainAnalyze (docs/OBSERVABILITY.md).
+/// (ToJson). Produced by QueryResult::profile() (docs/OBSERVABILITY.md).
 struct QueryProfile {
   std::vector<JobExecutionProfile> jobs;
   double measured_seconds = 0.0;

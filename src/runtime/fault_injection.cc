@@ -67,16 +67,6 @@ Status FaultPlan::Validate() const {
   return Status::OK();
 }
 
-std::string FaultPlan::ToString() const {
-  if (!enabled()) return "FaultPlan{disabled}";
-  return "FaultPlan{seed=" + std::to_string(seed) +
-         ", map=" + std::to_string(map_failure_rate) +
-         ", reduce=" + std::to_string(reduce_failure_rate) +
-         ", alloc=" + std::to_string(alloc_failure_rate) +
-         ", straggler=" + std::to_string(straggler_rate) +
-         ", delay_ms=" + std::to_string(straggler_delay_ms) + "}";
-}
-
 StatusOr<FaultPlan> FaultPlan::Parse(const std::string& text) {
   FaultPlan plan;
   if (text.empty()) return plan;
@@ -188,15 +178,6 @@ void FaultReport::Merge(const FaultReport& other) {
   reduce_task_retries += other.reduce_task_retries;
   speculative_launches += other.speculative_launches;
   wasted_task_seconds += other.wasted_task_seconds;
-}
-
-std::string FaultReport::ToString() const {
-  return "FaultReport{injected=" + std::to_string(injected_faults) +
-         ", retries=" + std::to_string(task_retries) + " (map=" +
-         std::to_string(map_task_retries) + ", reduce=" +
-         std::to_string(reduce_task_retries) + ")" +
-         ", speculative=" + std::to_string(speculative_launches) +
-         ", wasted_s=" + std::to_string(wasted_task_seconds) + "}";
 }
 
 double FaultInjector::Draw(FaultPoint point, const std::string& job,

@@ -55,7 +55,6 @@ struct FaultPlan {
   }
 
   Status Validate() const;
-  std::string ToString() const;
 
   /// Parses "key=value,key=value" (keys: seed, map, reduce, alloc,
   /// straggler, delay_ms, armed). Empty string = disabled default plan.
@@ -121,7 +120,6 @@ struct FaultReport {
   double wasted_task_seconds = 0.0;  ///< time in attempts that never committed
 
   void Merge(const FaultReport& other);
-  std::string ToString() const;
 };
 
 /// Cooperative cancellation flag, shared between a coordinator and the

@@ -603,7 +603,6 @@ StatusOr<PhysicalJobResult> RunJobParallel(
           // computes its records' reduce targets itself.
           emitter = MapEmitter();
           emitter.SetPartitioner(partition, n);
-          if (spec.combine) emitter.set_combine(spec.combine);
           if (budgeted) {
             emitter.EnableSpill(options.mem_budget_bytes, options.spill_dir);
           }
@@ -617,7 +616,7 @@ StatusOr<PhysicalJobResult> RunJobParallel(
               return ctx.CancelledStatus(spec.name);
             }
             spec.map(split.tag, rel, row, emitter);
-            emitter.EndRow();  // combine + spill boundary
+            emitter.EndRow();  // spill boundary
           }
           const Status s = emitter.Finish();  // index by reduce task
           if (!s.ok()) return WrapTaskError("map emit failed", spec, s);

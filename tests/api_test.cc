@@ -401,9 +401,15 @@ TEST(PlanCacheTest, InvalidatedByInPlaceMutationAndGrowth) {
   ASSERT_TRUE(query.ok());
 
   ThetaEngine engine;
-  ASSERT_TRUE(engine.Execute(*query).ok());
-  ASSERT_TRUE(engine.Execute(*query).ok());
+  const auto first = engine.Execute(*query);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->plan_cache_hit());
+  const auto second = engine.Execute(*query);
+  ASSERT_TRUE(second.ok());
   EXPECT_EQ(engine.metrics().plan_cache_hits, 1);
+  // Each result says whether its own plan came from the cache.
+  EXPECT_TRUE(second->plan_cache_hit());
+  EXPECT_TRUE(second->profile().plan_cache_hit);
 
   // In-place edit at unchanged cardinality: the generation in the cache
   // key moves, so the stale plan must NOT be served.
@@ -412,6 +418,7 @@ TEST(PlanCacheTest, InvalidatedByInPlaceMutationAndGrowth) {
   }
   const auto after_edit = engine.Execute(*query);
   ASSERT_TRUE(after_edit.ok());
+  EXPECT_FALSE(after_edit->plan_cache_hit());
   EXPECT_EQ(engine.metrics().plan_cache_misses, 2);
   EXPECT_EQ(engine.metrics().plans, 2);
   // The replan really recollected stats for the mutated input.
@@ -504,78 +511,6 @@ TEST(PlanCacheTest, ConcurrentSubmitStormPlansOneShapeOnce) {
     EXPECT_EQ(metrics.plans, 1);
     EXPECT_EQ(metrics.executions, kStorm);
   }
-}
-
-TEST(PreparedQueryTest, PinSkipsPlanningAndSurvivesMutation) {
-  auto r1 = std::make_shared<Relation>(
-      "r1", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
-  auto r2 = std::make_shared<Relation>(
-      "r2", Schema({{"a", ValueType::kInt64}, {"b", ValueType::kInt64}}));
-  Rng rng(61);
-  for (int i = 0; i < 80; ++i) {
-    r1->AppendIntRow({rng.UniformInt(0, 9), rng.UniformInt(0, 9)});
-    r2->AppendIntRow({rng.UniformInt(0, 9), rng.UniformInt(0, 9)});
-  }
-  QueryBuilder builder;
-  builder.From("r", r1).From("s", r2).Where(Col("r.a") <= Col("s.a"));
-
-  ThetaEngine engine;
-  StatusOr<PreparedQuery> prepared = engine.Prepare(builder);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  EXPECT_FALSE(prepared->plan().jobs.empty());
-  EXPECT_EQ(engine.metrics().plans, 1);
-
-  const auto first = prepared->Execute();
-  const auto second = prepared->Execute();
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ExpectIdenticalRows(*first->execution().result_ids,
-                      *second->execution().result_ids);
-  // Both executions reused the pin; nothing replanned.
-  EXPECT_EQ(engine.metrics().plans, 1);
-  EXPECT_EQ(engine.metrics().plan_cache_hits, 2);
-  EXPECT_TRUE(first->plan_cache_hit());
-
-  // Submit goes through the same pin (and the admission machinery).
-  auto submitted = prepared->Submit();
-  const auto async_result = submitted.get();
-  ASSERT_TRUE(async_result.ok()) << async_result.status().ToString();
-  ExpectIdenticalRows(*async_result->execution().result_ids,
-                      *first->execution().result_ids);
-  EXPECT_EQ(engine.metrics().plans, 1);
-
-  // ExplainAnalyze reports the reuse.
-  const auto profile = prepared->ExplainAnalyze();
-  ASSERT_TRUE(profile.ok());
-  EXPECT_TRUE(profile->plan_cache_hit);
-
-  // Mutating an input makes the pin stale: the next Execute transparently
-  // replans (never serves a wrong plan) and matches a cold engine.
-  Rng grow(62);
-  for (int i = 0; i < 40; ++i) {
-    r1->AppendIntRow({grow.UniformInt(0, 9), grow.UniformInt(0, 9)});
-  }
-  const auto after = prepared->Execute();
-  ASSERT_TRUE(after.ok());
-  EXPECT_FALSE(after->plan_cache_hit());
-  EXPECT_EQ(engine.metrics().plans, 2);
-  ThetaEngine fresh;
-  const auto query = builder.Build();
-  ASSERT_TRUE(query.ok());
-  const auto cold = fresh.Execute(*query);
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(after->makespan(), cold->makespan());
-  ExpectIdenticalRows(*after->execution().result_ids,
-                      *cold->execution().result_ids);
-
-  // A default-constructed handle fails loudly, not with a crash.
-  PreparedQuery empty;
-  EXPECT_EQ(empty.Execute().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(empty.Submit().get().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(empty.ExplainAnalyze().status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(AdmissionControlTest, RejectsBeyondQueueDepth) {
@@ -726,7 +661,19 @@ TEST(ThetaEngineTest, InvalidOptionsSurfaceOnEveryEntryPoint) {
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(engine.Execute(*query).status().code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Submit(*query).get().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Explain(*query).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.PlanQuery(*query).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.Calibration().status().code(),
+            StatusCode::kInvalidArgument);
+  // A caller-provided plan needs no calibration, but still valid options.
+  ThetaEngine valid;
+  const auto plan = valid.PlanQuery(*query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(engine.ExecutePlan(*query, *plan).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(EngineOptions{}.Validate().ok());
 }

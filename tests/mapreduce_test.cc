@@ -657,67 +657,6 @@ TEST(MapEmitterTest, FinishKeepsResidentOutputWithinHalfTheBudget) {
   EXPECT_EQ(finish(page * 5 / 2), std::make_pair(spilled, int64_t{1}));
 }
 
-TEST(CombinerTest, DedupCombinerDropsDuplicatesWithinARow) {
-  MapEmitter emitter;
-  emitter.SetPartitioner(HashPartition, 4);
-  emitter.set_combine(MakeDedupCombiner());
-  // Row 0: 3 distinct records each emitted twice -> 3 survive.
-  for (int rep = 0; rep < 2; ++rep) {
-    for (int64_t k = 0; k < 3; ++k) emitter.Emit(k, 0, 7, 7);
-  }
-  emitter.EndRow();
-  EXPECT_EQ(emitter.size(), 3);
-  // Row 1: all distinct -> no-op.
-  for (int64_t k = 0; k < 4; ++k) emitter.Emit(k, 1, 8, 8);
-  emitter.EndRow();
-  EXPECT_EQ(emitter.size(), 7);
-  // Duplicates across *different* rows are preserved: the row boundary is
-  // the combine scope (the thread-count-invariant unit).
-  emitter.Emit(0, 0, 7, 7);
-  emitter.EndRow();
-  EXPECT_EQ(emitter.size(), 8);
-}
-
-TEST(CombinerTest, CombinedJobKeepsExactResults) {
-  // CountJob never emits duplicate records, so the dedup combiner must be
-  // a perfect no-op: same rows, same metrics.
-  MapReduceJobSpec plain = CountJob(MakeInts(1000), 4);
-  const auto reference = RunJob(plain);
-  ASSERT_TRUE(reference.ok());
-  MapReduceJobSpec combined = CountJob(MakeInts(1000), 4);
-  combined.combine = MakeDedupCombiner();
-  const auto result = RunJob(combined);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->metrics.map_output_records_physical,
-            reference->metrics.map_output_records_physical);
-  EXPECT_EQ(result->metrics.map_output_bytes_logical,
-            reference->metrics.map_output_bytes_logical);
-  ASSERT_EQ(result->output->num_rows(), reference->output->num_rows());
-  for (int64_t r = 0; r < reference->output->num_rows(); ++r) {
-    EXPECT_EQ(result->output->GetInt(r, 0), reference->output->GetInt(r, 0));
-    EXPECT_EQ(result->output->GetInt(r, 1), reference->output->GetInt(r, 1));
-  }
-
-  // A genuinely duplicating map: every record emitted twice. The combiner
-  // halves the shuffle; the reduce output is identical to the single-emit
-  // job's.
-  MapReduceJobSpec doubled = CountJob(MakeInts(1000), 4);
-  doubled.map = [](int tag, const Relation& r, int64_t row, MapEmitter& out) {
-    out.Emit(r.GetInt(row, 0), tag, row, row);
-    out.Emit(r.GetInt(row, 0), tag, row, row);
-  };
-  doubled.combine = MakeDedupCombiner();
-  const auto deduped = RunJob(doubled);
-  ASSERT_TRUE(deduped.ok());
-  EXPECT_EQ(deduped->metrics.map_output_records_physical,
-            reference->metrics.map_output_records_physical);
-  ASSERT_EQ(deduped->output->num_rows(), reference->output->num_rows());
-  for (int64_t r = 0; r < reference->output->num_rows(); ++r) {
-    EXPECT_EQ(deduped->output->GetInt(r, 1),
-              reference->output->GetInt(r, 1));
-  }
-}
-
 // ---- Discrete-event engine ----
 
 ClusterConfig TestConfig(int workers) {

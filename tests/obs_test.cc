@@ -1,8 +1,9 @@
 // Observability-subsystem tests (docs/OBSERVABILITY.md): the
 // MetricsRegistry primitives, the span tracer and its Chrome trace-event
-// exporter, the ExplainAnalyze profile, and — the load-bearing contract —
-// the tracing differential: a live TraceSession must not perturb one bit
-// of a query's rows or simulated metrics, at any thread count.
+// exporter, the QueryResult::profile() rendering, and — the load-bearing
+// contract — the tracing differential: a live TraceSession must not
+// perturb one bit of a query's rows or simulated metrics, at any thread
+// count.
 
 #include <cstdint>
 #include <map>
@@ -174,7 +175,7 @@ TEST(TracerTest, ChromeExportIsStructurallySound) {
   EXPECT_NE(json.find("\"bp\": \"e\""), std::string::npos);
 }
 
-// ---- ExplainAnalyze / QueryProfile ----
+// ---- QueryResult::profile() / QueryProfile ----
 
 Query SmallMobileQuery() {
   MobileDataOptions options;
@@ -187,7 +188,7 @@ Query SmallMobileQuery() {
 
 // The profile is a rendering of the execution, not a re-measurement:
 // every per-job figure must equal the JobExecution it came from, exactly.
-TEST(ExplainAnalyzeTest, ProfileMatchesJobMeasurementsExactly) {
+TEST(QueryProfileTest, ProfileMatchesJobMeasurementsExactly) {
   ThetaEngine engine;
   const Query q = SmallMobileQuery();
   const auto result = engine.Execute(q);
@@ -230,17 +231,6 @@ TEST(ExplainAnalyzeTest, ProfileMatchesJobMeasurementsExactly) {
     EXPECT_NE(json.find("\"" + jp.name + "\""), std::string::npos);
   }
   EXPECT_NE(table.find("total:"), std::string::npos);
-}
-
-TEST(ExplainAnalyzeTest, EngineEntryPointExecutesAndProfiles) {
-  ThetaEngine engine;
-  const Query q = SmallMobileQuery();
-  const auto profile = engine.ExplainAnalyze(q);
-  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-  EXPECT_FALSE(profile->jobs.empty());
-  EXPECT_GT(profile->simulated_seconds, 0.0);
-  // ExplainAnalyze executes (unlike Explain).
-  EXPECT_EQ(engine.metrics().executions, 1);
 }
 
 // ---- The tracing differential ----

@@ -529,10 +529,11 @@ TEST(SpillDifferentialTest, TightBudgetSpillsAndStaysByteIdentical) {
   }
 }
 
-TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
-  // A duplicate-heavy group-count with the dedup combiner, run unbudgeted
-  // and under maximal spill pressure: identical rows and metrics, and the
-  // combiner keeps working at the row boundary while pages spill.
+TEST(SpillDifferentialTest, DuplicateRecordsWithinARowSurviveSpilling) {
+  // A group-count whose map emits three identical records per row, run
+  // unbudgeted and under maximal spill pressure: identical rows and
+  // metrics, with every duplicate kept while pages spill at row
+  // boundaries.
   auto rel = std::make_shared<Relation>(
       "t", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
   for (int64_t i = 0; i < 4000; ++i) rel->AppendIntRow({i % 64, i});
@@ -543,12 +544,11 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
   spec.output_schema =
       Schema({{"key", ValueType::kInt64}, {"count", ValueType::kInt64}});
   spec.map = [](int tag, const Relation& r, int64_t row, MapEmitter& out) {
-    // Three identical emissions per row; the combiner keeps one.
+    // Three identical emissions per row.
     for (int rep = 0; rep < 3; ++rep) {
       out.Emit(r.GetInt(row, 0), tag, row, row);
     }
   };
-  spec.combine = MakeDedupCombiner();
   spec.reduce = [](const ReduceContext& ctx, ReduceCollector& out) {
     const int64_t row[] = {ctx.key,
                            static_cast<int64_t>(ctx.records(0).size())};
@@ -556,8 +556,8 @@ TEST(SpillDifferentialTest, CombinerComposesWithSpilling) {
   };
   const auto reference = RunReference(spec);
   ASSERT_TRUE(reference.ok());
-  // Combined: one record per row survives.
-  EXPECT_EQ(reference->metrics.map_output_records_physical, 4000);
+  // Every emitted record reaches the shuffle.
+  EXPECT_EQ(reference->metrics.map_output_records_physical, 12000);
   SpillDirectory spill_dir;
   for (int threads : {1, 4}) {
     ThreadPool pool(threads);
