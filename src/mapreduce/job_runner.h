@@ -35,8 +35,10 @@ struct PhysicalJobResult {
 ///
 /// Every column is reserved on the calling thread, so the large blocks
 /// come from its malloc arena, not a pool worker's (docs/MEMORY.md,
-/// "Reducer output path"). One task per column then fills it on `pool`.
-/// The bytes and their order do not depend on the pool's width.
+/// "Reducer output path"), and its whole 2 MiB pages are advised for
+/// transparent huge pages (`AdviseHugePages`). One task per column then
+/// fills it on `pool`. The bytes and their order do not depend on the
+/// pool's width.
 Status FinishJobOutput(const MapReduceJobSpec& spec,
                        std::vector<ReduceCollector>& tasks,
                        PhysicalJobResult& result, ThreadPool& pool);

@@ -9,12 +9,14 @@
 // thread count. Re-execution must be invisible; only wall-clock and the
 // FaultReport may differ.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "src/cost/calibration.h"
 #include "src/exec/pairwise_join.h"
 #include "src/mapreduce/job_runner.h"
+#include "src/obs/trace.h"
 #include "src/runtime/fault_injection.h"
 #include "src/runtime/parallel_job_runner.h"
 #include "src/runtime/thread_pool.h"
@@ -679,36 +682,61 @@ TEST(EngineFaultTest, CancelInflightStopsAFaultFreeOneThreadJobMidway) {
   // docs/API.md: CancelInflight stops an in-flight Submit at its next task
   // boundary. Here on the plainest path: one runtime thread per query (a
   // session pool capped per query, as serving runs it), no fault plan
-  // (whatever the environment says) and no engine budget.
+  // (whatever the environment says) and no engine budget. The submitted
+  // run itself triggers the cancel: the test watches its spans, so no
+  // timing of another run decides where the cancel lands. The session
+  // outlives the engine's threads.
+  Tracer tracer;
+  TraceSession session(&tracer);
   EngineOptions options;
   options.executor.num_threads = 2;
   options.per_query_threads = 1;
   options.executor.fault_plan = FaultPlan{};
   ThetaEngine engine(options);
   MobileDataOptions data;
-  // Large enough that the uncancelled run takes over 100 ms in Release
-  // (130-170 ms on a 4-vCPU VM), so the quarter-way cancel keeps a wide
-  // margin when the test thread is descheduled under load.
+  // Large enough that the reduce tasks left after the first take tens of
+  // milliseconds (the whole run 130-170 ms in Release on a 4-vCPU VM), so
+  // the cancel keeps a wide margin when the test thread is descheduled
+  // under load.
   data.physical_rows = 6000;
   data.logical_bytes = 2 * kGiB;
   const auto q = MobileQueryBuilder(1, data).Build();
   ASSERT_TRUE(q.ok());
   // Warm-up: calibration, statistics and the cached plan. The plan is one
-  // Hilbert job, so the cancellation has to stop that job's tasks.
+  // Hilbert job, so the cancellation has to stop that job's tasks; the
+  // cancel waits for the first of them to finish, and lands in the second
+  // at the earliest (96 tasks at this size).
   const auto report = engine.Explain(*q);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->plan.jobs.size(), 1u);
   ASSERT_EQ(report->plan.jobs[0].kind, PlanJobKind::kHilbertJoin);
+  ASSERT_GE(report->plan.jobs[0].num_reduce_tasks, 3);
 
-  // The uncancelled one-thread run, timed; the cancel lands a quarter in.
+  // The uncancelled one-thread run, timed for the failure messages.
   const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(engine.Execute(*q).ok());
   const std::chrono::duration<double> full =
       std::chrono::steady_clock::now() - start;
   SCOPED_TRACE("uncancelled run took " + std::to_string(full.count()) +
                " s");
+  // Cancel once the submitted run has finished its first reduce task: the
+  // job is under way and has tasks left to stop.
+  const size_t before_submit = tracer.num_events();
   auto future = engine.Submit(*q);
-  std::this_thread::sleep_for(full / 4);
+  auto first_reduce_task_done = [&] {
+    const std::vector<TraceEvent> events = tracer.events();
+    return std::any_of(events.begin() + before_submit, events.end(),
+                       [](const TraceEvent& e) {
+                         return std::string_view(e.name) == "reduce-task";
+                       });
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!first_reduce_task_done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "no reduce task of the submitted run finished within 60 s";
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
   engine.CancelInflight();
   ASSERT_EQ(future.wait_for(std::chrono::seconds(60)),
             std::future_status::ready);

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "src/mapreduce/job_runner.h"
 #include "src/mapreduce/load_model.h"
 #include "src/mapreduce/sim_cluster.h"
+#include "src/mem/huge_pages.h"
 #include "src/mem/memory_budget.h"
 #include "src/mem/spill.h"
 #include "src/runtime/parallel_job_runner.h"
@@ -319,6 +322,39 @@ TEST(JobRunnerTest, CustomPartitioner) {
             result->metrics.reduce_input_bytes_logical[1]);
 }
 
+// The first row at which column `c` of `out` differs, byte for byte, from
+// a naive gather of `base`'s column `col` through `rids`: 0 when either
+// column is not of type T or the lengths differ, -1 when none differs.
+template <typename T>
+int64_t FirstGatherMismatch(const Relation& out, int c, const Relation& base,
+                            int col, const std::vector<int64_t>& rids) {
+  const std::vector<T>* got = out.TryColumn<T>(c);
+  const std::vector<T>* src = base.TryColumn<T>(col);
+  if (got == nullptr || src == nullptr || got->size() != rids.size()) {
+    return 0;
+  }
+  for (size_t r = 0; r < rids.size(); ++r) {
+    const T& want = (*src)[static_cast<size_t>(rids[r])];
+    if constexpr (std::is_same_v<T, std::string>) {
+      if ((*got)[r] != want) return static_cast<int64_t>(r);
+    } else if (std::memcmp(&(*got)[r], &want, sizeof(T)) != 0) {
+      return static_cast<int64_t>(r);
+    }
+  }
+  return -1;
+}
+
+// The bytes of column `c` of `out`, as one address range.
+AddressRange ColumnBytes(const Relation& out, int c) {
+  auto range = [](const auto* v) {
+    return AddressRange{reinterpret_cast<uintptr_t>(v->data()),
+                        v->size() * sizeof(*v->data())};
+  };
+  if (const auto* v = out.TryColumn<int64_t>(c)) return range(v);
+  if (const auto* v = out.TryColumn<double>(c)) return range(v);
+  return range(out.TryColumn<std::string>(c));
+}
+
 TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
   MapReduceJobSpec spec;
   spec.name = "finish";
@@ -328,6 +364,7 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
   spec.output_row_scale = 2.5;
   // The projected path reads two bases, each with a column of every type,
   // through rid columns a and b.
+  constexpr int64_t kBaseRows = 2000;
   std::vector<RelationPtr> bases;
   Rng rng(23);
   for (const char* name : {"b0", "b1"}) {
@@ -335,7 +372,7 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
         name, Schema({{"i", ValueType::kInt64},
                       {"d", ValueType::kDouble},
                       {"s", ValueType::kString}}));
-    for (int64_t r = 0; r < 2000; ++r) {
+    for (int64_t r = 0; r < kBaseRows; ++r) {
       ASSERT_TRUE(base->AppendRow(
                           {Value(static_cast<int64_t>(rng.Uniform(1000))),
                            Value(rng.UniformDouble()),
@@ -358,15 +395,20 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
          bases[b], c, rid});
   }
   // Rows emitted per reduce task: empty tasks between non-empty ones, a
-  // job with no rows at all, and one large enough to span pages.
-  const std::vector<std::vector<int>> jobs = {
-      {2, 0, 3, 0, 0, 1, 0}, {0, 0, 0}, {400, 0, 0, 900, 0, 250}};
+  // job with no rows at all, one large enough to span pages, and one
+  // whose every output column (800,000 cells of at least 8 bytes, over
+  // 6 MiB) holds at least two whole aligned huge pages, the size at which
+  // the columns are advised for them.
+  const std::vector<std::vector<int>> jobs = {{2, 0, 3, 0, 0, 1, 0},
+                                              {0, 0, 0},
+                                              {400, 0, 0, 900, 0, 250},
+                                              {350000, 0, 450000}};
   ThreadPool one(1);
   ThreadPool four(4);
   for (const MapReduceJobSpec* job : {&spec, &projected}) {
     for (const std::vector<int>& task_rows : jobs) {
-      SCOPED_TRACE(job->output_name + " with " +
-                   std::to_string(task_rows.size()) + " tasks");
+      // The rid rows of every task, concatenated in task order: the rid
+      // table, and the rows a naive projection reads.
       std::vector<int64_t> expected[3];
       auto collect = [&](bool record) {
         std::vector<ReduceCollector> tasks(task_rows.size(),
@@ -374,7 +416,8 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
         int64_t next = 0;
         for (size_t t = 0; t < task_rows.size(); ++t) {
           for (int r = 0; r < task_rows[t]; ++r, ++next) {
-            const int64_t row[] = {next, 100 + next, 1000 * next};
+            const int64_t row[] = {next % kBaseRows, (100 + next) % kBaseRows,
+                                   1000 * next};
             tasks[t].Emit(row);
             if (!record) continue;
             for (int c = 0; c < 3; ++c) expected[c].push_back(row[c]);
@@ -382,58 +425,108 @@ TEST(JobRunnerTest, FinishJobOutputOnAPoolMatchesInline) {
         }
         return tasks;
       };
-      std::vector<ReduceCollector> inline_tasks = collect(true);
-      std::vector<ReduceCollector> pooled_tasks = collect(false);
-      PhysicalJobResult inline_result;
-      PhysicalJobResult pooled;
-      ASSERT_TRUE(
-          FinishJobOutput(*job, inline_tasks, inline_result, one).ok());
-      ASSERT_TRUE(FinishJobOutput(*job, pooled_tasks, pooled, four).ok());
+      collect(true);
       const int64_t rows = static_cast<int64_t>(expected[0].size());
-      EXPECT_EQ(pooled.metrics.output_rows_physical, rows);
-      EXPECT_EQ(inline_result.metrics.output_rows_physical,
-                pooled.metrics.output_rows_physical);
-      EXPECT_EQ(inline_result.metrics.output_rows_logical,
-                pooled.metrics.output_rows_logical);
-      EXPECT_EQ(pooled.metrics.output_rows_logical, 2.5 * rows);
-      ASSERT_EQ(pooled.output->num_rows(), rows);
-      EXPECT_EQ(pooled.output->name(), job->output_name);
-      if (job == &spec) {
-        EXPECT_EQ(pooled.output->logical_rows(),
-                  pooled.metrics.LogicalOutputRows());
-        for (int c = 0; c < 3; ++c) {
-          EXPECT_EQ(*pooled.output->TryColumn<int64_t>(c), expected[c]);
-          EXPECT_EQ(*inline_result.output->TryColumn<int64_t>(c),
-                    expected[c]);
+      // One pool at a time, each result freed before the next.
+      for (ThreadPool* pool : {&one, &four}) {
+        SCOPED_TRACE(job->output_name + " with " +
+                     std::to_string(task_rows.size()) + " tasks, " +
+                     std::to_string(rows) + " rows, " +
+                     std::to_string(pool->num_threads()) + " threads");
+        std::vector<ReduceCollector> tasks = collect(false);
+        PhysicalJobResult result;
+        ASSERT_TRUE(FinishJobOutput(*job, tasks, result, *pool).ok());
+        EXPECT_EQ(result.metrics.output_rows_physical, rows);
+        EXPECT_EQ(result.metrics.output_rows_logical, 2.5 * rows);
+        const Relation& out = *result.output;
+        ASSERT_EQ(out.num_rows(), rows);
+        EXPECT_EQ(out.name(), job->output_name);
+        if (&task_rows == &jobs.back()) {
+          for (int c = 0; c < out.schema().num_columns(); ++c) {
+            const AddressRange bytes = ColumnBytes(out, c);
+            EXPECT_GE(WholeHugePages(bytes.begin, bytes.bytes).bytes,
+                      2 * kHugePageBytes)
+                << "column " << c;
+          }
         }
-        continue;
-      }
-      // The projection counts its physical rows as logical, and its
-      // logical bytes are the logical rows at the projected width.
-      EXPECT_EQ(pooled.output->logical_rows(), rows);
-      EXPECT_EQ(pooled.metrics.output_bytes_logical,
-                static_cast<int64_t>(
-                    2.5 * rows *
-                    static_cast<double>(
-                        pooled.output->schema().avg_row_bytes())));
-      // A naive loop over the concatenated rid columns.
-      for (size_t c = 0; c < outputs.size(); ++c) {
-        const auto& [b, col, rid] = outputs[c];
-        const ColumnDef& def = pooled.output->schema().column(
-            static_cast<int>(c));
-        EXPECT_EQ(def.name, projected.projection[c].def.name);
-        EXPECT_EQ(def.type, bases[b]->schema().column(col).type);
-        EXPECT_EQ(def.avg_width, bases[b]->schema().column(col).avg_width);
-        for (int64_t r = 0; r < rows; ++r) {
-          const Value want = bases[b]->Get(expected[rid][r], col);
-          ASSERT_EQ(pooled.output->Get(r, static_cast<int>(c)), want)
-              << "row " << r << ", column " << c;
-          ASSERT_EQ(inline_result.output->Get(r, static_cast<int>(c)), want)
-              << "row " << r << ", column " << c;
+        if (job == &spec) {
+          EXPECT_EQ(out.logical_rows(), result.metrics.LogicalOutputRows());
+          for (int c = 0; c < 3; ++c) {
+            EXPECT_EQ(*out.TryColumn<int64_t>(c), expected[c])
+                << "column " << c;
+          }
+          continue;
+        }
+        // The projection counts its physical rows as logical, and its
+        // logical bytes are the logical rows at the projected width.
+        EXPECT_EQ(out.logical_rows(), rows);
+        EXPECT_EQ(result.metrics.output_bytes_logical,
+                  static_cast<int64_t>(
+                      2.5 * rows *
+                      static_cast<double>(out.schema().avg_row_bytes())));
+        // A naive loop over the concatenated rid columns.
+        for (size_t c = 0; c < outputs.size(); ++c) {
+          const auto& [b, col, rid] = outputs[c];
+          const int oc = static_cast<int>(c);
+          const ColumnDef& def = out.schema().column(oc);
+          EXPECT_EQ(def.name, projected.projection[c].def.name);
+          EXPECT_EQ(def.type, bases[b]->schema().column(col).type);
+          EXPECT_EQ(def.avg_width, bases[b]->schema().column(col).avg_width);
+          const Relation& base = *bases[b];
+          const int64_t mismatch =
+              def.type == ValueType::kInt64
+                  ? FirstGatherMismatch<int64_t>(out, oc, base, col,
+                                                 expected[rid])
+              : def.type == ValueType::kDouble
+                  ? FirstGatherMismatch<double>(out, oc, base, col,
+                                                expected[rid])
+                  : FirstGatherMismatch<std::string>(out, oc, base, col,
+                                                     expected[rid]);
+          EXPECT_EQ(mismatch, -1) << "column " << c;
         }
       }
     }
   }
+}
+
+TEST(HugePageTest, WholeHugePagesKeepsOnlyWholeAlignedPages) {
+  constexpr uintptr_t kPage = kHugePageBytes;
+  constexpr uintptr_t kBase = uintptr_t{0x7f12} << 32;  // aligned
+  using Range = std::pair<uintptr_t, uintptr_t>;
+  auto pages = [](uintptr_t begin, uintptr_t bytes) {
+    const AddressRange r = WholeHugePages(begin, bytes);
+    return Range(r.begin, r.bytes);
+  };
+  // Null or empty.
+  EXPECT_EQ(pages(0, 8 * kPage), Range(0, 0));
+  EXPECT_EQ(pages(kBase, 0), Range(0, 0));
+  // Under one page, aligned or not.
+  EXPECT_EQ(pages(kBase, kPage - 1), Range(0, 0));
+  EXPECT_EQ(pages(kBase + 16, kPage), Range(0, 0));
+  // More than a page that still holds no whole aligned one.
+  EXPECT_EQ(pages(kBase + 4096, kPage + 4096), Range(0, 0));
+  EXPECT_EQ(pages(kBase + kPage / 2, kPage + kPage / 4), Range(0, 0));
+  // Exact multiples.
+  EXPECT_EQ(pages(kBase, kPage), Range(kBase, kPage));
+  EXPECT_EQ(pages(kBase, 3 * kPage), Range(kBase, 3 * kPage));
+  // An aligned start with a tail, and an unaligned start with an aligned
+  // end.
+  EXPECT_EQ(pages(kBase, 2 * kPage + 100), Range(kBase, 2 * kPage));
+  EXPECT_EQ(pages(kBase - 16, 2 * kPage + 16), Range(kBase, 2 * kPage));
+  // Unaligned at both ends: the head and tail are left out. A malloc'd
+  // block starts 16 bytes past a 4 KiB page.
+  EXPECT_EQ(pages(kBase + 4096 + 16, 3 * kPage),
+            Range(kBase + kPage, 2 * kPage));
+  EXPECT_EQ(pages(kBase + 1, 4 * kPage), Range(kBase + kPage, 3 * kPage));
+  EXPECT_EQ(pages(kBase - 1, kPage + 2), Range(kBase, kPage));
+  // A range that would wrap past the top of the address space.
+  EXPECT_EQ(pages(UINTPTR_MAX - kPage, 4 * kPage), Range(0, 0));
+  // Advising such buffers is a no-op, also for null.
+  AdviseHugePages(nullptr, 0);
+  AdviseHugePages(nullptr, 4 * kPage);
+  std::vector<int64_t> small(100);
+  AdviseHugePages(small.data(), small.size() * sizeof(int64_t));
+  EXPECT_EQ(small, std::vector<int64_t>(100));
 }
 
 TEST(JobRunnerTest, ValidatesProjection) {

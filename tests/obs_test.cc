@@ -5,6 +5,7 @@
 // perturb one bit of a query's rows or simulated metrics, at any thread
 // count.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -340,6 +341,29 @@ TEST(TracingDifferentialTest, EngineRunEmitsSpansFromEveryLayer) {
         "map-phase", "shuffle-merge", "reduce-phase", "reduce-task"}) {
     EXPECT_GT(by_name[expected], 0) << "missing span: " << expected;
   }
+}
+
+// Traced, every job-output span counts the minor page faults its fill
+// tasks took, each read on the task's own thread.
+TEST(TracingDifferentialTest, JobOutputSpanCountsTheFillsMinorFaults) {
+  Tracer tracer;
+  {
+    TraceSession session(&tracer);
+    ThetaEngine engine;
+    ASSERT_TRUE(engine.Execute(SmallMobileQuery()).ok());
+  }
+  int spans = 0;
+  for (const TraceEvent& ev : tracer.events()) {
+    if (std::string(ev.name) != "job-output") continue;
+    ++spans;
+    const auto arg =
+        std::find_if(ev.args.begin(), ev.args.end(),
+                     [](const TraceArg& a) { return a.key == "minor_faults"; });
+    ASSERT_NE(arg, ev.args.end());
+    EXPECT_TRUE(arg->is_number);
+    EXPECT_GE(std::stoll(arg->value), 0);
+  }
+  EXPECT_GT(spans, 0);
 }
 
 }  // namespace
