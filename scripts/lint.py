@@ -18,11 +18,13 @@ Rules (docs/STATIC_ANALYSIS.md):
                   moment unseeded or wall-clock-seeded randomness leaks
                   into an operator. Deterministic streams come from
                   src/common/rng.h.
-  naked-mutex     src/ must not use std::mutex / std::condition_variable /
-                  std::lock_guard / std::unique_lock / std::scoped_lock
-                  directly: the annotated wrappers in
-                  src/common/thread_annotations.h are what make
-                  -Wthread-safety able to see locking at all.
+  naked-mutex     src/ must not use a std locking type directly: any of
+                  the six std mutexes (plain, shared, recursive, timed,
+                  shared_timed, recursive_timed), std::condition_variable
+                  (and its _any), std::lock_guard, std::unique_lock,
+                  std::shared_lock or std::scoped_lock. The annotated
+                  wrappers in src/common/thread_annotations.h are what
+                  make -Wthread-safety able to see locking at all.
   todo-tag        TODO comments must carry an issue tag — TODO(#123) —
                   anywhere in src/, tests/, examples/, bench/, scripts/.
                   Untracked TODOs rot.
@@ -60,7 +62,9 @@ RE_RAW_ASSERT = re.compile(r"(?<![A-Za-z0-9_])assert\s*\(")
 RE_RANDOMNESS = re.compile(
     r"(?<![A-Za-z0-9_])(?:rand|srand|time)\s*\(|std::random_device")
 RE_NAKED_MUTEX = re.compile(
-    r"std::(?:mutex|condition_variable|lock_guard|unique_lock|scoped_lock)"
+    r"std::(?:(?:shared_|recursive_)?(?:timed_)?mutex"
+    r"|condition_variable(?:_any)?"
+    r"|lock_guard|unique_lock|shared_lock|scoped_lock)"
     r"(?![A-Za-z0-9_])")
 RE_TODO = re.compile(r"\bTODO\b")
 RE_TODO_TAGGED = re.compile(r"\bTODO\(#\d+\)")
@@ -184,6 +188,22 @@ SELF_TEST_CASES = [
      '  std::unique_lock<int>* l;\n'  # line 6: naked-mutex
      '};\n',
      {(5, "naked-mutex"), (6, "naked-mutex")}),
+    ("src/more_locks.h",
+     '#include <shared_mutex>\n'
+     'struct T {\n'
+     '  std::shared_mutex a;\n'              # line 3: naked-mutex
+     '  std::recursive_mutex b;\n'           # line 4: naked-mutex
+     '  std::timed_mutex c;\n'               # line 5: naked-mutex
+     '  std::shared_timed_mutex d;\n'        # line 6: naked-mutex
+     '  std::recursive_timed_mutex e;\n'     # line 7: naked-mutex
+     '  std::shared_lock<int>* f;\n'         # line 8: naked-mutex
+     '  std::condition_variable_any g;\n'    # line 9: naked-mutex
+     '  std::mutex_like h;\n'                # a longer name is not a mutex
+     '  my::shared_mutex i;\n'               # not the std one
+     '};\n',
+     {(3, "naked-mutex"), (4, "naked-mutex"), (5, "naked-mutex"),
+      (6, "naked-mutex"), (7, "naked-mutex"), (8, "naked-mutex"),
+      (9, "naked-mutex")}),
     ("src/strings.cc",
      '/* assert( in a block comment\n'
      '   spanning lines */\n'

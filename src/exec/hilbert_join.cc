@@ -128,7 +128,9 @@ struct HilbertJobState {
   std::vector<JoinSide> inputs = {};
   std::vector<int> output_bases = {};
   std::vector<RidSource> output_sources = {};  // per output base
-  std::vector<int> dim_representative = {};  // dim -> lowest input index
+  // Per input: the cell-table stride of its dimension when it is the
+  // lowest input on it, else 0 (CellOwnership::stride).
+  std::vector<uint64_t> depth_stride = {};
   JoinKernelPlan kernel_plan = {};
   uint64_t seed = 0;
   // ---- Skew handling (docs/SKEW.md) ----
@@ -188,30 +190,18 @@ struct HilbertJobState {
     }
   }
 
-  // Exactly-once ownership: the combination's cell must lie in curve
-  // segment `task`. Inputs sharing a fused dimension have equal slices in
-  // any valid combination (their equality conditions held).
-  bool OwnsCell(std::span<const MapOutputRecord* const> recs,
-                int64_t task) const {
-    const int dims = grouping.num_dims;
-    uint32_t coords[16];
-    for (int d = 0; d < dims; ++d) {
-      coords[d] = static_cast<uint32_t>(recs[dim_representative[d]]->rec_id);
-    }
-    return coverage->SegmentOfCell(std::span<const uint32_t>(coords, dims)) ==
-           static_cast<int>(task);
-  }
-
-  // Joins one reduce task's component and emits the combinations it owns.
+  // Joins one reduce task's component. A curve segment's task binds only
+  // the combinations whose cell it owns, so each result appears once.
+  // Heavy-grid tasks own every combination they can assemble (the map-side
+  // split/broadcast already made combinations unique) and pass no
+  // ownership.
   void JoinComponent(const ReduceContext& ctx, ReduceCollector& out) const {
-    // Heavy-grid tasks own every combination they can assemble (the
-    // map-side split/broadcast already made combinations unique), so the
-    // curve ownership check is skipped there.
     const bool heavy = ctx.key >= static_cast<int64_t>(residual_tasks);
+    const CellOwnership ownership{coverage->cell_segments(),
+                                  static_cast<int32_t>(ctx.key), depth_stride};
     std::vector<int64_t> row(output_sources.size());
-    ComponentJoiner joiner(kernel_plan, ctx);
+    ComponentJoiner joiner(kernel_plan, ctx, heavy ? nullptr : &ownership);
     joiner.Run([&](std::span<const MapOutputRecord* const> recs) {
-      if (!heavy && !OwnsCell(recs, ctx.key)) return;
       for (size_t j = 0; j < row.size(); ++j) {
         const RidSource& src = output_sources[j];
         row[j] = src.BaseRow(recs[src.input]->row);
@@ -409,10 +399,10 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
 
   const int kr = static_cast<int>(std::min<uint64_t>(
       static_cast<uint64_t>(skew.residual_tasks), curve->num_cells()));
-  StatusOr<SegmentCoverage> coverage = SegmentCoverage::Build(*curve, kr);
+  StatusOr<std::shared_ptr<const SegmentCoverage>> coverage =
+      SharedSegmentCoverage(*curve, kr);
   if (!coverage.ok()) return coverage.status();
-  state->coverage =
-      std::make_shared<const SegmentCoverage>(*std::move(coverage));
+  state->coverage = *std::move(coverage);
 
   // Heavy grids live after the (possibly cell-clamped) residual segments.
   skew.residual_tasks = kr;
@@ -444,10 +434,19 @@ StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
         std::max<int64_t>(1, side.data->logical_rows()));
     state->scales.push_back(side.scale);
   }
-  state->dim_representative.assign(dims, -1);
+  // Inputs sharing a fused dimension have equal slices in any valid
+  // combination (their equality conditions held), so the lowest input on
+  // a dimension places it in the row-major cell table.
+  std::vector<bool> dim_bound(dims, false);
   for (int i = 0; i < num_inputs; ++i) {
     const int d = grouping.dim_of_input[i];
-    if (state->dim_representative[d] < 0) state->dim_representative[d] = i;
+    uint64_t stride = 0;
+    if (!dim_bound[d]) {
+      dim_bound[d] = true;
+      stride = 1;
+      for (int e = d + 1; e < dims; ++e) stride *= curve->side();
+    }
+    state->depth_stride.push_back(stride);
   }
 
   // Output bases: ascending union of input coverage.

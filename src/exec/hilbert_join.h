@@ -96,11 +96,11 @@ struct HilbertJoinPlanInfo {
 ///  slice.
 ///
 ///  Reduce: backtracking join over the component's tuples in trail order
-///  with early condition pruning; a fully-assigned combination is emitted
-///  only when its cell's curve position belongs to this component, which
-///  makes results exactly-once across reducers. Under KernelPolicy::kAuto
-///  each depth visits only the candidates its composite-key index returns
-///  for the bound prefix.
+///  with early condition pruning; the last depth binds only combinations
+///  whose cell's curve position belongs to this component, which makes
+///  results exactly-once across reducers. Under KernelPolicy::kAuto each
+///  depth visits only the candidates its composite-key index returns for
+///  the bound prefix.
 StatusOr<MapReduceJobSpec> BuildHilbertJoinJob(const MultiwayJoinJobSpec& spec,
                                                HilbertJoinPlanInfo* info =
                                                    nullptr);

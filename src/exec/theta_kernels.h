@@ -142,6 +142,18 @@ JoinKernelPlan BuildJoinKernelPlan(
     const std::vector<JoinSide>& inputs,
     const std::vector<RelationPtr>& base_relations, KernelPolicy policy);
 
+/// Which combinations a Hilbert curve segment's reduce task owns
+/// (docs/EXECUTOR.md, "Ownership"): those whose cell its segment holds.
+/// A record's rec_id is its slice along its input's dimension.
+struct CellOwnership {
+  /// Row-major cell -> owning segment (SegmentCoverage::cell_segments()).
+  std::span<const int32_t> owner;
+  int32_t task = 0;
+  /// Per depth: the table stride of the dimension that depth binds first,
+  /// or 0 when an earlier depth binds its dimension.
+  std::span<const uint64_t> stride;
+};
+
 /// \brief Backtracking join over one reduce group's records, input d at
 /// depth d. Depth 0, and every depth without an active index plan, visits
 /// each of its records and checks every condition of the depth. A depth
@@ -151,10 +163,18 @@ JoinKernelPlan BuildJoinKernelPlan(
 /// the next depth's index is keyed on this depth, a candidate whose
 /// memoized next range is empty is counted as a call of the next depth and
 /// skipped, without being bound.
+///
+/// With a CellOwnership the last depth binds only owned candidates. If it
+/// binds a new dimension, a branch-free pass over its candidates' slices
+/// keeps the owned ones; if not, the prefix's cell is the combination's,
+/// and it is tested once on entering the depth. Nothing above the last
+/// depth is pruned, so calls() does not change.
 class ComponentJoiner {
  public:
-  /// `plan` and `ctx` must outlive the joiner.
-  ComponentJoiner(const JoinKernelPlan& plan, const ReduceContext& ctx);
+  /// `plan`, `ctx` and `ownership` (null: every combination is owned) must
+  /// outlive the joiner.
+  ComponentJoiner(const JoinKernelPlan& plan, const ReduceContext& ctx,
+                  const CellOwnership* ownership = nullptr);
 
   /// Calls `sink(recs)` for each combination that satisfies every
   /// condition, where recs[d] is its record of input d. Combinations come
@@ -192,7 +212,11 @@ class ComponentJoiner {
     // record's position in that depth's visit order.
     std::vector<Range> found;
     std::vector<FilterKeys> filter_keys;  // per DepthIndexPlan::filters
-    // The positions of the current lookup that pass every filter term.
+    // With ownership, on a last depth that binds a new dimension: each
+    // entry's slice (its record's rec_id).
+    std::vector<uint32_t> slices;
+    // The positions of the current lookup that pass every filter term and,
+    // with slices, the ownership test.
     std::vector<uint32_t> selection;
   };
 
@@ -213,6 +237,20 @@ class ComponentJoiner {
   // Writes the positions of `range` that pass every filter term of
   // `depth` to index_[depth].selection and returns their count.
   size_t Filter(int depth, Range range);
+  // Keeps, of the `n` candidates of `range` (the selection's first `n`
+  // when `selected`), those whose cell `cell` + slice * `stride` the task
+  // owns; writes them to index_[depth].selection and returns their count.
+  size_t SelectOwned(int depth, Range range, size_t n, bool selected,
+                     size_t cell, size_t stride);
+  // The slices of bound depths [0, depth) placed in the cell table.
+  size_t PrefixCell(int depth) const {
+    size_t cell = 0;
+    for (int d = 0; d < depth; ++d) {
+      cell += static_cast<size_t>(recs_[d]->rec_id) * own_->stride[d];
+    }
+    return cell;
+  }
+  bool Owns(size_t cell) const { return own_->owner[cell] == own_->task; }
 
   void Bind(int depth, size_t pos, const MapOutputRecord* rec) {
     pos_[depth] = pos;
@@ -238,10 +276,20 @@ class ComponentJoiner {
   template <typename Sink>
   void Recurse(int depth, Sink& sink) {
     calls_[depth] += 1.0;
+    // Ownership at the last depth: the prefix's cell, and the stride of
+    // the dimension this depth completes (0: the prefix's cell is whole).
+    const bool owning = own_ != nullptr && depth + 1 == num_inputs();
+    const size_t cell = owning ? PrefixCell(depth) : 0;
+    const size_t stride = owning ? own_->stride[depth] : 0;
+    if (owning && stride == 0 && !Owns(cell)) return;
     const DepthIndexPlan& plan = plan_.index_plans[depth];
     if (depth == 0 || !plan.active()) {
       const std::span<const MapOutputRecord> recs = ctx_.records(depth);
       for (size_t i = 0; i < recs.size(); ++i) {
+        if (stride != 0 &&
+            !Owns(cell + static_cast<size_t>(recs[i].rec_id) * stride)) {
+          continue;
+        }
         Bind(depth, i, &recs[i]);
         if (Holds(plan_.conditions_at_depth[depth])) Descend(depth, sink);
       }
@@ -257,14 +305,15 @@ class ComponentJoiner {
         look_ahead ? std::span<Range>(index_[depth + 1].found)
                    : std::span<Range>();
     // The candidates are [lo, hi), or the positions of it that pass every
-    // filter term.
+    // filter term and the ownership test.
     const bool filtered = !plan.filters.empty();
-    const size_t n =
-        filtered ? Filter(depth, range) : range.second - range.first;
+    size_t n = filtered ? Filter(depth, range) : range.second - range.first;
+    if (stride != 0) n = SelectOwned(depth, range, n, filtered, cell, stride);
+    const bool selected = filtered || stride != 0;
     const std::span<const uint32_t> selection = index_[depth].selection;
     uint64_t skipped = 0;
     for (size_t k = 0; k < n; ++k) {
-      const size_t i = filtered ? selection[k] : range.first + k;
+      const size_t i = selected ? selection[k] : range.first + k;
       if (!plan.residuals.empty()) {
         rows_[depth] = recs[i]->row;
         if (!Holds(plan.residuals)) continue;
@@ -289,6 +338,7 @@ class ComponentJoiner {
 
   const JoinKernelPlan& plan_;
   const ReduceContext& ctx_;
+  const CellOwnership* own_;
   std::vector<size_t> pos_;  // visit-order position of each bound record
   std::vector<int64_t> rows_;
   std::vector<const MapOutputRecord*> recs_;

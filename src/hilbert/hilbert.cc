@@ -1,7 +1,10 @@
 #include "src/hilbert/hilbert.h"
 
 #include "src/common/status.h"
+#include "src/common/thread_annotations.h"
+#include "src/obs/trace.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mrtheta {
@@ -208,6 +211,63 @@ int64_t SegmentCoverage::ReplicasForUniformRelation(int dim,
     total += pop * static_cast<int64_t>(slice_segments_[dim][s].size());
   }
   return total;
+}
+
+namespace {
+
+// SharedSegmentCoverage's memo. It holds at most kSharedCoverageCapacity
+// entries, so a linear scan finds a key and picks the least recently used
+// one to evict.
+struct CoverageMemo {
+  struct Entry {
+    int dims = 0;
+    int order = 0;
+    int segments = 0;
+    uint64_t last_use = 0;
+    std::shared_ptr<const SegmentCoverage> coverage;
+  };
+
+  Mutex mu;
+  uint64_t uses MRTHETA_GUARDED_BY(mu) = 0;
+  std::vector<Entry> entries MRTHETA_GUARDED_BY(mu);
+};
+
+}  // namespace
+
+StatusOr<std::shared_ptr<const SegmentCoverage>> SharedSegmentCoverage(
+    const HilbertCurve& curve, int num_segments) {
+  static CoverageMemo* const memo = new CoverageMemo();
+  MutexLock lock(&memo->mu);
+  const uint64_t use = ++memo->uses;
+  for (CoverageMemo::Entry& entry : memo->entries) {
+    if (entry.dims == curve.dims() && entry.order == curve.order() &&
+        entry.segments == num_segments) {
+      entry.last_use = use;
+      return entry.coverage;
+    }
+  }
+  // Built under the lock, so a key is walked once while it stays memoized;
+  // a build happens once per grid shape, a lookup once per job.
+  TraceSpan span("coverage-build", "hilbert");
+  span.Arg("dims", int64_t{curve.dims()})
+      .Arg("order", int64_t{curve.order()})
+      .Arg("segments", int64_t{num_segments})
+      .Arg("cells", static_cast<int64_t>(curve.num_cells()));
+  StatusOr<SegmentCoverage> built = SegmentCoverage::Build(curve, num_segments);
+  if (!built.ok()) return built.status();
+  CoverageMemo::Entry entry{
+      curve.dims(), curve.order(), num_segments, use,
+      std::make_shared<const SegmentCoverage>(*std::move(built))};
+  if (memo->entries.size() < static_cast<size_t>(kSharedCoverageCapacity)) {
+    memo->entries.push_back(entry);
+  } else {
+    *std::min_element(memo->entries.begin(), memo->entries.end(),
+                      [](const CoverageMemo::Entry& a,
+                         const CoverageMemo::Entry& b) {
+                        return a.last_use < b.last_use;
+                      }) = entry;
+  }
+  return entry.coverage;
 }
 
 int ChooseGridOrder(int dims, int num_segments, int cells_per_segment_target,

@@ -2,6 +2,7 @@
 #define MRTHETA_HILBERT_HILBERT_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -58,8 +59,11 @@ class HilbertCurve {
 /// contains s — this is exactly Cnt(t, C) from Eq. (7).
 ///
 /// It also records which segment owns each cell, in a row-major table of
-/// one int32 per cell (1 MiB at 2^18 cells), so reducers resolve a
-/// combination's owner with one lookup instead of re-encoding the curve.
+/// one int32 per cell (1 MiB at 2^18 cells). Hilbert reducers read that
+/// table, through ComponentJoiner's CellOwnership, to keep only the
+/// last-depth candidates whose cell their segment owns; no curve is
+/// re-encoded per combination. A coverage is a pure function of (dims,
+/// order, num_segments): jobs share one through SharedSegmentCoverage.
 class SegmentCoverage {
  public:
   /// Walks the whole curve once (O(num_cells · dims)) and builds coverage
@@ -88,8 +92,7 @@ class SegmentCoverage {
 
   /// Segment owning the cell at `coords` (coords.size() == dims, each
   /// < side()): SegmentOfIndex(curve.Encode(coords)), read from the table
-  /// Build filled while decoding every cell. Reducers use it for
-  /// duplicate-free result ownership.
+  /// Build filled while decoding every cell.
   int SegmentOfCell(std::span<const uint32_t> coords) const {
     MRTHETA_DCHECK(static_cast<int>(coords.size()) == dims_);
     uint64_t cell = 0;
@@ -99,6 +102,11 @@ class SegmentCoverage {
     }
     return cell_segment_[cell];
   }
+
+  /// The owning segment of every cell, row-major with dimension 0 most
+  /// significant: the cell at `coords` is entry Σ_d coords[d] ·
+  /// side^(dims-1-d).
+  std::span<const int32_t> cell_segments() const { return cell_segment_; }
 
   /// First curve position of segment `seg`.
   uint64_t SegmentBegin(int seg) const;
@@ -132,6 +140,18 @@ class SegmentCoverage {
   // significant).
   std::vector<int32_t> cell_segment_;
 };
+
+/// Most coverages SharedSegmentCoverage keeps at once: at most 32 MiB of
+/// cell tables at the Hilbert job builder's 2^18-cell grid cap.
+inline constexpr int kSharedCoverageCapacity = 32;
+
+/// The coverage of `curve` cut into `num_segments` segments, built on the
+/// first request for its (dims, order, num_segments) and shared
+/// process-wide after it. The memo keeps the kSharedCoverageCapacity most
+/// recently requested coverages; one it evicts stays valid for whoever
+/// holds it. A build records a `hilbert/coverage-build` span. Thread-safe.
+StatusOr<std::shared_ptr<const SegmentCoverage>> SharedSegmentCoverage(
+    const HilbertCurve& curve, int num_segments);
 
 /// Picks a grid order for partitioning a `dims`-dimensional cube into
 /// `num_segments` Hilbert segments: the smallest order whose grid has at

@@ -3,6 +3,7 @@
 // kernel policies, byte-identity across thread counts, split shapes and a
 // memory budget, and the kernel-independent comparison charge.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -53,8 +54,10 @@ StatusOr<PhysicalJobResult> RunReference(const MapReduceJobSpec& job) {
 // ±2^53) within a domain of `domain` steps; double columns add halves, so
 // ties, near-ties and values doubles cannot represent exactly all occur.
 // A share `inf_rate` of double values is ±inf, so with infinite offsets
-// sums that are NaN (inf + -inf) occur too.
-RelationPtr GenerateBase(Rng& rng, int64_t center, double inf_rate) {
+// sums that are NaN (inf + -inf) occur too. With `dominant`, about two
+// values in three are `center`: a heavy join key.
+RelationPtr GenerateBase(Rng& rng, int64_t center, double inf_rate,
+                         bool dominant) {
   const int64_t rows = rng.Bernoulli(0.08) ? 0 : 1 + rng.Uniform(20);
   const int64_t domain = 1 + rng.Uniform(rng.Bernoulli(0.6) ? 3 : 10);
   std::vector<ColumnDef> defs;
@@ -62,7 +65,9 @@ RelationPtr GenerateBase(Rng& rng, int64_t center, double inf_rate) {
   for (const char* name : {"c0", "c1"}) {
     std::vector<int64_t> ints;
     for (int64_t r = 0; r < rows; ++r) {
-      ints.push_back(center + rng.UniformInt(-domain, domain));
+      ints.push_back(dominant && rng.Bernoulli(0.6)
+                         ? center
+                         : center + rng.UniformInt(-domain, domain));
     }
     if (rng.Bernoulli(0.5)) {
       defs.emplace_back(name, ValueType::kInt64);
@@ -142,8 +147,19 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
   ThreadPool four(4);
   SpillDirectory spill_dir;
   int nonempty = 0;
+  // Jobs with rows whose last input binds a new dimension (its curve
+  // segments select owned candidates) or binds none (they test the
+  // prefix's cell once), and jobs with rows that got a heavy grid (whose
+  // tasks take no ownership).
+  int last_binds_new = 0;
+  int last_binds_none = 0;
+  int heavy = 0;
   for (uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(31000 + seed);
+    // One job in four forces skew handling on inputs with a dominant key
+    // and an equality between the last two bases, so heavy grids run next
+    // to curve segments.
+    const bool skewed = seed % 4 == 3;
     const int n = 2 + static_cast<int>(rng.Uniform(3));
     const int64_t centers[] = {0, kTwo53, -kTwo53};
     const int64_t center = centers[rng.Uniform(3)];
@@ -153,11 +169,17 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
     std::vector<RelationPtr> bases;
     std::vector<int> indices;
     for (int i = 0; i < n; ++i) {
-      bases.push_back(GenerateBase(rng, center, inf_rate));
+      bases.push_back(GenerateBase(rng, center, inf_rate, skewed));
       indices.push_back(i);
     }
-    const std::vector<JoinCondition> conds =
-        GenerateConditions(rng, n, inf_rate);
+    std::vector<JoinCondition> conds = GenerateConditions(rng, n, inf_rate);
+    if (skewed) {
+      conds.push_back({{n - 2, 0},
+                       ThetaOp::kEq,
+                       {n - 1, 0},
+                       0.0,
+                       static_cast<int>(conds.size())});
+    }
     const std::string label = "seed=" + std::to_string(seed);
 
     const auto oracle = NaiveMultiwayJoin(bases, indices, conds);
@@ -169,7 +191,9 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
     MultiwayJoinJobSpec spec;
     spec.base_relations = bases;
     spec.conditions = conds;
-    spec.num_reduce_tasks = 1 + static_cast<int>(rng.Uniform(12));
+    spec.num_reduce_tasks = skewed ? 4 + static_cast<int>(rng.Uniform(9))
+                                   : 1 + static_cast<int>(rng.Uniform(12));
+    spec.skew_handling = skewed ? SkewHandling::kForce : SkewHandling::kOff;
     spec.seed = 77 + seed;
     for (int i = 0; i < n; ++i) {
       spec.inputs.push_back(JoinSide::ForBase(bases[i], i));
@@ -193,8 +217,17 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
     for (KernelPolicy policy :
          {KernelPolicy::kAuto, KernelPolicy::kGenericOnly}) {
       spec.kernel_policy = policy;
-      const auto job = BuildHilbertJoinJob(spec);
+      HilbertJoinPlanInfo info;
+      const auto job = BuildHilbertJoinJob(spec, &info);
       ASSERT_TRUE(job.ok()) << label << ": " << job.status().ToString();
+      if (policy == KernelPolicy::kAuto && oracle->num_rows() > 0) {
+        const std::vector<int>& dims = info.grouping.dim_of_input;
+        const bool binds_new =
+            std::find(dims.begin(), dims.end() - 1, dims.back()) ==
+            dims.end() - 1;
+        ++(binds_new ? last_binds_new : last_binds_none);
+        heavy += info.skew.enabled() ? 1 : 0;
+      }
       const std::string at = label + " kernel=" + job->kernel;
       const auto reference = RunReference(*job);
       ASSERT_TRUE(reference.ok()) << at;
@@ -227,8 +260,12 @@ TEST(HilbertIndexDifferentialTest, GeneratedJobsMatchOracleAndRuntimes) {
     EXPECT_EQ(comparisons[0], comparisons[1]) << label;
   }
   // The generator must produce joins with results, not only empty ones:
-  // at least three in ten.
+  // at least three in ten. Among them, both ownership branches and heavy
+  // grids must run.
   EXPECT_GE(nonempty, 60) << nonempty;
+  EXPECT_GE(last_binds_new, 30) << last_binds_new;
+  EXPECT_GE(last_binds_none, 15) << last_binds_none;
+  EXPECT_GE(heavy, 10) << heavy;
 }
 
 // Ordered FNV-1a fingerprint of a rid table: every cell of every row, in

@@ -2,7 +2,9 @@
 // segment-coverage machinery (the paper's perfect partition function).
 
 #include <cstdlib>
+#include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,50 @@ TEST_P(HilbertPropertyTest, SegmentOfCellMatchesEncode) {
                 cov.SegmentOfIndex(c.Encode(coords)))
           << "segments " << k << ", row-major cell " << cell;
     }
+  }
+}
+
+// `a` and `b` answer every query alike: each cell's segment, each slice's
+// segments and each segment's coverage counts.
+void ExpectSameCoverage(const SegmentCoverage& a, const SegmentCoverage& b,
+                        const HilbertCurve& c) {
+  ASSERT_EQ(a.num_segments(), b.num_segments());
+  ASSERT_EQ(a.dims(), c.dims());
+  ASSERT_EQ(b.dims(), c.dims());
+  std::vector<uint32_t> coords(c.dims());
+  for (uint64_t cell = 0; cell < c.num_cells(); ++cell) {
+    uint64_t rest = cell;
+    for (int d = c.dims() - 1; d >= 0; --d) {
+      coords[d] = static_cast<uint32_t>(rest % c.side());
+      rest /= c.side();
+    }
+    ASSERT_EQ(a.SegmentOfCell(coords), b.SegmentOfCell(coords))
+        << "row-major cell " << cell;
+    ASSERT_EQ(a.cell_segments()[cell], a.SegmentOfCell(coords));
+  }
+  for (int d = 0; d < c.dims(); ++d) {
+    for (uint32_t slice = 0; slice < c.side(); ++slice) {
+      ASSERT_EQ(a.SegmentsForSlice(d, slice), b.SegmentsForSlice(d, slice))
+          << "dim " << d << " slice " << slice;
+    }
+    for (int seg = 0; seg < a.num_segments(); ++seg) {
+      ASSERT_EQ(a.CoverageCount(seg, d), b.CoverageCount(seg, d))
+          << "dim " << d << " segment " << seg;
+    }
+  }
+}
+
+TEST_P(HilbertPropertyTest, SharedCoverageIsOneObjectEqualToAFreshBuild) {
+  const auto [dims, order] = GetParam();
+  const HilbertCurve c = *HilbertCurve::Create(dims, order);
+  for (const uint64_t k : {uint64_t{1}, uint64_t{7}, c.num_cells()}) {
+    const int segments = static_cast<int>(k);
+    const auto shared = SharedSegmentCoverage(c, segments);
+    ASSERT_TRUE(shared.ok());
+    const auto again = SharedSegmentCoverage(c, segments);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(shared->get(), again->get()) << "segments " << k;
+    ExpectSameCoverage(**shared, *SegmentCoverage::Build(c, segments), c);
   }
 }
 
@@ -212,6 +258,73 @@ TEST(SegmentCoverageTest, MoreSegmentsMeansMoreReplicas) {
     prev = total;
   }
   EXPECT_GT(prev, 3000);  // k=8 must replicate beyond the k=1 baseline
+}
+
+TEST(SharedSegmentCoverageTest, RejectsBadSegmentCounts) {
+  const HilbertCurve c = *HilbertCurve::Create(2, 2);
+  EXPECT_FALSE(SharedSegmentCoverage(c, 0).ok());
+  EXPECT_FALSE(SharedSegmentCoverage(c, 17).ok());
+  EXPECT_TRUE(SharedSegmentCoverage(c, 16).ok());
+}
+
+// Eight threads ask for a mix of keys at once, each in its own order,
+// misses and hits alike; every table they get equals a fresh build.
+TEST(SharedSegmentCoverageTest, ConcurrentRequestsGetEqualTables) {
+  struct Key {
+    int dims;
+    int order;
+    int segments;
+  };
+  const std::vector<Key> keys = {{3, 2, 3},  {3, 2, 5},  {3, 2, 9},
+                                 {2, 4, 6},  {2, 4, 11}, {2, 4, 13},
+                                 {4, 2, 10}, {4, 2, 21}, {1, 7, 5}};
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 4;
+  std::vector<std::vector<std::shared_ptr<const SegmentCoverage>>> got(
+      kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        for (size_t i = 0; i < keys.size(); ++i) {
+          const Key& key = keys[(i + t * 5 + r) % keys.size()];
+          const HilbertCurve c = *HilbertCurve::Create(key.dims, key.order);
+          const auto coverage = SharedSegmentCoverage(c, key.segments);
+          got[t].push_back(coverage.ok() ? *coverage : nullptr);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), kRounds * keys.size());
+    for (size_t j = 0; j < got[t].size(); ++j) {
+      const Key& key =
+          keys[(j % keys.size() + t * 5 + j / keys.size()) % keys.size()];
+      const HilbertCurve c = *HilbertCurve::Create(key.dims, key.order);
+      ASSERT_NE(got[t][j], nullptr) << "thread " << t << " request " << j;
+      ExpectSameCoverage(*got[t][j], *SegmentCoverage::Build(c, key.segments),
+                         c);
+    }
+  }
+}
+
+// More keys than the memo holds: every answer is still right, and a
+// coverage the memo evicted stays valid for its holder.
+TEST(SharedSegmentCoverageTest, MoreKeysThanTheBoundStayCorrect) {
+  const HilbertCurve c = *HilbertCurve::Create(2, 3);
+  const int num_keys = kSharedCoverageCapacity + 8;
+  ASSERT_LE(static_cast<uint64_t>(num_keys), c.num_cells());
+  const auto first = SharedSegmentCoverage(c, 1);
+  ASSERT_TRUE(first.ok());
+  for (int round = 0; round < 2; ++round) {
+    for (int segments = 1; segments <= num_keys; ++segments) {
+      const auto coverage = SharedSegmentCoverage(c, segments);
+      ASSERT_TRUE(coverage.ok());
+      ExpectSameCoverage(**coverage, *SegmentCoverage::Build(c, segments), c);
+    }
+  }
+  ExpectSameCoverage(**first, *SegmentCoverage::Build(c, 1), c);
 }
 
 TEST(ChooseGridOrderTest, MeetsTargetWithinCap) {

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/api/theta_engine.h"
+#include "src/hilbert/hilbert.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
@@ -364,6 +365,65 @@ TEST(TracingDifferentialTest, JobOutputSpanCountsTheFillsMinorFaults) {
     EXPECT_GE(std::stoll(arg->value), 0);
   }
   EXPECT_GT(spans, 0);
+}
+
+// Spans named `name` that `tracer` recorded.
+int CountSpans(const Tracer& tracer, const std::string& name) {
+  int n = 0;
+  for (const TraceEvent& ev : tracer.events()) n += ev.name == name ? 1 : 0;
+  return n;
+}
+
+// A memo miss builds a segment coverage and shows in the trace, with the
+// grid's shape as args; a second request for that shape builds nothing.
+TEST(TracingDifferentialTest, CoverageBuildSpanMarksOnlyAMemoMiss) {
+  const HilbertCurve curve = *HilbertCurve::Create(5, 2);
+  Tracer first;
+  {
+    TraceSession session(&first);
+    ASSERT_TRUE(SharedSegmentCoverage(curve, 19).ok());
+  }
+  ASSERT_EQ(CountSpans(first, "coverage-build"), 1);
+  for (const TraceEvent& ev : first.events()) {
+    if (std::string(ev.name) != "coverage-build") continue;
+    EXPECT_EQ(std::string(ev.category), "hilbert");
+    std::map<std::string, std::string> args;
+    for (const TraceArg& arg : ev.args) args[arg.key] = arg.value;
+    EXPECT_EQ(args["dims"], "5");
+    EXPECT_EQ(args["order"], "2");
+    EXPECT_EQ(args["segments"], "19");
+    EXPECT_EQ(args["cells"], "1024");
+  }
+  Tracer second;
+  {
+    TraceSession session(&second);
+    ASSERT_TRUE(SharedSegmentCoverage(curve, 19).ok());
+  }
+  EXPECT_EQ(CountSpans(second, "coverage-build"), 0);
+}
+
+// The second Execute of one query builds no segment coverage: its Hilbert
+// jobs find theirs in the memo.
+TEST(TracingDifferentialTest, SecondExecuteBuildsNoCoverage) {
+  ThetaEngine engine;
+  const Query q = SmallMobileQuery();
+  Tracer first;
+  {
+    TraceSession session(&first);
+    const auto result = engine.Execute(q);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(std::any_of(result->jobs().begin(), result->jobs().end(),
+                            [](const JobExecution& job) {
+                              return job.kind == PlanJobKind::kHilbertJoin;
+                            }));
+  }
+  Tracer second;
+  {
+    TraceSession session(&second);
+    ASSERT_TRUE(engine.Execute(q).ok());
+  }
+  EXPECT_GT(CountSpans(second, "reduce-task"), 0);
+  EXPECT_EQ(CountSpans(second, "coverage-build"), 0);
 }
 
 }  // namespace
